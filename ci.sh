@@ -6,6 +6,14 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q
+
+# The repo benchmark (`perfbench/`, its own cargo workspace) builds
+# against the public APIs of `crates/`, and its tests compare the
+# untraced `Experiment::replicate` with its traced lane loop bit for bit
+# — so a `crates/` change that breaks the benchmark fails here rather
+# than at benchmark time.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 cargo clippy --all-targets -- -D warnings
 
 # Source-level invariant gate: the per-file rules (determinism,

@@ -5,19 +5,10 @@ use crate::spec::{BuiltPolicy, PolicySpec};
 use dses_dist::{derive_seed, Distribution};
 use dses_queueing::cutoff::CutoffError;
 use dses_queueing::policies::{analyze_policy, AnalyticMetrics, AnalyticPolicy};
-use dses_sim::par::{effective_workers, par_map, par_map_grouped, par_map_indexed};
-use dses_sim::{
-    simulate_dispatch, simulate_dispatch_fused, Demand, Dispatcher, EventEngine, MetricsConfig,
-    SimResult,
-};
+use dses_sim::par::{effective_workers, par_map, par_map_indexed};
+use dses_sim::{simulate_dispatch, Demand, EventEngine, MetricsConfig, SimResult};
 use dses_workload::{Trace, WorkloadBuilder};
 use std::sync::Arc;
-
-/// Replication lanes fused into one simulation pass. Eight independent
-/// Lindley/Welford chains are enough to hide the ~20-cycle loop-carried
-/// latency of a single lane without spilling the hot state out of
-/// registers/L1 (see `DESIGN.md` §11).
-const FUSE_WIDTH: usize = 8;
 
 /// How an experiment resolves the collector's [`Demand`] tier — the
 /// demand-lattice knob exposed on the CLI and exhibit binaries as
@@ -405,12 +396,11 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     /// within a single trace would understate the trace-to-trace
     /// variability.
     ///
-    /// Replications are fused in blocks of up to 8: when the policy takes
-    /// a recognised dispatch kernel ([`dses_sim::DispatchKernel`]), a
-    /// block's lanes advance through one simulation pass with interleaved
-    /// host banks ([`simulate_dispatch_fused`]), which is bit-for-bit
-    /// identical to running the lanes one at a time. Central-queue
-    /// policies and resolution failures fall back to the per-lane path.
+    /// Each replication is a solo run on its own trace and its own pool
+    /// task, demanding only the mean slowdown (the `MEANS` tier under
+    /// [`MetricsMode::Auto`]), so R replications spread over every worker
+    /// and each trace is freed as soon as its run ends. When replications
+    /// fail, the first failure in lane order is returned.
     pub fn replicate(
         &self,
         spec: &PolicySpec,
@@ -420,64 +410,16 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
         assert!(replications >= 1, "need at least one replication");
         let this = Arc::new(self.clone());
         let spec = spec.clone();
-        let samples = par_map_grouped(replications, FUSE_WIDTH, self.workers(), move |range| {
-            this.replicate_group(&spec, rho, range)
+        let samples = par_map_indexed(replications, self.workers(), move |r| {
+            let lane = (*this).clone().seed(derive_seed(this.seed, r as u64));
+            let trace = lane.trace(rho);
+            // Replication samples read only the mean slowdown.
+            lane.try_run_on_trace_demand(&spec, &trace, Demand::MEANS)
+                .map(|result| result.slowdown.mean)
         })
         .into_iter()
         .collect::<Result<Vec<f64>, CutoffError>>()?;
         Ok(Replicated::from_samples(&samples))
-    }
-
-    /// Run replication lanes `range` (seed of lane `r` is
-    /// `derive_seed(seed, r)`) and return one mean-slowdown sample per
-    /// lane, in lane order.
-    ///
-    /// Fast path: if every lane resolves to a dispatch policy, the whole
-    /// block runs as one fused pass. Otherwise — any central-queue build
-    /// or resolution error — each lane runs individually, so per-lane
-    /// results (including which lane errors first) match the sequential
-    /// semantics exactly.
-    fn replicate_group(
-        &self,
-        spec: &PolicySpec,
-        rho: f64,
-        range: std::ops::Range<usize>,
-    ) -> Vec<Result<f64, CutoffError>> {
-        let lanes: Vec<(Self, Trace)> = range
-            .map(|r| {
-                let clone = self.clone().seed(derive_seed(self.seed, r as u64));
-                let trace = clone.trace(rho);
-                (clone, trace)
-            })
-            .collect();
-        let mut policies: Vec<Box<dyn Dispatcher>> = Vec::with_capacity(lanes.len());
-        let mut cfgs: Vec<MetricsConfig> = Vec::with_capacity(lanes.len());
-        // Replication samples read only the mean slowdown.
-        let reads = Demand::MEANS;
-        for (clone, trace) in &lanes {
-            match clone.prepare_run(spec, trace, reads) {
-                Ok((BuiltPolicy::Dispatch(p), cfg)) => {
-                    policies.push(p);
-                    cfgs.push(cfg);
-                }
-                // Central-queue lane or resolution error: the fused pass
-                // cannot represent this block, so replay it lane by lane.
-                _ => {
-                    return lanes
-                        .iter()
-                        .map(|(c, t)| {
-                            c.try_run_on_trace_demand(spec, t, reads).map(|r| r.slowdown.mean)
-                        })
-                        .collect();
-                }
-            }
-        }
-        let traces: Vec<&Trace> = lanes.iter().map(|(_, t)| t).collect();
-        let seeds: Vec<u64> = lanes.iter().map(|(c, _)| c.seed).collect();
-        simulate_dispatch_fused(&traces, self.hosts, &mut policies, &seeds, &cfgs)
-            .into_iter()
-            .map(|r| Ok(r.slowdown.mean))
-            .collect()
     }
 }
 

@@ -157,9 +157,7 @@ impl OnlineMoments {
         let n2 = n as f64;
         let nt = n1 + n2;
         let delta = mean - self.mean;
-        // dses-lint: allow(divide-budget) -- Chan's pairwise merge: two divides per 64-record block, 1/32 divide per job amortized; the per-record path stays divide-free
         self.mean += delta * n2 / nt;
-        // dses-lint: allow(divide-budget) -- Chan's pairwise merge: two divides per 64-record block, 1/32 divide per job amortized; the per-record path stays divide-free
         self.m2 += m2 + delta * delta * n1 * n2 / nt;
         self.min = self.min.min(min);
         self.max = self.max.max(max);

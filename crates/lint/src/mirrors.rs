@@ -1,9 +1,10 @@
 //! Mirror-equivalence tier (`--mirrors`) — DESIGN.md §10.7.
 //!
 //! The repo's load-bearing invariant is that paired kernel
-//! implementations (direct / segmented / fused / event-engine Lindley
-//! updates, the `push` / `push_with_inv` accumulators, the `record_core`
-//! monomorphizations) produce bit-identical floating-point results.
+//! implementations (the Lindley update in the static and work-left fast
+//! kernels and in the event engine's host, the `push` / `push_with_inv`
+//! accumulators, the `record_core` monomorphizations) produce
+//! bit-identical floating-point results.
 //! Until now that contract was enforced only by runtime gates; this
 //! pass proves it structurally at lint time.
 //!

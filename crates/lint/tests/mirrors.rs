@@ -210,7 +210,7 @@ fn copy_tree(from: &Path, to: &Path) {
 }
 
 /// Mutation-style check of the property `ci.sh` gates on: copy the real
-/// workspace aside, reassociate exactly one `+` in the marched-chain
+/// workspace aside, reassociate exactly one `+` in the static kernel's
 /// Lindley update, and the mirror tier must flag the copy against the
 /// event-engine reference.
 #[test]
@@ -230,8 +230,8 @@ fn planted_reassociation_in_the_real_kernel_fails_the_mirror_tier() {
 
     let fast = dir.join("crates/sim/src/fast.rs");
     let src = std::fs::read_to_string(&fast).expect("read fast.rs");
-    let before = "let completion = start + speeds.service(ch.host, ch.sizes[i]);";
-    let after = "let completion = speeds.service(ch.host, ch.sizes[i]) + start;";
+    let before = "let completion = start + speeds.service(target, size);";
+    let after = "let completion = speeds.service(target, size) + start;";
     assert_eq!(src.matches(before).count(), 1, "mutation anchor moved — update this test");
     std::fs::write(&fast, src.replacen(before, after, 1)).expect("write mutation");
 
@@ -239,7 +239,7 @@ fn planted_reassociation_in_the_real_kernel_fails_the_mirror_tier() {
     let report = dses_lint::driver::lint_workspace(&dir, &cfg, false, false, true)
         .expect("workspace walk");
     let hit = report.findings.iter().find(|f| {
-        !f.waived && f.rule == "mirror-divergence" && f.message.contains("march_chains")
+        !f.waived && f.rule == "mirror-divergence" && f.message.contains("run_static_kernel")
     });
     assert!(
         hit.is_some(),

@@ -40,6 +40,13 @@
 //! points borrow one explicitly (allocation-free in steady state), and
 //! the plain entry points reuse a thread-local workspace transparently.
 //!
+//! One run is one serial pass over the trace. Replications are
+//! independent solo runs: `Experiment::replicate` in `dses-core` gives
+//! each its own worker-pool task, and [`simulate_dispatch_fused_into`]
+//! runs lanes back to back for callers that hold them as slices.
+//! Interleaving lanes or per-host chains inside one pass does not pay
+//! end to end (DESIGN.md §12 has the measurements).
+//!
 //! The event-driven engine in [`crate::event`] computes the identical
 //! schedule the slow way; `tests` in both modules and the integration
 //! suite assert exact agreement.
@@ -209,7 +216,7 @@ const SITA_LINEAR_MAX: usize = 16;
 /// ⌈log₂ h⌉ × load-to-select latency. Measurement wins: wide goes to
 /// `partition_point`. Ties land left either way: `size == cuts[k]`
 /// fails `size > cuts[k]` (pinned in the tie-dense unit test below and
-/// in `tests/segmented.rs`).
+/// in `tests/kernels.rs`).
 // dses-lint: divides(0)
 // dses-lint: deny(alloc)
 #[inline]
@@ -219,326 +226,6 @@ pub(crate) fn sita_pick(cuts: &[f64], size: f64) -> usize {
         return cuts.iter().map(|&c| usize::from(size > c)).sum();
     }
     cuts.partition_point(|&c| size > c)
-}
-
-/// Jobs per segmented block: bounds the phase-1/phase-2 scratch to a
-/// cache-resident working set (24 B per job per lane across
-/// `chosen`/`seg_idx`/`seg_starts`/`seg_departs`) while keeping per-host
-/// segments long enough to amortize the per-block counting sort.
-const SEG_BLOCK: usize = 8192;
-
-/// Independent Lindley chains kept in flight in segmented phase 2. Each
-/// chain is a serial `max`+`add` dependency; interleaving four gives the
-/// out-of-order core four accumulators to overlap, the same device the
-/// fused kernel gets from replication lanes.
-const SEG_CHAINS: usize = 4;
-
-/// Trace length below which the segmented split costs more than the
-/// serial chain it breaks (three extra passes over the block scratch).
-const SEGMENTED_MIN_JOBS: usize = 4096;
-
-/// Which path the engine takes for closed-form static kernels
-/// (Random / Round-Robin / SITA): the direct loop of
-/// [`run_static_kernel`] or the two-phase segmented split of
-/// [`run_segmented_core`]. Both produce bit-identical results; this is
-/// purely a throughput choice, so the plain entry points use [`Auto`]
-/// and the pinned modes exist for gating and honest benchmarking.
-///
-/// [`Auto`]: SegmentedMode::Auto
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SegmentedMode {
-    /// Segment when the measured heuristic ([`segmented_pays`]) says it
-    /// pays: fused replication lanes on traces long enough to amortize
-    /// the block passes, with few hosts or skewed (SITA) routing.
-    /// Policies without a closed-form static kernel always take their
-    /// existing loops.
-    #[default]
-    Auto,
-    /// Always segment where a closed-form static kernel exists (the
-    /// bit-identity gates run here); other policies fall back.
-    Force,
-    /// Never segment — the direct kernels regardless of trace size, the
-    /// baseline `perf_report` measures the segmented path against.
-    Never,
-}
-
-/// Fused host-count bound up to which the segmented split beats the
-/// lockstep fused loop for *uniform* choosers (Random / Round-Robin):
-/// past it the per-block segment bookkeeping outgrows what shorter
-/// per-host chains save.
-const SEG_FUSED_MAX_HOSTS: usize = 16;
-
-/// The [`SegmentedMode::Auto`] heuristic, set by measurement (DESIGN.md
-/// §12.5), with `skewed` marking size-interval choosers whose routing
-/// concentrates consecutive jobs on few hosts:
-///
-/// * **Solo runs never segment.** On identical hosts the direct loop's
-///   per-host chains already interleave naturally (consecutive jobs
-///   rarely share a host), and the record path — not the Lindley
-///   recursion — is the throughput wall, so the block passes are pure
-///   overhead.
-/// * **Fused lanes segment** when the trace amortizes the block passes
-///   and hosts are few (every chooser) or routing is skewed (SITA —
-///   the one case whose direct chains genuinely serialize): the
-///   lockstep fused loop pays register pressure per job that the
-///   phase split avoids.
-///
-/// Both paths are bit-identical, so this is purely a throughput choice;
-/// the pinned modes serve the gates and benchmark baselines.
-#[inline]
-fn segmented_pays(n: usize, lanes: usize, hosts: usize, skewed: bool) -> bool {
-    lanes > 1
-        && n >= SEGMENTED_MIN_JOBS
-        && hosts * 4 <= SEG_BLOCK.min(n)
-        && (skewed || hosts <= SEG_FUSED_MAX_HOSTS)
-}
-
-/// Mutable views over the workspace's segmented scratch
-/// ([`crate::workspace::SimWorkspace::reset_segmented`] shapes the
-/// backing buffers; all lane-major with block stride `b`).
-struct SegScratch<'a> {
-    /// Phase-1 host choices: `chosen[r*b + j]`.
-    chosen: &'a mut [u32],
-    /// Per-lane counting-sort boundaries, `hosts + 1` entries per lane.
-    offsets: &'a mut [u32],
-    /// Block-local job indices partitioned by host.
-    idx: &'a mut [u32],
-    /// Phase-2 service starts by block-local job index.
-    starts: &'a mut [f64],
-    /// Phase-2 departures by block-local job index.
-    departs: &'a mut [f64],
-}
-
-/// One in-flight Lindley chain of segmented phase 2: a (lane, host)
-/// segment with its carried `free` time and the lane's hoisted SoA
-/// views, so the march loop touches no accessor calls.
-struct Chain<'a> {
-    /// Remaining block-local job indices of this segment, arrival order.
-    seg: &'a [u32],
-    /// The owning lane's full arrival SoA.
-    arrivals: &'a [f64],
-    /// The owning lane's full size SoA.
-    sizes: &'a [f64],
-    /// `r * b` — the lane's offset into the starts/departs scratch.
-    sd_base: usize,
-    /// Host index within the lane (drives the speed model).
-    host: usize,
-    /// `r * hosts + host` — where the carried free time writes back.
-    slot: usize,
-    /// The chain value: this host's next-free time.
-    free: f64,
-}
-
-const EMPTY_CHAIN: Chain<'static> = Chain {
-    seg: &[],
-    arrivals: &[],
-    sizes: &[],
-    sd_base: 0,
-    host: 0,
-    slot: 0,
-    free: 0.0,
-};
-
-/// Advance the first `G` chains in lockstep by the length of the
-/// shortest among them. `G` is const so the step body fully unrolls
-/// into `G` independent `max`/`add` chains with no per-step branches;
-/// the caller re-compacts and re-dispatches when a segment runs dry.
-// dses-lint: divides(1)
-// dses-lint: deny(alloc)
-// dses-lint: mirrors(lindley)
-// dses-lint: hoist(service)
-#[inline(always)]
-fn march_chains<'a, const G: usize, S: SpeedModel>(
-    chains: &mut [Chain<'a>; SEG_CHAINS],
-    speeds: &S,
-    block_base: usize,
-    starts: &mut [f64],
-    departs: &mut [f64],
-) {
-    let mut m = usize::MAX;
-    for ch in chains.iter().take(G) {
-        m = m.min(ch.seg.len());
-    }
-    for step in 0..m {
-        for ch in chains.iter_mut().take(G) {
-            let j = ch.seg[step] as usize;
-            let i = block_base + j;
-            let start = ch.arrivals[i].max(ch.free);
-            let completion = start + speeds.service(ch.host, ch.sizes[i]);
-            ch.free = completion;
-            starts[ch.sd_base + j] = start;
-            departs[ch.sd_base + j] = completion;
-        }
-    }
-    for ch in chains.iter_mut().take(G) {
-        ch.seg = &ch.seg[m..];
-    }
-}
-
-/// The two-phase segmented static kernel — the engine's answer to the
-/// serial Lindley chain (DESIGN.md §12).
-///
-/// A static policy's host choice is independent of host state, so the
-/// whole job→host assignment is known *before* any Lindley update runs.
-/// The kernel exploits that in blocks of [`SEG_BLOCK`] jobs:
-///
-/// 1. **choose** — every block job's host is computed up front into
-///    `chosen`, per lane in job order (RNG draws and kernel cursors
-///    advance in exactly the order the direct kernel would use, so the
-///    streams stay aligned) with no `free_at` in sight;
-/// 2. **partition + sweep** — a stable counting sort groups block-local
-///    job indices by host, then each (lane, host) segment runs its own
-///    prefix-max chain `start = max(arrival, free); free = start +
-///    service`, [`SEG_CHAINS`] segments interleaved so the core
-///    overlaps their dependency chains. `free_at` carries across
-///    blocks, so each host sees exactly the arithmetic sequence the
-///    direct kernel gave it — bit-identical starts and departures land
-///    in per-job slots;
-/// 3. **replay** — metrics are recorded in arrival order from the
-///    per-job slots: the collector consumes bit-identical values in
-///    bit-identical order to the direct kernel.
-///
-/// Lanes generalize exactly as in [`run_fused_static`]: lane `r` reads
-/// `traces[r]`, draws from `rngs[r]`, owns the bank
-/// `free_at[r*h..(r+1)*h]` and records into `collectors[r]`. The solo
-/// kernel is the 1-lane case.
-// dses-lint: divides(1)
-// dses-lint: deny(alloc)
-fn run_segmented_core<S, F>(
-    traces: &[&Trace],
-    speeds: &S,
-    mut select: F,
-    rngs: &mut [Rng64],
-    free_at: &mut [f64],
-    collectors: &mut [Collector],
-    scratch: SegScratch<'_>,
-) where
-    S: SpeedModel,
-    F: FnMut(usize, f64, &mut Rng64) -> usize,
-{
-    let lanes = traces.len();
-    let hosts = speeds.hosts();
-    let n = traces[0].len();
-    let SegScratch { chosen, offsets, idx, starts, departs } = scratch;
-    let mut block_base = 0usize;
-    while block_base < n {
-        let b = (n - block_base).min(SEG_BLOCK);
-        // Phase 1: batch host choices, counting segment sizes in the
-        // same pass — the only phase that touches the RNG or kernel
-        // cursors, advancing them in job order per lane.
-        for r in 0..lanes {
-            let sizes = &traces[r].sizes()[block_base..block_base + b];
-            let rng = &mut rngs[r];
-            let off = &mut offsets[r * (hosts + 1)..(r + 1) * (hosts + 1)];
-            off.fill(0);
-            for (j, slot) in chosen[r * b..(r + 1) * b].iter_mut().enumerate() {
-                let target = select(r, sizes[j], rng);
-                debug_assert!(target < hosts, "kernel selected host {target} of {hosts}");
-                *slot = target as u32;
-                off[target + 1] += 1;
-            }
-            // Phase 2a: stable counting sort of block-local job indices
-            // by chosen host. The inclusive prefix sum makes `off[c]`
-            // the start of segment c; the scatter advances it to the
-            // segment's end, so afterwards segment c is
-            // `idx[off[c−1]..off[c]]` (with `off[−1]` read as 0).
-            let mut acc = 0u32;
-            for o in off.iter_mut() {
-                acc += *o;
-                *o = acc;
-            }
-            let lane_chosen = &chosen[r * b..(r + 1) * b];
-            let lane_idx = &mut idx[r * b..(r + 1) * b];
-            for (j, &c) in lane_chosen.iter().enumerate() {
-                let slot = off[c as usize];
-                lane_idx[slot as usize] = j as u32;
-                off[c as usize] = slot + 1;
-            }
-        }
-        // Phase 2b: one prefix-max chain per (lane, host) segment,
-        // SEG_CHAINS of them in flight. Segments list jobs in arrival
-        // order (the sort is stable) and `free_at` carries each chain
-        // across blocks, so every host replays the direct kernel's
-        // exact arithmetic sequence — only the evaluation order across
-        // *different* hosts changes, and no value flows between hosts.
-        // The group marches in lockstep for the length of its shortest
-        // live segment ([`march_chains`] — no per-step branches), then
-        // compacts exhausted chains away and re-dispatches narrower.
-        let idx_ro: &[u32] = idx;
-        let total = lanes * hosts;
-        let mut k = 0usize;
-        while k < total {
-            let g = (total - k).min(SEG_CHAINS);
-            let mut chains = [EMPTY_CHAIN; SEG_CHAINS];
-            for (t, chain) in chains.iter_mut().take(g).enumerate() {
-                // dses-lint: allow(divide-budget) -- usize lane-index decomposition; integer, once per chain group per compaction round, not per job
-                let r = (k + t) / hosts;
-                // dses-lint: allow(divide-budget) -- usize lane-index decomposition; integer, once per chain group per compaction round, not per job
-                let c = (k + t) % hosts;
-                let off = &offsets[r * (hosts + 1)..(r + 1) * (hosts + 1)];
-                let lo = if c == 0 { 0 } else { off[c - 1] as usize };
-                let hi = off[c] as usize;
-                *chain = Chain {
-                    seg: &idx_ro[r * b + lo..r * b + hi],
-                    // dses-lint: allow(no-alloc-transitive) -- Trace::arrivals borrows; the allocating name-match is WorkloadBuilder::arrivals
-                    arrivals: traces[r].arrivals(),
-                    sizes: traces[r].sizes(),
-                    sd_base: r * b,
-                    host: c,
-                    slot: r * hosts + c,
-                    free: free_at[r * hosts + c],
-                };
-            }
-            let mut live = g;
-            loop {
-                let mut w = 0;
-                for t in 0..live {
-                    if !chains[t].seg.is_empty() {
-                        chains.swap(w, t);
-                        w += 1;
-                    }
-                }
-                live = w;
-                match live {
-                    0 => break,
-                    1 => march_chains::<1, S>(&mut chains, speeds, block_base, starts, departs),
-                    2 => march_chains::<2, S>(&mut chains, speeds, block_base, starts, departs),
-                    3 => march_chains::<3, S>(&mut chains, speeds, block_base, starts, departs),
-                    _ => march_chains::<4, S>(&mut chains, speeds, block_base, starts, departs),
-                }
-            }
-            for chain in chains.iter().take(g) {
-                free_at[chain.slot] = chain.free;
-            }
-            k += g;
-        }
-        // Phase 3: metrics replay from the per-job slots, lane-outer so
-        // every SoA view hoists. Each collector is per-lane state, so
-        // feeding it this block's records in arrival order reproduces
-        // the direct kernel's accumulator updates bit for bit. The
-        // whole block goes over as contiguous SoA lanes — on the
-        // batched collector tier that path stages by `copy_from_slice`
-        // instead of one `JobRecord` at a time.
-        for (r, &trace) in traces.iter().enumerate() {
-            let jobs = &trace.jobs()[block_base..block_base + b];
-            let arrivals = &trace.arrivals()[block_base..block_base + b];
-            let sizes = &trace.sizes()[block_base..block_base + b];
-            let inv_sizes = &trace.inv_sizes()[block_base..block_base + b];
-            let lane_starts = &starts[r * b..(r + 1) * b];
-            let lane_departs = &departs[r * b..(r + 1) * b];
-            let lane_chosen = &chosen[r * b..(r + 1) * b];
-            collectors[r].record_block_with_inv(
-                jobs,
-                arrivals,
-                sizes,
-                inv_sizes,
-                lane_starts,
-                lane_departs,
-                lane_chosen,
-            );
-        }
-        block_base += b;
-    }
 }
 
 /// Simulate `trace` on `hosts` identical FCFS hosts under `policy`.
@@ -580,16 +267,7 @@ pub fn simulate_dispatch<P: Dispatcher + ?Sized>(
 ) -> SimResult {
     with_thread_workspace(|ws| {
         let mut out = SimResult::empty();
-        run_specialized(
-            trace,
-            &UnitSpeeds(hosts),
-            policy,
-            seed,
-            cfg,
-            SegmentedMode::Auto,
-            ws,
-            &mut out,
-        );
+        run_specialized(trace, &UnitSpeeds(hosts), policy, seed, cfg, ws, &mut out);
         out
     })
 }
@@ -609,90 +287,7 @@ pub fn simulate_dispatch_into<P: Dispatcher + ?Sized>(
     ws: &mut SimWorkspace,
     out: &mut SimResult,
 ) {
-    run_specialized(
-        trace,
-        &UnitSpeeds(hosts),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Auto,
-        ws,
-        out,
-    );
-}
-
-/// [`simulate_dispatch`] with the segmented static kernel pinned on
-/// ([`SegmentedMode::Force`]): closed-form static policies (Random,
-/// Round-Robin, SITA-*) take the two-phase [`run_segmented_core`] path
-/// regardless of trace size; every other policy falls back to the same
-/// loops [`simulate_dispatch`] uses. Results are **bit-identical** to
-/// [`simulate_dispatch`] in every case — `tests/segmented.rs` gates
-/// this record for record — so the entry point exists for that gate and
-/// for benchmarking, not because it computes anything different.
-#[must_use]
-pub fn simulate_dispatch_segmented<P: Dispatcher + ?Sized>(
-    trace: &Trace,
-    hosts: usize,
-    policy: &mut P,
-    seed: u64,
-    cfg: MetricsConfig,
-) -> SimResult {
-    with_thread_workspace(|ws| {
-        let mut out = SimResult::empty();
-        simulate_dispatch_segmented_into(trace, hosts, policy, seed, cfg, ws, &mut out);
-        out
-    })
-}
-
-/// [`simulate_dispatch_segmented`] through caller-owned buffers; see
-/// [`simulate_dispatch_into`].
-// dses-lint: deny(alloc)
-pub fn simulate_dispatch_segmented_into<P: Dispatcher + ?Sized>(
-    trace: &Trace,
-    hosts: usize,
-    policy: &mut P,
-    seed: u64,
-    cfg: MetricsConfig,
-    ws: &mut SimWorkspace,
-    out: &mut SimResult,
-) {
-    run_specialized(
-        trace,
-        &UnitSpeeds(hosts),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Force,
-        ws,
-        out,
-    );
-}
-
-/// [`simulate_dispatch_into`] with the segmented kernel pinned **off**
-/// ([`SegmentedMode::Never`]): the direct single-pass kernels whatever
-/// the trace size. This is the honest baseline `perf_report` measures
-/// the segmented path against — the plain entry points would silently
-/// re-enable segmentation on exactly the sizes worth benchmarking.
-// dses-lint: deny(alloc)
-pub fn simulate_dispatch_unsegmented_into<P: Dispatcher + ?Sized>(
-    trace: &Trace,
-    hosts: usize,
-    policy: &mut P,
-    seed: u64,
-    cfg: MetricsConfig,
-    ws: &mut SimWorkspace,
-    out: &mut SimResult,
-) {
-    run_specialized(
-        trace,
-        &UnitSpeeds(hosts),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Never,
-        ws,
-        out,
-    );
+    run_specialized(trace, &UnitSpeeds(hosts), policy, seed, cfg, ws, out);
 }
 
 /// Simulate `trace` on **heterogeneous** FCFS hosts: `speeds[i]` is host
@@ -735,16 +330,7 @@ pub fn simulate_dispatch_speeds_into<P: Dispatcher + ?Sized>(
         speeds.iter().all(|&s| s > 0.0 && s.is_finite()),
         "host speeds must be positive and finite"
     );
-    run_specialized(
-        trace,
-        &PerHostSpeeds(speeds),
-        policy,
-        seed,
-        cfg,
-        SegmentedMode::Auto,
-        ws,
-        out,
-    );
+    run_specialized(trace, &PerHostSpeeds(speeds), policy, seed, cfg, ws, out);
 }
 
 /// Dispatch to the hot loop matching the policy's declared state needs.
@@ -756,14 +342,12 @@ pub fn simulate_dispatch_speeds_into<P: Dispatcher + ?Sized>(
 /// bookkeeping is maintained between dispatches.
 // dses-lint: divides(1)
 // dses-lint: deny(alloc)
-#[allow(clippy::too_many_arguments)]
 fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     trace: &Trace,
     speeds: &S,
     policy: &mut P,
     seed: u64,
     cfg: MetricsConfig,
-    mode: SegmentedMode,
     ws: &mut SimWorkspace,
     out: &mut SimResult,
 ) {
@@ -778,7 +362,6 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     // Inline a declared closed-form kernel: same decisions, same RNG
     // stream, no per-job virtual call. The SITA cutoffs are copied into
     // workspace scratch so the borrow on the policy ends here.
-    #[derive(Clone, Copy, PartialEq, Eq)]
     enum Selected {
         Random,
         RoundRobin,
@@ -800,24 +383,6 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         _ => Selected::Generic,
     };
 
-    // Segmented vs. direct for the closed-form static kernels: a pure
-    // throughput choice (both paths are bit-identical), so Auto takes
-    // the split only where it pays and the pinned modes serve the gates
-    // and the benchmark baselines.
-    let seg_run = matches!(
-        selected,
-        Selected::Random | Selected::RoundRobin | Selected::Sita
-    ) && match mode {
-        SegmentedMode::Force => true,
-        SegmentedMode::Never => false,
-        SegmentedMode::Auto => {
-            segmented_pays(trace.len(), 1, hosts, matches!(selected, Selected::Sita))
-        }
-    };
-    if seg_run {
-        ws.reset_segmented(1, hosts, SEG_BLOCK.min(trace.len().max(1)));
-    }
-
     let jobs = trace.jobs();
     let arrivals = trace.arrivals();
     let sizes = trace.sizes();
@@ -830,44 +395,20 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         heaps,
         collector,
         kernel_cutoffs,
-        chosen,
-        seg_offsets,
-        seg_idx,
-        seg_starts,
-        seg_departs,
         ..
     } = ws;
 
     match selected {
         Selected::Random => {
-            if seg_run {
-                // dses-lint: allow(divide-budget) -- mode arms are mutually exclusive per run; each path performs at most one service divide per job
-                run_segmented_core(
-                    &[trace],
-                    speeds,
-                    |_, _, rng: &mut Rng64| rng.below(hosts as u64) as usize,
-                    std::slice::from_mut(&mut rng),
-                    free_at,
-                    std::slice::from_mut(collector),
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                // dses-lint: allow(divide-budget) -- mode arms are mutually exclusive per run; each path performs at most one service divide per job
-                run_static_kernel(
-                    trace,
-                    speeds,
-                    |_, rng| rng.below(hosts as u64) as usize,
-                    &mut rng,
-                    free_at,
-                    collector,
-                );
-            }
+            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run and each returns; every path performs at most one service divide per job
+            run_static_kernel(
+                trace,
+                speeds,
+                |_, rng| rng.below(hosts as u64) as usize,
+                &mut rng,
+                free_at,
+                collector,
+            );
             collector.finish_into(out);
             return;
         }
@@ -875,40 +416,18 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             // engine-owned cursor: `next % hosts` under the invariant
             // `next < hosts`, exactly the policy's arithmetic
             let mut next = 0usize;
-            if seg_run {
-                run_segmented_core(
-                    &[trace],
-                    speeds,
-                    |_, _, _: &mut Rng64| {
-                        let t = next;
-                        next = if t + 1 == hosts { 0 } else { t + 1 };
-                        t
-                    },
-                    std::slice::from_mut(&mut rng),
-                    free_at,
-                    std::slice::from_mut(collector),
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_static_kernel(
-                    trace,
-                    speeds,
-                    |_, _| {
-                        let t = next;
-                        next = if t + 1 == hosts { 0 } else { t + 1 };
-                        t
-                    },
-                    &mut rng,
-                    free_at,
-                    collector,
-                );
-            }
+            run_static_kernel(
+                trace,
+                speeds,
+                |_, _| {
+                    let t = next;
+                    next = if t + 1 == hosts { 0 } else { t + 1 };
+                    t
+                },
+                &mut rng,
+                free_at,
+                collector,
+            );
             collector.finish_into(out);
             return;
         }
@@ -916,37 +435,19 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             // `sita_pick` ≡ `partition_point(|c| size > c)` on strictly
             // increasing cutoffs ({c : size > c} is a prefix)
             let cuts = kernel_cutoffs.as_slice();
-            if seg_run {
-                run_segmented_core(
-                    &[trace],
-                    speeds,
-                    |_, size, _: &mut Rng64| sita_pick(cuts, size),
-                    std::slice::from_mut(&mut rng),
-                    free_at,
-                    std::slice::from_mut(collector),
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_static_kernel(
-                    trace,
-                    speeds,
-                    |size, _| sita_pick(cuts, size),
-                    &mut rng,
-                    free_at,
-                    collector,
-                );
-            }
+            run_static_kernel(
+                trace,
+                speeds,
+                |size, _| sita_pick(cuts, size),
+                &mut rng,
+                free_at,
+                collector,
+            );
             collector.finish_into(out);
             return;
         }
         Selected::WorkLeft => {
-            // dses-lint: allow(divide-budget) -- mode arms are mutually exclusive per run; each path performs at most one service divide per job
+            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run and each returns; every path performs at most one service divide per job
             run_work_left_kernel(trace, speeds, free_at, collector);
             collector.finish_into(out);
             return;
@@ -1174,7 +675,7 @@ fn run_static_kernel<S: SpeedModel, F: FnMut(f64, &mut Rng64) -> usize>(
 /// the Lindley scalars — no view refresh, no virtual call.
 // dses-lint: divides(1)
 // dses-lint: deny(alloc)
-// dses-lint: mirrors(lindley-work-left)
+// dses-lint: mirrors(lindley)
 // dses-lint: hoist(service)
 // dses-lint: untraced(record_with_inv)
 fn run_work_left_kernel<S: SpeedModel>(
@@ -1207,135 +708,19 @@ fn run_work_left_kernel<S: SpeedModel>(
     }
 }
 
-/// The fused static loop: `lanes` independent replications advance in
-/// lockstep by job index. Lane `r` reads `traces[r]`, draws from
-/// `rngs[r]`, updates its own host bank `free_at[r*h..(r+1)*h]`, and
-/// records into `collectors[r]` — per-lane arithmetic is byte-for-byte
-/// the solo kernel's, interleaved only at the instruction level, so the
-/// CPU overlaps the lanes' dependent accumulator chains.
-// dses-lint: divides(1)
-// dses-lint: deny(alloc)
-// dses-lint: mirrors(lindley)
-// dses-lint: hoist(service)
-// dses-lint: untraced(record_with_inv)
-fn run_fused_static<S, F>(
-    traces: &[&Trace],
-    speeds: &S,
-    mut select: F,
-    rngs: &mut [Rng64],
-    free_at: &mut [f64],
-    collectors: &mut [Collector],
-) where
-    S: SpeedModel,
-    F: FnMut(usize, f64, &mut Rng64) -> usize,
-{
-    let hosts = speeds.hosts();
-    let n = traces[0].len();
-    for i in 0..n {
-        for (r, trace) in traces.iter().enumerate() {
-            // dses-lint: allow(no-alloc-transitive) -- Trace::arrivals borrows; the allocating name-match is WorkloadBuilder::arrivals
-            let now = trace.arrivals()[i];
-            let size = trace.sizes()[i];
-            let target = select(r, size, &mut rngs[r]);
-            let bank = &mut free_at[r * hosts..(r + 1) * hosts];
-            let start = now.max(bank[target]);
-            let completion = start + speeds.service(target, size);
-            bank[target] = completion;
-            collectors[r].record_with_inv(
-                JobRecord {
-                    id: trace.jobs()[i].id,
-                    arrival: now,
-                    size,
-                    start,
-                    completion,
-                    host: target,
-                },
-                trace.inv_sizes()[i],
-            );
-        }
-    }
-}
-
-/// [`run_fused_static`]'s least-work-left sibling: the per-lane argmin
-/// scans only that lane's bank.
-// dses-lint: divides(1)
-// dses-lint: deny(alloc)
-// dses-lint: mirrors(lindley-work-left)
-// dses-lint: hoist(service)
-// dses-lint: untraced(record_with_inv)
-fn run_fused_work_left<S: SpeedModel>(
-    traces: &[&Trace],
-    speeds: &S,
-    free_at: &mut [f64],
-    collectors: &mut [Collector],
-) {
-    let hosts = speeds.hosts();
-    let n = traces[0].len();
-    for i in 0..n {
-        for (r, trace) in traces.iter().enumerate() {
-            // dses-lint: allow(no-alloc-transitive) -- Trace::arrivals borrows; the allocating name-match is WorkloadBuilder::arrivals
-            let now = trace.arrivals()[i];
-            let bank = &mut free_at[r * hosts..(r + 1) * hosts];
-            let target = argmin_work_left(bank, now);
-            let start = now.max(bank[target]);
-            let completion = start + speeds.service(target, trace.sizes()[i]);
-            bank[target] = completion;
-            collectors[r].record_with_inv(
-                JobRecord {
-                    id: trace.jobs()[i].id,
-                    arrival: now,
-                    size: trace.sizes()[i],
-                    start,
-                    completion,
-                    host: target,
-                },
-                trace.inv_sizes()[i],
-            );
-        }
-    }
-}
-
-/// Run `traces.len()` replications — lane `r` simulates `traces[r]`
-/// under `policies[r]` with `seeds[r]` and `cfgs[r]` on `hosts`
-/// unit-speed hosts — reusing this thread's workspace. See
-/// [`simulate_dispatch_fused_into`].
-#[must_use]
-pub fn simulate_dispatch_fused<P: Dispatcher>(
-    traces: &[&Trace],
-    hosts: usize,
-    policies: &mut [P],
-    seeds: &[u64],
-    cfgs: &[MetricsConfig],
-) -> Vec<SimResult> {
-    with_thread_workspace(|ws| {
-        // dses-lint: allow(loop-alloc) -- with_thread_workspace invokes the closure exactly once; this Vec is the per-call result buffer, not per-job
-        let mut out = Vec::new();
-        simulate_dispatch_fused_into(traces, hosts, policies, seeds, cfgs, ws, &mut out);
-        out
-    })
-}
-
-/// Replication fusion: run `traces.len()` independent replications in
-/// one pass when every lane declares the same [`DispatchKernel`], and
-/// lane-by-lane through [`simulate_dispatch_into`]'s loops otherwise.
+/// Run `traces.len()` replications through one workspace: lane `r` is
+/// exactly `simulate_dispatch_into(traces[r], hosts, &mut policies[r],
+/// seeds[r], cfgs[r], ws, &mut out[r])`, run in lane order.
 ///
-/// Either way, lane `r`'s schedule and metrics are **bit-identical** to
-/// a solo `simulate_dispatch_into(traces[r], hosts, &mut policies[r],
-/// seeds[r], cfgs[r], …)` call: the fused pass advances all lanes in
-/// lockstep by job index, but each lane owns its host bank
-/// (`free_at[r*h..(r+1)*h]`), RNG stream, kernel cursor, and collector,
-/// so no arithmetic crosses lanes — only the instruction stream is
-/// shared. Fusion is a throughput device: a solo run's critical path is
-/// one chain of dependent accumulator updates per job, and interleaving
-/// R independent replications gives the out-of-order core R chains to
-/// overlap.
-///
+/// A convenience for callers that hold replication lanes as parallel
+/// slices. Lanes share nothing but the workspace, which every run
+/// resets, so each lane's result is bit-identical to its solo run.
 /// `out` is resized to one [`SimResult`] per lane; after a warm-up call
 /// of the same shape the steady state performs zero heap allocations.
 ///
 /// # Panics
-/// Panics if the slice lengths disagree, `hosts == 0`, or the traces
-/// differ in length.
+/// Panics if the slice lengths disagree, or as
+/// [`simulate_dispatch_into`] does for any lane.
 // dses-lint: deny(alloc)
 pub fn simulate_dispatch_fused_into<P: Dispatcher>(
     traces: &[&Trace],
@@ -1346,233 +731,17 @@ pub fn simulate_dispatch_fused_into<P: Dispatcher>(
     ws: &mut SimWorkspace,
     out: &mut Vec<SimResult>,
 ) {
-    simulate_dispatch_fused_mode_into(
-        traces,
-        hosts,
-        policies,
-        seeds,
-        cfgs,
-        SegmentedMode::Auto,
-        ws,
-        out,
-    );
-}
-
-/// [`simulate_dispatch_fused_into`] with the static-kernel path pinned
-/// by `mode`: fused static lanes share the segmented phase-1 buffers
-/// and run per-lane segments through [`run_segmented_core`], or stay on
-/// the direct lockstep loop under [`SegmentedMode::Never`]. Lane
-/// results are bit-identical either way (and to solo runs); the
-/// explicit modes exist for the gates in `tests/segmented.rs` and the
-/// baselines in `perf_report`.
-///
-/// # Panics
-/// As [`simulate_dispatch_fused_into`].
-// dses-lint: deny(alloc)
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_dispatch_fused_mode_into<P: Dispatcher>(
-    traces: &[&Trace],
-    hosts: usize,
-    policies: &mut [P],
-    seeds: &[u64],
-    cfgs: &[MetricsConfig],
-    mode: SegmentedMode,
-    ws: &mut SimWorkspace,
-    out: &mut Vec<SimResult>,
-) {
     let lanes = traces.len();
     assert_eq!(policies.len(), lanes, "one policy per lane");
     assert_eq!(seeds.len(), lanes, "one seed per lane");
     assert_eq!(cfgs.len(), lanes, "one metrics config per lane");
-    assert!(hosts > 0, "need at least one host");
     out.truncate(lanes);
     while out.len() < lanes {
-        // dses-lint: allow(no-alloc-transitive) -- grow-once: result slots persist across fused calls
+        // dses-lint: allow(no-alloc-transitive) -- grow-once: result slots persist across lane-loop calls
         out.push(SimResult::empty());
     }
-    if lanes == 0 {
-        return;
-    }
-    let n = traces[0].len();
-    assert!(
-        traces.iter().all(|t| t.len() == n),
-        "fused lanes need equal-length traces"
-    );
-
-    // Classify the lanes' common kernel signature (kind + cutoff
-    // stride). Heterogeneous or opaque lanes run sequentially through
-    // the same specialized engine — bit-identical, just unfused.
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum FusedKind {
-        Random,
-        RoundRobin,
-        Sita,
-        WorkLeft,
-    }
-    fn classify<P: Dispatcher>(p: &P, hosts: usize) -> Option<(FusedKind, usize)> {
-        match (p.dispatch_kernel(), p.state_needs()) {
-            (DispatchKernel::UniformRandom, n) if n == StateNeeds::NOTHING => {
-                Some((FusedKind::Random, 0))
-            }
-            (DispatchKernel::RoundRobin, n) if n == StateNeeds::NOTHING => {
-                Some((FusedKind::RoundRobin, 0))
-            }
-            (DispatchKernel::SizeInterval(c), n) if n == StateNeeds::NOTHING && c.len() < hosts => {
-                Some((FusedKind::Sita, c.len()))
-            }
-            (DispatchKernel::LeastWorkLeft, n) if n == StateNeeds::WORK_LEFT => {
-                Some((FusedKind::WorkLeft, 0))
-            }
-            _ => None,
-        }
-    }
-    let first = classify(&policies[0], hosts);
-    let homogeneous =
-        first.is_some_and(|sig| policies.iter().all(|p| classify(p, hosts) == Some(sig)));
-    let Some((kind, stride)) = first.filter(|_| homogeneous) else {
-        for r in 0..lanes {
-            run_specialized(
-                traces[r],
-                &UnitSpeeds(hosts),
-                &mut policies[r],
-                seeds[r],
-                cfgs[r],
-                mode,
-                ws,
-                &mut out[r],
-            );
-        }
-        return;
-    };
-
-    // Fused static lanes compose with the segmented split — and are
-    // where Auto actually takes it (the lockstep fused loop is the one
-    // direct kernel the split beats; see segmented_pays) — with the
-    // lanes sharing one flat set of phase buffers.
-    let seg_run = matches!(
-        kind,
-        FusedKind::Random | FusedKind::RoundRobin | FusedKind::Sita
-    ) && match mode {
-        SegmentedMode::Force => true,
-        SegmentedMode::Never => false,
-        SegmentedMode::Auto => {
-            segmented_pays(n, lanes, hosts, matches!(kind, FusedKind::Sita))
-        }
-    };
-    if seg_run {
-        ws.reset_segmented(lanes, hosts, SEG_BLOCK.min(n.max(1)));
-    }
-
-    // Per-lane engine state: reset() for parity with the solo path, then
-    // engine-owned banks, RNG streams, cursors, and cutoff copies.
-    // dses-lint: allow(no-alloc-transitive) -- grow-once: lane collectors persist in the workspace across fused calls
-    ws.reset_fused(lanes, hosts);
-    for r in 0..lanes {
-        policies[r].reset();
-        ws.lane_rngs.push(Rng64::seed_from(seeds[r]).stream(0xD15));
-        ws.lane_collectors[r].reset(hosts, cfgs[r], n);
-        if kind == FusedKind::Sita {
-            let DispatchKernel::SizeInterval(cuts) = policies[r].dispatch_kernel() else {
-                unreachable!("lane {r} classified as SITA above")
-            };
-            ws.lane_cutoffs.extend_from_slice(cuts);
-        }
-    }
-
-    let SimWorkspace {
-        free_at,
-        lane_collectors,
-        lane_rngs,
-        lane_counters,
-        lane_cutoffs,
-        chosen,
-        seg_offsets,
-        seg_idx,
-        seg_starts,
-        seg_departs,
-        ..
-    } = ws;
-    let collectors = &mut lane_collectors[..lanes];
-    let speeds = UnitSpeeds(hosts);
-    match kind {
-        FusedKind::Random => {
-            let select = |_, _, rng: &mut Rng64| rng.below(hosts as u64) as usize;
-            if seg_run {
-                run_segmented_core(
-                    traces,
-                    &speeds,
-                    select,
-                    lane_rngs,
-                    free_at,
-                    collectors,
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_fused_static(traces, &speeds, select, lane_rngs, free_at, collectors);
-            }
-        }
-        FusedKind::RoundRobin => {
-            let select = |r: usize, _, _: &mut Rng64| {
-                // `next % hosts` under the invariant `next < hosts`
-                let t = lane_counters[r];
-                lane_counters[r] = if t + 1 == hosts { 0 } else { t + 1 };
-                t
-            };
-            if seg_run {
-                run_segmented_core(
-                    traces,
-                    &speeds,
-                    select,
-                    lane_rngs,
-                    free_at,
-                    collectors,
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_fused_static(traces, &speeds, select, lane_rngs, free_at, collectors);
-            }
-        }
-        FusedKind::Sita => {
-            let select = |r: usize, size, _: &mut Rng64| {
-                // `sita_pick` ≡ partition_point, per lane
-                sita_pick(&lane_cutoffs[r * stride..(r + 1) * stride], size)
-            };
-            if seg_run {
-                run_segmented_core(
-                    traces,
-                    &speeds,
-                    select,
-                    lane_rngs,
-                    free_at,
-                    collectors,
-                    SegScratch {
-                        chosen: chosen.as_mut_slice(),
-                        offsets: seg_offsets.as_mut_slice(),
-                        idx: seg_idx.as_mut_slice(),
-                        starts: seg_starts.as_mut_slice(),
-                        departs: seg_departs.as_mut_slice(),
-                    },
-                );
-            } else {
-                run_fused_static(traces, &speeds, select, lane_rngs, free_at, collectors);
-            }
-        }
-        FusedKind::WorkLeft => run_fused_work_left(traces, &speeds, free_at, collectors),
-    }
     for (r, slot) in out.iter_mut().enumerate() {
-        collectors[r].finish_into(slot);
+        simulate_dispatch_into(traces[r], hosts, &mut policies[r], seeds[r], cfgs[r], ws, slot);
     }
 }
 
@@ -2021,26 +1190,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fused_heterogeneous_lanes_fall_back_bit_identically() {
-        // ToZero exposes no kernel, so a fused call over it must take the
-        // sequential fallback and still match solo runs lane-for-lane.
-        let t0 = trace(&[(0.0, 3.0), (1.0, 1.0), (1.5, 2.0)]);
-        let t1 = trace(&[(0.0, 5.0), (0.5, 0.5), (2.0, 4.0)]);
-        let cfg = MetricsConfig {
-            collect_records: true,
-            ..MetricsConfig::default()
-        };
-        let mut lanes: Vec<Box<dyn Dispatcher>> = vec![Box::new(ToZero), Box::new(MiniLwl)];
-        let fused = simulate_dispatch_fused(&[&t0, &t1], 2, &mut lanes, &[3, 4], &[cfg, cfg]);
-        let solo0 = simulate_dispatch(&t0, 2, &mut ToZero, 3, cfg);
-        let solo1 = simulate_dispatch(&t1, 2, &mut MiniLwl, 4, cfg);
-        assert_eq!(fused[0].records, solo0.records);
-        assert_eq!(fused[0].slowdown, solo0.slowdown);
-        assert_eq!(fused[1].records, solo1.records);
-        assert_eq!(fused[1].slowdown, solo1.slowdown);
     }
 }
 

@@ -43,14 +43,12 @@ pub mod workspace;
 
 pub use event::EventEngine;
 pub use fast::{
-    simulate_dispatch, simulate_dispatch_fused, simulate_dispatch_fused_into,
-    simulate_dispatch_fused_mode_into, simulate_dispatch_into, simulate_dispatch_segmented,
-    simulate_dispatch_segmented_into, simulate_dispatch_speeds, simulate_dispatch_speeds_into,
-    simulate_dispatch_unsegmented_into, SegmentedMode,
+    simulate_dispatch, simulate_dispatch_fused_into, simulate_dispatch_into,
+    simulate_dispatch_speeds, simulate_dispatch_speeds_into,
 };
 pub use par::{
-    available_workers, effective_workers, par_map, par_map_grouped, par_map_indexed,
-    par_map_indexed_scoped, WorkerPool,
+    available_workers, effective_workers, par_map, par_map_indexed, par_map_indexed_scoped,
+    WorkerPool,
 };
 pub use metrics::{Demand, HostStats, JobRecord, MetricsConfig, SimResult};
 pub use state::{

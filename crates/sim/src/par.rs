@@ -17,6 +17,10 @@
 //! There is no other source of nondeterminism to control: the engines
 //! never consult wall-clock time, thread ids, or a global RNG.
 //!
+//! Replications are grid points like any other: `Experiment::replicate`
+//! submits one index per replication, each a solo run, so R lanes spread
+//! over every worker instead of queueing behind one another.
+//!
 //! Execution happens on a process-wide, **long-lived** [`WorkerPool`]
 //! (std-only: parked threads plus a mutex/condvar batch queue) rather
 //! than per-call `std::thread::scope` spawning. Sweeps submit thousands
@@ -350,43 +354,6 @@ where
     par_map_indexed(items.len(), workers, move |i| f(i, &items[i]))
 }
 
-/// Map a *group* closure over `0..n` in contiguous blocks of `group`
-/// indices, flattening the per-group vectors back into index order.
-///
-/// This is the batch shape replication fusion wants: the fused engine
-/// runs one block of `group` replications as a single pass, so the unit
-/// of parallel work must be the block, not the index. `f` receives the
-/// half-open index range of its block and must return exactly one result
-/// per index; blocks are distributed over the pool like any other batch,
-/// and the flattened output equals the sequential `(0..n).map(…)` order
-/// regardless of worker count or group size.
-///
-/// # Panics
-/// Panics if `group == 0`, or re-raises a panic from `f` (including the
-/// built-in check that a block returned the wrong number of results).
-pub fn par_map_grouped<R, F>(n: usize, group: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(std::ops::Range<usize>) -> Vec<R> + Send + Sync + 'static,
-{
-    assert!(group > 0, "group size must be positive");
-    let blocks = n.div_ceil(group);
-    par_map_indexed(blocks, workers, move |b| {
-        let lo = b * group;
-        let hi = ((b + 1) * group).min(n);
-        let out = f(lo..hi);
-        assert_eq!(
-            out.len(),
-            hi - lo,
-            "group closure must return one result per index"
-        );
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// The original per-call `std::thread::scope` implementation, kept as
 /// the benchmark baseline the persistent pool is measured against
 /// (`perf_report --smoke`). Semantics are identical to
@@ -450,27 +417,6 @@ mod tests {
         let items = vec![10.0f64, 20.0, 30.0];
         let out = par_map(&items, 2, |i, &x| x + i as f64);
         assert_eq!(out, vec![10.0, 21.0, 32.0]);
-    }
-
-    #[test]
-    fn grouped_map_flattens_in_index_order() {
-        let sequential: Vec<usize> = (0..23).map(|i| i * 7).collect();
-        for group in [1, 3, 8, 23, 40] {
-            for workers in [1, 4] {
-                let got = par_map_grouped(23, group, workers, |range| {
-                    range.map(|i| i * 7).collect()
-                });
-                assert_eq!(got, sequential, "group = {group}, workers = {workers}");
-            }
-        }
-        let empty: Vec<usize> = par_map_grouped(0, 8, 4, |range| range.collect());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per index")]
-    fn grouped_map_rejects_short_blocks() {
-        let _ = par_map_grouped(10, 4, 1, |_range| vec![0usize]);
     }
 
     #[test]

@@ -127,9 +127,9 @@ impl std::ops::BitOr for StateNeeds {
 /// [`Dispatcher::dispatch_kernel`] lets a policy *declare* that its
 /// `dispatch` is one of a few fixed formulas the fast engine knows how to
 /// inline — replacing the per-job virtual call with branchless
-/// straight-line code and enabling replication fusion. The contract: the
-/// declared kernel must be **observationally identical** to `dispatch` —
-/// the same host for every job *and* the same RNG consumption — starting
+/// straight-line code. The contract: the declared kernel must be
+/// **observationally identical** to `dispatch` — the same host for
+/// every job *and* the same RNG consumption — starting
 /// from the freshly [`Dispatcher::reset`] policy. The engine maintains
 /// the kernel's running state (e.g. the round-robin cursor) itself and
 /// may leave the policy's own fields untouched, so policies must
@@ -188,17 +188,18 @@ pub trait Dispatcher {
     /// implements, if any.
     ///
     /// The default (`Opaque`) is always correct; declaring a kernel lets
-    /// the fast engine inline the decision rule and fuse replications.
+    /// the fast engine inline the decision rule.
     /// See [`DispatchKernel`] for the exact contract.
     fn dispatch_kernel(&self) -> DispatchKernel<'_> {
         DispatchKernel::Opaque
     }
 }
 
-/// Boxed dispatchers forward every method to the inner policy, so
-/// `Box<dyn Dispatcher>` (and slices of boxes, as replication fusion
-/// runs) expose the inner policy's declarations instead of the trait
-/// defaults.
+/// Boxed dispatchers forward every method to the inner policy, so a
+/// `Box<dyn Dispatcher>` exposes the inner policy's declarations instead
+/// of the trait defaults. `BuiltPolicy::Dispatch` in `dses-core` hands
+/// policies out boxed, and slices of boxes can be passed straight to
+/// [`crate::simulate_dispatch_fused_into`] (the repo benchmark does).
 impl<P: Dispatcher + ?Sized> Dispatcher for Box<P> {
     fn dispatch(&mut self, job: &Job, state: &SystemState<'_>, rng: &mut Rng64) -> usize {
         (**self).dispatch(job, state, rng)

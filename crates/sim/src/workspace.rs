@@ -32,7 +32,6 @@ use crate::event::EventWorkspace;
 use crate::fast::OrdF64;
 use crate::metrics::{Collector, MetricsConfig};
 use crate::state::{HostView, StateNeeds};
-use dses_dist::Rng64;
 
 /// Every buffer the simulation engines need, owned long-term.
 ///
@@ -65,31 +64,6 @@ pub struct SimWorkspace {
     /// Copy of a recognised SITA kernel's cutoffs, taken so the borrow
     /// on the policy ends before the engine needs `&mut policy` again.
     pub(crate) kernel_cutoffs: Vec<f64>,
-    /// One collector per fused replication lane.
-    pub(crate) lane_collectors: Vec<Collector>,
-    /// One policy RNG stream per fused replication lane.
-    pub(crate) lane_rngs: Vec<Rng64>,
-    /// Per-lane round-robin cursors for the fused static kernel.
-    pub(crate) lane_counters: Vec<usize>,
-    /// Per-lane SITA cutoffs, flattened with a fixed stride.
-    pub(crate) lane_cutoffs: Vec<f64>,
-    /// Segmented kernel, phase 1: each block job's chosen host, lane-major
-    /// (`chosen[r*block + j]` is lane `r`'s choice for block-local job `j`).
-    pub(crate) chosen: Vec<u32>,
-    /// Segmented kernel: per-lane segment boundaries into [`Self::seg_idx`],
-    /// `hosts + 1` entries per lane (`seg_offsets[r*(h+1) + c]` is where
-    /// host `c`'s segment starts within lane `r`'s block).
-    pub(crate) seg_offsets: Vec<u32>,
-    /// Segmented kernel: block-local job indices bucket-partitioned by
-    /// chosen host (stable counting sort of `0..block` by [`Self::chosen`]),
-    /// lane-major like `chosen`.
-    pub(crate) seg_idx: Vec<u32>,
-    /// Segmented kernel, phase 2 output: each block job's service start,
-    /// written segment-by-segment, read back in arrival order.
-    pub(crate) seg_starts: Vec<f64>,
-    /// Segmented kernel, phase 2 output: each block job's departure
-    /// (completion) time, the `departs` slot of the two-phase split.
-    pub(crate) seg_departs: Vec<f64>,
 }
 
 impl SimWorkspace {
@@ -105,40 +79,6 @@ impl SimWorkspace {
             collector: Collector::new(0, MetricsConfig::default()),
             event: EventWorkspace::new(),
             kernel_cutoffs: Vec::new(),
-            lane_collectors: Vec::new(),
-            lane_rngs: Vec::new(),
-            lane_counters: Vec::new(),
-            lane_cutoffs: Vec::new(),
-            chosen: Vec::new(),
-            seg_offsets: Vec::new(),
-            seg_idx: Vec::new(),
-            seg_starts: Vec::new(),
-            seg_departs: Vec::new(),
-        }
-    }
-
-    /// Shape the segmented-kernel scratch for `lanes` replication lanes on
-    /// `hosts` hosts with a `block`-job working set. All five buffers are
-    /// grow-once: `resize` only allocates the first time a larger shape
-    /// runs, after which steady-state segmented sweeps never touch the
-    /// allocator (the counting gate in `perf_report` measures this).
-    ///
-    /// Contents are *not* cleared — every slot the kernel reads is written
-    /// earlier in the same run (phase 1 writes all of `chosen`, the
-    /// counting sort writes all of `seg_idx`, the chains write exactly the
-    /// `starts`/`departs` slots phase 3 reads), so stale values from a
-    /// previous run are unobservable.
-    pub(crate) fn reset_segmented(&mut self, lanes: usize, hosts: usize, block: usize) {
-        let jobs = lanes * block;
-        if self.chosen.len() < jobs {
-            self.chosen.resize(jobs, 0);
-            self.seg_idx.resize(jobs, 0);
-            self.seg_starts.resize(jobs, 0.0);
-            self.seg_departs.resize(jobs, 0.0);
-        }
-        let offsets = lanes * (hosts + 1);
-        if self.seg_offsets.len() < offsets {
-            self.seg_offsets.resize(offsets, 0);
         }
     }
 
@@ -187,24 +127,6 @@ impl SimWorkspace {
             while self.heaps.len() < hosts {
                 self.heaps.push(BinaryHeap::with_capacity(backlog));
             }
-        }
-    }
-
-    /// Reset the fused-replication state: `lanes` interleaved host banks
-    /// of `hosts` Lindley scalars each (`free_at[r*hosts..(r+1)*hosts]`
-    /// is lane `r`'s bank), plus per-lane cursors. Lane RNGs, cutoffs,
-    /// and collector configs are filled in by the fused entry point; the
-    /// collectors themselves persist here so their buffers are reused
-    /// across calls.
-    pub(crate) fn reset_fused(&mut self, lanes: usize, hosts: usize) {
-        self.free_at.clear();
-        self.free_at.resize(lanes * hosts, 0.0);
-        self.lane_rngs.clear();
-        self.lane_counters.clear();
-        self.lane_counters.resize(lanes, 0);
-        self.lane_cutoffs.clear();
-        while self.lane_collectors.len() < lanes {
-            self.lane_collectors.push(Collector::new(0, MetricsConfig::default()));
         }
     }
 }
@@ -275,21 +197,6 @@ mod tests {
         ws.reset_fast(1024, 32, StateNeeds::WORK_LEFT);
         assert!(ws.fifos.is_empty());
         assert!(ws.heaps.is_empty());
-    }
-
-    #[test]
-    fn reset_fused_shapes_lane_banks() {
-        let mut ws = SimWorkspace::new();
-        ws.reset_fused(3, 4);
-        assert_eq!(ws.free_at, vec![0.0; 12]);
-        assert_eq!(ws.lane_counters, vec![0; 3]);
-        assert!(ws.lane_collectors.len() >= 3);
-        // poison, then reset to a smaller shape: banks start clean
-        ws.free_at[5] = 9.0;
-        ws.lane_counters[1] = 7;
-        ws.reset_fused(2, 2);
-        assert_eq!(ws.free_at, vec![0.0; 4]);
-        assert_eq!(ws.lane_counters, vec![0; 2]);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 
 use dses_core::spec::{BuiltPolicy, PolicySpec};
 use dses_sim::{
-    simulate_dispatch_into, simulate_dispatch_segmented_into, Demand, Dispatcher, MetricsConfig,
-    SimResult, SimWorkspace,
+    simulate_dispatch_into, Demand, Dispatcher, MetricsConfig, SimResult, SimWorkspace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,30 +113,4 @@ fn steady_state_collector_tiers_do_not_allocate() {
             assert_eq!(allocs, 0, "{tier} tier allocated in steady state at h={hosts}");
         }
     }
-
-    // The batched tier through the segmented kernels (the SoA delivery
-    // path) must stay zero-alloc too.
-    let hosts = 64;
-    let trace = dses_workload::psc_c90().trace(12_000, 0.7, hosts, 29);
-    let lambda = trace.arrival_rate();
-    let mut policy = build(&PolicySpec::SitaE, lambda, hosts);
-    let cfg = MetricsConfig {
-        batched: true,
-        ..MetricsConfig::streaming()
-    };
-    simulate_dispatch_segmented_into(&trace, hosts, policy.as_mut(), 1, cfg, &mut ws, &mut out);
-    let (_, allocs) = alloc_count_of(|| {
-        for seed in 2..6 {
-            simulate_dispatch_segmented_into(
-                &trace,
-                hosts,
-                policy.as_mut(),
-                seed,
-                cfg,
-                &mut ws,
-                &mut out,
-            );
-        }
-    });
-    assert_eq!(allocs, 0, "batched segmented replay allocated in steady state");
 }

@@ -1,16 +1,19 @@
-//! Bit-identity gates for the vectorized/fused kernels.
+//! Bit-identity gates for replication lanes.
 //!
-//! Replication fusion interleaves R independent replications through one
-//! simulation pass (per-lane host banks inside a shared `free_at`), and
-//! the vectorized argmin replaces the branchy scalar scan. Neither is
-//! allowed to change a single bit of any lane's schedule or metrics:
-//! every test here compares against the plain sequential path
+//! The lane loop (`simulate_dispatch_fused_into`) runs R replications
+//! back to back through one shared workspace, and `Experiment::replicate`
+//! fans replications out over the worker pool; the kernels underneath
+//! use the vectorized argmin in place of the branchy scalar scan. None of
+//! that may change a single bit of any lane's schedule or metrics: every
+//! test here compares against the plain sequential path
 //! record-for-record and moment-for-moment.
 
 use dses_core::spec::{BuiltPolicy, PolicySpec};
 use dses_core::Experiment;
 use dses_dist::derive_seed;
-use dses_sim::{simulate_dispatch, simulate_dispatch_fused, Dispatcher, MetricsConfig};
+use dses_sim::{
+    simulate_dispatch, simulate_dispatch_fused_into, Dispatcher, MetricsConfig, SimWorkspace,
+};
 use dses_workload::Trace;
 
 fn records_cfg() -> MetricsConfig {
@@ -20,9 +23,8 @@ fn records_cfg() -> MetricsConfig {
     }
 }
 
-/// The dispatch policies with recognised fused kernels, plus one
-/// (Shortest-Queue) that classifies as opaque and must take the
-/// sequential fallback inside the fused entry point.
+/// One policy per kernel class: the three closed-form static kernels,
+/// the work-left kernel, and Shortest-Queue on the queue-length loop.
 fn fused_roster() -> Vec<PolicySpec> {
     vec![
         PolicySpec::Random,
@@ -41,12 +43,15 @@ fn build(spec: &PolicySpec, lambda: f64, hosts: usize) -> Box<dyn Dispatcher> {
     }
 }
 
-/// Fused lanes must be bit-identical to solo runs at R ∈ {1, 3, 8} —
-/// R = 1 is the degenerate single-lane pass, 3 leaves the lane count
-/// under the argmin chunk width, 8 fills a whole fuse block.
+/// Lanes run through one shared workspace must be bit-identical to solo
+/// runs at R ∈ {1, 3, 8}: each lane's reset must leave nothing behind
+/// from the lane before it. One workspace serves every policy and lane
+/// count, so the resets also cross kernel classes.
 #[test]
 fn fused_replications_match_sequential_bitwise() {
     let hosts = 4;
+    let mut ws = SimWorkspace::new();
+    let mut fused = Vec::new();
     for spec in fused_roster() {
         for lanes in [1usize, 3, 8] {
             // distinct trace and policy seed per lane, like a replicated
@@ -61,7 +66,16 @@ fn fused_replications_match_sequential_bitwise() {
             let seeds: Vec<u64> = (0..lanes).map(|r| 7 + r as u64).collect();
             let cfgs = vec![records_cfg(); lanes];
 
-            let fused = simulate_dispatch_fused(&refs, hosts, &mut policies, &seeds, &cfgs);
+            simulate_dispatch_fused_into(
+                &refs,
+                hosts,
+                &mut policies,
+                &seeds,
+                &cfgs,
+                &mut ws,
+                &mut fused,
+            );
+            assert_eq!(fused.len(), lanes, "one result per lane");
 
             for r in 0..lanes {
                 let mut solo_policy = build(&spec, lambda, hosts);
@@ -94,7 +108,7 @@ fn fused_replications_match_sequential_bitwise() {
     }
 }
 
-/// `Experiment::replicate` (which fuses blocks of up to 8 lanes) must
+/// `Experiment::replicate` (one pool task per replication) must
 /// reproduce the hand-rolled sequential replication loop exactly.
 #[test]
 fn experiment_replicate_matches_manual_sequential_lanes() {
@@ -124,8 +138,8 @@ fn experiment_replicate_matches_manual_sequential_lanes() {
     }
 }
 
-/// Central-queue policies cannot fuse; `replicate` must still work
-/// through the per-lane fallback and stay deterministic.
+/// Central-queue policies replicate through the event engine; `replicate`
+/// must stay deterministic for them too.
 #[test]
 fn central_queue_replication_takes_the_sequential_fallback() {
     let exp = Experiment::new(dses_workload::psc_c90().size_dist)
