@@ -14,6 +14,17 @@ cargo test -q
 # than at benchmark time.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+# Analytic digest gate: one `analytic` iteration (~12 s) checks the
+# quadrature-fallback Erlang-4 fair solve, the SITA cutoff solves, the p99
+# transform inversion and the analytic policy roster against
+# `perfbench/references.txt`. It gates correctness only, never timing.
+analytic=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload analytic --seconds 1 --trace 0 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$analytic" || ! grep -q '"failed": 0,' <<<"$analytic"; then
+    echo "ci: perfbench analytic digests failed: $analytic" >&2
+    exit 1
+fi
+
 cargo clippy --all-targets -- -D warnings
 
 # Source-level invariant gate: the per-file rules (determinism,

@@ -7,7 +7,7 @@
 
 use crate::rng::Rng64;
 use crate::special;
-use crate::traits::{DistError, Distribution};
+use crate::traits::{quantile_space_partial_moments, DistError, Distribution};
 
 /// Erlang distribution with shape `k ∈ ℕ⁺` and rate `λ` (mean `k/λ`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,6 +86,13 @@ impl Distribution for Erlang {
                 f64::INFINITY
             }
         }
+    }
+
+    // Partial moments take the trait's quantile-space quadrature, and each
+    // quantile is a bisection on the regularized gamma: one sweep answers
+    // every order of a band.
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        quantile_space_partial_moments(self, ks, a, b, out);
     }
 }
 

@@ -146,7 +146,8 @@ impl Distribution for Empirical {
         if let Some(m) = self.prefix_partial(k, a, b) {
             return m;
         }
-        // general k: direct scan (rare path)
+        // other orders: an O(band) scan. Not rare — every SITA band asks
+        // for order −2 (`ServiceMoments::inv2` in `dses-queueing`)
         let lo = self.count_le(a);
         let hi = self.count_le(b);
         let n = self.sorted.len() as f64;

@@ -69,7 +69,7 @@ pub use moments::{Moments, OnlineMoments};
 pub use quantile::{P2Quantile, QuantileSet};
 pub use rng::{derive_seed, Rng64, SplitMix64};
 pub use summary::Summary;
-pub use traits::{DistError, Distribution};
+pub use traits::{quantile_space_partial_moments, DistError, Distribution};
 
 /// Convenient glob import: `use dses_dist::prelude::*;`.
 pub mod prelude {

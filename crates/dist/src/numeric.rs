@@ -252,15 +252,48 @@ pub fn gauss_legendre_16<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64) -> f64 
 /// rule over `panels` equal panels. Exact for polynomials of degree ≤ 31
 /// per panel; `panels = 64` is ample for every integrand in this workspace.
 pub fn integrate<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, panels: usize) -> f64 {
+    integrate_lanes(|x, v: &mut [f64; 1]| v[0] = f(x), a, b, panels)[0]
+}
+
+/// [`integrate`] for `N` integrands that share one costly evaluation per
+/// node: `f(x, v)` writes integrand `j`'s value at `x` into `v[j]`, and
+/// lane `j` of the result is its integral.
+///
+/// Every lane is summed in the same order — node pairs within a panel,
+/// then panels — so lane `j` is bit-identical to `integrate` over
+/// integrand `j` alone, and `integrate` is the one-lane case. A caller
+/// with fewer than `N` integrands may leave the spare lanes unwritten and
+/// ignore their sums.
+pub(crate) fn integrate_lanes<const N: usize, F: FnMut(f64, &mut [f64; N])>(
+    mut f: F,
+    a: f64,
+    b: f64,
+    panels: usize,
+) -> [f64; N] {
+    let mut acc = [0.0; N];
     if a == b {
-        return 0.0;
+        return acc;
     }
     let panels = panels.max(1);
     let w = (b - a) / panels as f64;
-    let mut acc = 0.0;
+    let (mut up, mut down) = ([0.0; N], [0.0; N]);
     for i in 0..panels {
+        // one `gauss_legendre_16` panel per lane
         let lo = a + w * i as f64;
-        acc += gauss_legendre_16(&mut f, lo, lo + w);
+        let hi = lo + w;
+        let c = 0.5 * (lo + hi);
+        let h = 0.5 * (hi - lo);
+        let mut panel = [0.0; N];
+        for (&x, &wt) in GL16_X.iter().zip(&GL16_W) {
+            f(c + h * x, &mut up);
+            f(c - h * x, &mut down);
+            for ((p, u), d) in panel.iter_mut().zip(&up).zip(&down) {
+                *p += wt * (u + d);
+            }
+        }
+        for (s, p) in acc.iter_mut().zip(&panel) {
+            *s += p * h;
+        }
     }
     acc
 }

@@ -107,7 +107,9 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
         if k == 0 {
             return 1.0;
         }
-        quantile_space_moment(self, k, 0.0, 1.0)
+        let mut m = [0.0];
+        quantile_space_moments(self, &[k], 0.0, 1.0, &mut m);
+        m[0]
     }
 
     /// Mean `E[X]`.
@@ -143,17 +145,38 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
     /// and the conditional moments of its service times are
     /// `partial_moment(k, a, b) / prob_in(a, b)`.
     ///
-    /// The default integrates in quantile space over `[F(a), F(b)]`.
+    /// The default integrates in quantile space over `[F(a), F(b)]`: it
+    /// is the one-order case of [`quantile_space_partial_moments`].
     fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
-        if b <= a {
-            return 0.0;
+        let mut m = [0.0];
+        quantile_space_partial_moments(self, &[k], a, b, &mut m);
+        m[0]
+    }
+
+    /// Several partial moments of one band at once:
+    /// `out[j] = partial_moment(ks[j], a, b)`.
+    ///
+    /// Contract: every `out[j]` is bit-identical to
+    /// [`Distribution::partial_moment`]`(ks[j], a, b)`, so a caller may
+    /// batch or split its orders freely without moving a result. Batching
+    /// exists for distributions whose partial moments share expensive
+    /// work across orders — a quantile-space quadrature evaluates the same
+    /// quantile nodes for every order, so one sweep can serve them all
+    /// (override with [`quantile_space_partial_moments`]). SITA analysis
+    /// asks for five orders per band (`ServiceMoments::of_interval` in
+    /// `dses-queueing`).
+    ///
+    /// The default loops over `partial_moment`, so types with closed forms
+    /// keep their own per-order code; wrappers forward to the inner
+    /// distribution.
+    ///
+    /// # Panics
+    /// Panics if `ks` and `out` differ in length.
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        assert_eq!(ks.len(), out.len(), "one output slot per order");
+        for (o, &k) in out.iter_mut().zip(ks) {
+            *o = self.partial_moment(k, a, b);
         }
-        if k == 0 {
-            return self.prob_in(a, b);
-        }
-        let fa = self.cdf(a);
-        let fb = self.cdf(b);
-        quantile_space_moment(self, k, fa, fb)
     }
 
     /// Conditional moment `E[X^k | a < X ≤ b]`.
@@ -202,22 +225,101 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// `∫_{u_lo}^{u_hi} Q(u)^k du` by composite Gauss–Legendre with extra
-/// panel density near `u = 1`, where heavy tails concentrate.
-fn quantile_space_moment<D: Distribution + ?Sized>(d: &D, k: i32, u_lo: f64, u_hi: f64) -> f64 {
-    debug_assert!(u_lo <= u_hi);
-    if u_hi <= u_lo {
-        return 0.0;
+/// Orders one quadrature sweep carries (see [`numeric::integrate_lanes`]);
+/// longer order lists take one sweep per `SWEEP_LANES` orders. A single
+/// order takes a one-lane sweep, so per-order callers pay for no spare
+/// lanes.
+const SWEEP_LANES: usize = 8;
+
+/// The trait's quadrature default for partial moments, for every order in
+/// `ks` from **one** sweep of quantile nodes: `out[j] =
+/// E[X^{ks[j]} · 1{a < X ≤ b}]`.
+///
+/// Each lane is bit-identical to the default
+/// [`Distribution::partial_moment`], which is this function's one-order
+/// case. A distribution whose partial moments take that default should
+/// override [`Distribution::partial_moments`] with this function: a
+/// quantile evaluation is its dominant cost, and the sweep evaluates each
+/// node once instead of once per order.
+///
+/// # Panics
+/// Panics if `ks` and `out` differ in length.
+pub fn quantile_space_partial_moments<D: Distribution + ?Sized>(
+    d: &D,
+    ks: &[i32],
+    a: f64,
+    b: f64,
+    out: &mut [f64],
+) {
+    assert_eq!(ks.len(), out.len(), "one output slot per order");
+    if b <= a {
+        out.fill(0.0);
+        return;
     }
-    let g = |u: f64| d.quantile(u).powi(k);
+    if ks.iter().any(|&k| k != 0) {
+        let fa = d.cdf(a);
+        let fb = d.cdf(b);
+        quantile_space_moments(d, ks, fa, fb, out);
+    }
+    if ks.contains(&0) {
+        let p = d.prob_in(a, b);
+        for (o, &k) in out.iter_mut().zip(ks) {
+            if k == 0 {
+                *o = p;
+            }
+        }
+    }
+}
+
+/// `out[j] = ∫_{u_lo}^{u_hi} Q(u)^{ks[j]} du` by composite Gauss–Legendre
+/// with extra panel density near `u = 1`, where heavy tails concentrate.
+fn quantile_space_moments<D: Distribution + ?Sized>(
+    d: &D,
+    ks: &[i32],
+    u_lo: f64,
+    u_hi: f64,
+    out: &mut [f64],
+) {
+    if let [k] = ks {
+        out[0] = quantile_space_lanes::<1, D>(d, &[*k], u_lo, u_hi)[0];
+        return;
+    }
+    for (ks, out) in ks.chunks(SWEEP_LANES).zip(out.chunks_mut(SWEEP_LANES)) {
+        let lanes = quantile_space_lanes::<SWEEP_LANES, D>(d, ks, u_lo, u_hi);
+        out.copy_from_slice(&lanes[..ks.len()]);
+    }
+}
+
+/// One sweep of [`quantile_space_moments`] over at most `N` orders; lanes
+/// past `ks.len()` are unused.
+fn quantile_space_lanes<const N: usize, D: Distribution + ?Sized>(
+    d: &D,
+    ks: &[i32],
+    u_lo: f64,
+    u_hi: f64,
+) -> [f64; N] {
+    debug_assert!(u_lo <= u_hi);
+    let mut total = [0.0; N];
+    if u_hi <= u_lo {
+        return total;
+    }
+    let g = |u: f64, v: &mut [f64; N]| {
+        let q = d.quantile(u);
+        for (v, &k) in v.iter_mut().zip(ks) {
+            *v = q.powi(k);
+        }
+    };
+    let mut add = |panel: [f64; N]| {
+        for (t, p) in total.iter_mut().zip(panel) {
+            *t += p;
+        }
+    };
     // Split [u_lo, u_hi] so the last 1% of probability gets geometric
     // refinement: heavy tails need it, light tails don't care.
     let split = (1.0f64 - 1e-2).max(u_lo).min(u_hi);
-    let mut total = if split > u_lo {
-        numeric::integrate(g, u_lo, split, 96)
-    } else {
-        0.0
-    };
+    if split > u_lo {
+        add(numeric::integrate_lanes(g, u_lo, split, 96));
+    }
     if u_hi > split {
         // Geometric subdivision of [split, u_hi]: panels shrink toward 1.
         let mut lo = split;
@@ -228,11 +330,11 @@ fn quantile_space_moment<D: Distribution + ?Sized>(d: &D, k: i32, u_lo: f64, u_h
             if hi <= lo || gap < 1e-14 {
                 break;
             }
-            total += numeric::integrate(g, lo, hi, 8);
+            add(numeric::integrate_lanes(g, lo, hi, 8));
             lo = hi;
         }
         if u_hi > lo {
-            total += numeric::integrate(g, lo, u_hi, 8);
+            add(numeric::integrate_lanes(g, lo, u_hi, 8));
         }
     }
     total
@@ -261,6 +363,9 @@ impl Distribution for Box<dyn Distribution> {
     fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
         self.as_ref().partial_moment(k, a, b)
     }
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        self.as_ref().partial_moments(ks, a, b, out);
+    }
     fn closed_form_moments(&self) -> bool {
         self.as_ref().closed_form_moments()
     }
@@ -285,6 +390,9 @@ impl Distribution for std::sync::Arc<dyn Distribution> {
     fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
         self.as_ref().partial_moment(k, a, b)
     }
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        self.as_ref().partial_moments(ks, a, b, out);
+    }
     fn closed_form_moments(&self) -> bool {
         self.as_ref().closed_form_moments()
     }
@@ -308,6 +416,9 @@ impl<D: Distribution> Distribution for &D {
     }
     fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
         (**self).partial_moment(k, a, b)
+    }
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        (**self).partial_moments(ks, a, b, out);
     }
     fn closed_form_moments(&self) -> bool {
         (**self).closed_form_moments()

@@ -16,7 +16,7 @@
 //! moments (BoundedPareto, Empirical) make them fast; others fall back to
 //! the numeric defaults.
 
-use crate::sita::SitaAnalysis;
+use crate::sita::{stable_queueing_slowdown, SitaAnalysis, SitaHost};
 use dses_dist::numeric;
 use dses_dist::{Distribution, Rng64};
 // dses-lint: allow(determinism) -- moment memo: keyed by exact bit patterns,
@@ -54,12 +54,12 @@ impl std::error::Error for CutoffError {}
 /// A memoizing view of a [`Distribution`] for cutoff solvers.
 ///
 /// The solvers in this module hammer a tiny set of expensive queries —
-/// `partial_moment`, `prob_in`, `raw_moment`, `quantile` — at *repeated*
-/// arguments: `SitaAnalysis::analyze` and `ServiceMoments::of_interval`
-/// each recompute the same band masses and partial first moments, the
-/// coordinate-descent and water-filling searches re-evaluate bands whose
-/// edges did not move, and `raw_moment(1)` is recomputed on every one of
-/// the hundreds of objective evaluations in a single solve. For
+/// `partial_moment(s)`, `prob_in`, `raw_moment`, `quantile` — at
+/// *repeated* arguments: the searches re-evaluate bands whose edges did
+/// not move (the fair water-filling replays near-identical placements,
+/// and a descent re-analyses the band it just settled), and
+/// `raw_moment(1)` is recomputed on every one of the hundreds of
+/// objective evaluations in a single solve. For
 /// distributions without closed-form moments (e.g. [`dses_dist::Empirical`]
 /// built from a trace, or any [`Distribution`] falling back to the
 /// quantile-space quadrature defaults) each repeat costs hundreds of
@@ -69,7 +69,11 @@ impl std::error::Error for CutoffError {}
 /// queries keyed by their *exact bit patterns* (`f64::to_bits`), so a hit
 /// returns the identical `f64` the underlying distribution produced —
 /// routing a solver through the cache cannot change a single bit of its
-/// answer. Every other trait method delegates straight to the inner
+/// answer. The batched `partial_moments` shares the per-order
+/// `partial_moment` table: each order hits or misses on its own, and all
+/// misses of one call go to the inner distribution as one
+/// `partial_moments` call (one quadrature sweep for a band, not one per
+/// order). Every other trait method delegates straight to the inner
 /// distribution (including the ones with provided defaults, so an inner
 /// override is never shadowed by a recomposed default).
 ///
@@ -193,6 +197,42 @@ impl<D: Distribution + ?Sized> Distribution for TruncatedMoments<'_, D> {
         self.memo(&self.partial, (k, a.to_bits(), b.to_bits()), || {
             self.inner.partial_moment(k, a, b)
         })
+    }
+    /// Answers each order from the same per-order memo as
+    /// `partial_moment`, and fills every miss of a call with one inner
+    /// `partial_moments` call — a cold band costs the inner distribution
+    /// one quadrature sweep, not one per order.
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        assert_eq!(ks.len(), out.len(), "one output slot per order");
+        const CHUNK: usize = 8;
+        let (ab, bb) = (a.to_bits(), b.to_bits());
+        // dses-lint: allow(panic-hygiene) -- single-threaded per wrapper; poisoning is unreachable
+        let mut table = self.partial.lock().unwrap();
+        for (ks, out) in ks.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+            // the missed orders and the output slots they fill
+            let (mut orders, mut slots, mut misses) = ([0i32; CHUNK], [0usize; CHUNK], 0);
+            for (j, (&k, o)) in ks.iter().zip(out.iter_mut()).enumerate() {
+                if let Some(&v) = table.get(&(k, ab, bb)) {
+                    *o = v;
+                } else {
+                    orders[misses] = k;
+                    slots[misses] = j;
+                    misses += 1;
+                }
+            }
+            self.hits.fetch_add((ks.len() - misses) as u64, Ordering::Relaxed);
+            self.misses.fetch_add(misses as u64, Ordering::Relaxed);
+            if misses == 0 {
+                continue;
+            }
+            let mut vals = [0.0; CHUNK];
+            self.inner
+                .partial_moments(&orders[..misses], a, b, &mut vals[..misses]);
+            for ((&k, &j), &v) in orders.iter().zip(&slots).zip(&vals).take(misses) {
+                out[j] = v;
+                table.insert((k, ab, bb), v);
+            }
+        }
     }
     fn conditional_moment(&self, k: i32, a: f64, b: f64) -> f64 {
         // recompose from the memoized pieces — identical arithmetic to
@@ -441,22 +481,21 @@ fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
     lambda: f64,
     hosts: usize,
 ) -> Result<Vec<f64>, CutoffError> {
-    let offered = lambda * dist.raw_moment(1);
+    let total_m1 = dist.raw_moment(1);
+    let offered = lambda * total_m1;
     if offered >= hosts as f64 {
         return Err(CutoffError::Infeasible { offered });
     }
     let mut cutoffs = sita_e_cutoffs(dist, hosts)?;
     let (sup_lo, sup_hi) = dist.support();
     let sup_hi = if sup_hi.is_finite() { sup_hi } else { dist.quantile(1.0 - 1e-12) };
-    let objective = |cuts: &[f64]| -> f64 {
-        let a = SitaAnalysis::analyze(dist, lambda, cuts);
-        if a.is_stable() {
-            a.mean_queueing_slowdown
-        } else {
-            f64::INFINITY
-        }
-    };
-    let mut best = objective(&cutoffs);
+    let band = |a: f64, b: f64| SitaHost::of_band(dist, lambda, a, b, total_m1);
+    // The hosts of the current cutoffs. Moving cutoff `i` changes only
+    // bands `i` and `i + 1`, so a trial re-analyses those two and reuses
+    // the rest: the objective is bit-identical to `analyze` on the trial
+    // cutoffs (same bands, summed in the same order).
+    let mut bank = SitaAnalysis::analyze(dist, lambda, &cutoffs).hosts;
+    let mut best = stable_queueing_slowdown(&bank);
     for _sweep in 0..12 {
         let before = best;
         for i in 0..cutoffs.len() {
@@ -469,6 +508,12 @@ fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
             if !(lo < hi) {
                 continue;
             }
+            // the fixed outer edges of the two bands cutoff `i` separates
+            let (left, right) = (bank[i].interval.0, bank[i + 1].interval.1);
+            let objective = |c: f64| {
+                let pair = [band(left, c), band(c, right)];
+                stable_queueing_slowdown(bank[..i].iter().chain(&pair).chain(&bank[i + 2..]))
+            };
             // coarse log grid + golden refinement on this coordinate
             let (llo, lhi) = (lo.ln(), hi.ln());
             let mut best_c = cutoffs[i];
@@ -476,9 +521,7 @@ fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
             const GRID: usize = 48;
             for g in 0..=GRID {
                 let c = (llo + (lhi - llo) * g as f64 / GRID as f64).exp();
-                let mut trial = cutoffs.clone();
-                trial[i] = c;
-                let v = objective(&trial);
+                let v = objective(c);
                 if v < best_v {
                     best_v = v;
                     best_c = c;
@@ -487,23 +530,15 @@ fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
             let span = (lhi - llo) / GRID as f64;
             let refine_lo = (best_c.ln() - span).exp().max(lo);
             let refine_hi = (best_c.ln() + span).exp().min(hi);
-            let refined = dses_dist_golden(
-                |c| {
-                    let mut trial = cutoffs.clone();
-                    trial[i] = c;
-                    objective(&trial)
-                },
-                refine_lo,
-                refine_hi,
-            );
-            let mut trial = cutoffs.clone();
-            trial[i] = refined;
-            let v = objective(&trial);
+            let refined = dses_dist_golden(objective, refine_lo, refine_hi);
+            let v = objective(refined);
             if v < best_v {
                 best_v = v;
                 best_c = refined;
             }
             cutoffs[i] = best_c;
+            bank[i] = band(left, best_c);
+            bank[i + 1] = band(best_c, right);
             best = best_v;
         }
         if before - best < 1e-9 * before.abs().max(1e-9) {

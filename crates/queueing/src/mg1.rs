@@ -47,20 +47,38 @@ impl ServiceMoments {
     /// Extract *conditional* moments on the size interval `(a, b]` — the
     /// service distribution a SITA host sees.
     ///
-    /// Returns `None` if the interval has no probability mass.
+    /// Returns `None` if the interval has no probability mass. The five
+    /// partial moments come from one [`Distribution::partial_moments`]
+    /// call, so a quadrature-fallback distribution sweeps its quantile
+    /// nodes once per band, not once per order.
     #[must_use]
     pub fn of_interval<D: Distribution + ?Sized>(dist: &D, a: f64, b: f64) -> Option<Self> {
         let p = dist.prob_in(a, b);
         if p <= 0.0 {
             return None;
         }
-        Some(Self {
-            m1: dist.partial_moment(1, a, b) / p,
-            m2: dist.partial_moment(2, a, b) / p,
-            m3: dist.partial_moment(3, a, b) / p,
-            inv1: dist.partial_moment(-1, a, b) / p,
-            inv2: dist.partial_moment(-2, a, b) / p,
-        })
+        Some(Self::of_band(dist, a, b, p).1)
+    }
+
+    /// The band's unnormalised work `E[X·1{a < X ≤ b}]` and its
+    /// conditional moments, given its mass `p = P(a < X ≤ b) > 0`.
+    pub(crate) fn of_band<D: Distribution + ?Sized>(
+        dist: &D,
+        a: f64,
+        b: f64,
+        p: f64,
+    ) -> (f64, Self) {
+        let mut m = [0.0; 5];
+        dist.partial_moments(&[1, 2, 3, -1, -2], a, b, &mut m);
+        let [m1, m2, m3, inv1, inv2] = m;
+        let moments = Self {
+            m1: m1 / p,
+            m2: m2 / p,
+            m3: m3 / p,
+            inv1: inv1 / p,
+            inv2: inv2 / p,
+        };
+        (m1, moments)
     }
 
     /// Squared coefficient of variation.

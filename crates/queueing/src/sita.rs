@@ -45,6 +45,63 @@ pub struct SitaHost {
     pub service: Option<ServiceMoments>,
 }
 
+impl SitaHost {
+    /// Analyse the host serving the size band `(a, b]` when jobs arrive at
+    /// total rate `lambda` and `total_m1 = E[X]` — one host of
+    /// [`SitaAnalysis::analyze`], which builds every host here. A solver
+    /// that moves one cutoff re-analyses only the two bands it bounds.
+    ///
+    /// The band's mass and work plus its conditional service moments come
+    /// from one `prob_in` and one [`Distribution::partial_moments`] call;
+    /// an empty band (subnormal mass) takes neither sweep nor work and
+    /// receives no jobs.
+    #[must_use]
+    pub(crate) fn of_band<D: Distribution + ?Sized>(
+        dist: &D,
+        lambda: f64,
+        a: f64,
+        b: f64,
+        total_m1: f64,
+    ) -> Self {
+        assert!(lambda > 0.0 && lambda.is_finite(), "lambda must be positive");
+        let p = dist.prob_in(a, b);
+        // treat subnormal-probability bands as empty: the host gets
+        // effectively no jobs, and λ·p would underflow to zero anyway
+        // dses-lint: allow(float-totality) -- intentional exact-underflow guard
+        if !(p > 1e-300) || lambda * p == 0.0 {
+            return Self {
+                interval: (a, b),
+                job_fraction: 0.0,
+                lambda: 0.0,
+                rho: 0.0,
+                load_fraction: 0.0,
+                mean_waiting: 0.0,
+                mean_slowdown: 0.0,
+                mean_queueing_slowdown: 0.0,
+                queueing_slowdown_m2: 0.0,
+                mean_response: 0.0,
+                service: None,
+            };
+        }
+        let (work, service) = ServiceMoments::of_band(dist, a, b, p);
+        let host_lambda = lambda * p;
+        let q = Mg1::new(host_lambda, service);
+        Self {
+            interval: (a, b),
+            job_fraction: p,
+            lambda: host_lambda,
+            rho: q.rho(),
+            load_fraction: lambda * work / (lambda * total_m1),
+            mean_waiting: q.mean_waiting(),
+            mean_slowdown: q.mean_slowdown(),
+            mean_queueing_slowdown: q.mean_queueing_slowdown(),
+            queueing_slowdown_m2: q.queueing_slowdown_moment2(),
+            mean_response: q.mean_response(),
+            service: Some(service),
+        }
+    }
+}
+
 /// Whole-system analysis of a SITA policy.
 ///
 /// ```
@@ -98,55 +155,16 @@ impl SitaAnalysis {
         edges.push(0.0);
         edges.extend_from_slice(cutoffs);
         edges.push(if sup_hi.is_finite() { sup_hi } else { f64::INFINITY });
-        let mut hosts = Vec::with_capacity(edges.len() - 1);
-        for w in edges.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let p = dist.prob_in(a, b);
-            let work = dist.partial_moment(1, a, b);
-            // treat subnormal-probability bands as empty: the host gets
-            // effectively no jobs, and λ·p would underflow to zero anyway
-            // dses-lint: allow(float-totality) -- intentional exact-underflow guard
-            if !(p > 1e-300) || lambda * p == 0.0 {
-                hosts.push(SitaHost {
-                    interval: (a, b),
-                    job_fraction: 0.0,
-                    lambda: 0.0,
-                    rho: 0.0,
-                    load_fraction: 0.0,
-                    mean_waiting: 0.0,
-                    mean_slowdown: 0.0,
-                    mean_queueing_slowdown: 0.0,
-                    queueing_slowdown_m2: 0.0,
-                    mean_response: 0.0,
-                    service: None,
-                });
-                continue;
-            }
-            // dses-lint: allow(panic-hygiene) -- guarded: the branch above returns on vanishing mass
-            let service = ServiceMoments::of_interval(dist, a, b).expect("positive mass");
-            let host_lambda = lambda * p;
-            let q = Mg1::new(host_lambda, service);
-            hosts.push(SitaHost {
-                interval: (a, b),
-                job_fraction: p,
-                lambda: host_lambda,
-                rho: q.rho(),
-                load_fraction: lambda * work / (lambda * total_m1),
-                mean_waiting: q.mean_waiting(),
-                mean_slowdown: q.mean_slowdown(),
-                mean_queueing_slowdown: q.mean_queueing_slowdown(),
-                queueing_slowdown_m2: q.queueing_slowdown_moment2(),
-                mean_response: q.mean_response(),
-                service: Some(service),
-            });
-        }
+        let hosts: Vec<SitaHost> = edges
+            .windows(2)
+            .map(|w| SitaHost::of_band(dist, lambda, w[0], w[1], total_m1))
+            .collect();
         // Aggregate as per-job mixtures.
-        let mut mean_qs = 0.0;
+        let mean_qs = mixed_queueing_slowdown(&hosts);
         let mut qs_m2 = 0.0;
         let mut mean_w = 0.0;
         let mut mean_t = 0.0;
         for h in &hosts {
-            mean_qs += h.job_fraction * h.mean_queueing_slowdown;
             // E[S²] where S = 1 + W/X: 1 + 2·E[W/X] + E[(W/X)²], mixed below
             qs_m2 += h.job_fraction * h.queueing_slowdown_m2;
             mean_w += h.job_fraction * h.mean_waiting;
@@ -168,9 +186,7 @@ impl SitaAnalysis {
     /// Whether every host that receives jobs is stable.
     #[must_use]
     pub fn is_stable(&self) -> bool {
-        self.hosts
-            .iter()
-            .all(|h| h.job_fraction <= 0.0 || h.rho < 1.0)
+        all_stable(&self.hosts)
     }
 
     /// Fraction of total load routed to host `i` (Figure 5's quantity for
@@ -196,6 +212,38 @@ impl SitaAnalysis {
             // dses-lint: allow(panic-hygiene) -- analyze() always builds >= 1 host (edges has >= 2 entries)
             .expect("at least one host");
         1.0 + host.mean_waiting / x
+    }
+}
+
+/// Whether every host that receives jobs is stable.
+fn all_stable<'h>(hosts: impl IntoIterator<Item = &'h SitaHost>) -> bool {
+    hosts
+        .into_iter()
+        .all(|h| h.job_fraction <= 0.0 || h.rho < 1.0)
+}
+
+/// The per-job mean queueing slowdown `Σ pᵢ·E[Wᵢ/X]`, summed in host
+/// order.
+fn mixed_queueing_slowdown<'h>(hosts: impl IntoIterator<Item = &'h SitaHost>) -> f64 {
+    hosts
+        .into_iter()
+        .fold(0.0, |acc, h| acc + h.job_fraction * h.mean_queueing_slowdown)
+}
+
+/// SITA-U-opt's objective over a bank of hosts in cutoff order: the
+/// per-job mean queueing slowdown, or `+∞` unless every host that receives
+/// jobs is stable. Bit-identical to `analyze` over the same bands, so a
+/// solver may assemble the bank from hosts it kept.
+pub(crate) fn stable_queueing_slowdown<'h, I>(hosts: I) -> f64
+where
+    I: IntoIterator<Item = &'h SitaHost>,
+    I::IntoIter: Clone,
+{
+    let hosts = hosts.into_iter();
+    if all_stable(hosts.clone()) {
+        mixed_queueing_slowdown(hosts)
+    } else {
+        f64::INFINITY
     }
 }
 

@@ -92,14 +92,21 @@ impl QuadTable {
         Self { pts }
     }
 
-    /// `E[e^{−(a+bi)X}]` as `(re, im)`.
-    fn transform(&self, a: f64, b: f64) -> (f64, f64) {
+    /// The damped weights `w·e^{−a·x}` of every node into `damped`: the
+    /// factor all transforms on the line `Re s = a` share.
+    fn damp(&self, a: f64, damped: &mut Vec<f64>) {
+        damped.clear();
+        damped.extend(self.pts.iter().map(|&(x, w)| w * (-a * x).exp()));
+    }
+
+    /// `E[e^{−(a+bi)X}]` as `(re, im)`, given `damped` from
+    /// [`QuadTable::damp`] at `a`.
+    fn transform(&self, damped: &[f64], b: f64) -> (f64, f64) {
         let mut re = 0.0;
         let mut im = 0.0;
-        for &(x, w) in &self.pts {
-            let damp = (-a * x).exp();
-            re += w * damp * (b * x).cos();
-            im -= w * damp * (b * x).sin();
+        for (&(x, _), &wd) in self.pts.iter().zip(damped) {
+            re += wd * (b * x).cos();
+            im -= wd * (b * x).sin();
         }
         (re, im)
     }
@@ -109,7 +116,10 @@ impl QuadTable {
 /// `(re, im)` — required by the Euler inversion, which evaluates `W*`
 /// along a vertical line in the complex plane.
 fn laplace_transform_complex<D: Distribution + ?Sized>(dist: &D, a: f64, b: f64) -> (f64, f64) {
-    QuadTable::build(dist).transform(a, b)
+    let table = QuadTable::build(dist);
+    let mut damped = Vec::new();
+    table.damp(a, &mut damped);
+    table.transform(&damped, b)
 }
 
 /// Complex division helper: `(a + bi) / (c + di)`.
@@ -133,11 +143,19 @@ pub fn mg1_waiting_cdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, t: f64) 
     let rho = lambda * dist.raw_moment(1);
     assert!(rho < 1.0, "queue must be stable (rho = {rho})");
     let table = QuadTable::build(dist);
-    waiting_cdf_with_table(&table, rho, lambda, t)
+    waiting_cdf_with_table(&table, rho, lambda, t, &mut Vec::new())
 }
 
 /// Table-driven inversion core (shared by the waiting and slowdown tails).
-fn waiting_cdf_with_table(table: &QuadTable, rho: f64, lambda: f64, t: f64) -> f64 {
+/// `damped` is scratch for the node weights of this `t`; a caller
+/// inverting at many `t` passes the same buffer each time.
+fn waiting_cdf_with_table(
+    table: &QuadTable,
+    rho: f64,
+    lambda: f64,
+    t: f64,
+    damped: &mut Vec<f64>,
+) -> f64 {
     assert!(t >= 0.0, "time must be nonnegative");
     if t == 0.0 {
         // P(W = 0) = 1 − ρ for M/G/1 FCFS
@@ -148,17 +166,19 @@ fn waiting_cdf_with_table(table: &QuadTable, rho: f64, lambda: f64, t: f64) -> f
     const A: f64 = 18.4; // ~ 8 digits of discretisation error control
     const N_BASE: usize = 15;
     const M_EULER: usize = 11;
-    let w_star = |a: f64, b: f64| -> (f64, f64) {
+    // every Euler term evaluates on the line Re s = a: damp once per t
+    let a = A / (2.0 * t);
+    table.damp(a, damped);
+    let w_star = |b: f64| -> (f64, f64) {
         // W*(s) = (1−ρ)s / (s − λ(1 − X*(s))), s = a + bi
-        let (xr, xi) = table.transform(a, b);
+        let (xr, xi) = table.transform(damped, b);
         let (nr, ni) = ((1.0 - rho) * a, (1.0 - rho) * b);
         let (dr, di) = (a - lambda * (1.0 - xr), b + lambda * xi);
         cdiv(nr, ni, dr, di)
     };
     let f_star_re = |b: f64| -> f64 {
         // Re[F*(a/2t + bi)] with F*(s) = W*(s)/s
-        let a = A / (2.0 * t);
-        let (wr, wi) = w_star(a, b);
+        let (wr, wi) = w_star(b);
         let (fr, _) = cdiv(wr, wi, a, b);
         fr
     };
@@ -198,7 +218,9 @@ pub fn mg1_waiting_ccdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, t: f64)
 ///
 /// Together with a bisection on `s` this yields analytic slowdown
 /// percentiles for every SITA policy — the `ablation_percentiles`
-/// exhibit prints them beside the simulated estimates.
+/// exhibit prints them beside the simulated estimates. To evaluate many
+/// `s` on one system, [`sita_slowdown_quantile`] builds the per-band
+/// tables once; this function builds them for a single `s`.
 #[must_use]
 pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
     dist: &D,
@@ -207,56 +229,16 @@ pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
     s: f64,
 ) -> f64 {
     assert!(s >= 1.0, "slowdown is at least 1 (got {s})");
-    assert!(
-        cutoffs.windows(2).all(|w| w[0] < w[1]),
-        "cutoffs must be strictly increasing"
-    );
-    let (_, sup_hi) = dist.support();
-    let mut edges = vec![0.0];
-    edges.extend_from_slice(cutoffs);
-    edges.push(if sup_hi.is_finite() { sup_hi } else { f64::INFINITY });
-    let mut tail = 0.0;
-    for w in edges.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let p = dist.prob_in(a, b);
-        if !(p > 1e-12) {
-            continue;
-        }
-        let band = BandDistribution {
-            inner: dist,
-            lo: a,
-            hi: b,
-            mass: p,
-            cdf_lo: dist.cdf(a),
-        };
-        let band_lambda = lambda * p;
-        let rho = band_lambda * band.raw_moment(1);
-        if rho >= 1.0 {
-            tail += p; // saturated band: everything above any finite s
-            continue;
-        }
-        if s == 1.0 {
-            tail += p * rho;
-            continue;
-        }
-        let table = QuadTable::build(&band);
-        const POINTS: usize = 32;
-        let mut acc = 0.0;
-        for i in 0..POINTS {
-            let u = (i as f64 + 0.5) / POINTS as f64;
-            let x = band.quantile(u);
-            if !x.is_finite() || x <= 0.0 {
-                continue;
-            }
-            acc += 1.0 - waiting_cdf_with_table(&table, rho, band_lambda, (s - 1.0) * x);
-        }
-        tail += p * (acc / POINTS as f64);
-    }
-    tail.clamp(0.0, 1.0)
+    SlowdownTail::new(dist, lambda, cutoffs).ccdf(s)
 }
 
 /// Analytic slowdown percentile of a SITA system: the smallest `s` with
 /// `P(S ≤ s) ≥ q`, by bisection on [`sita_slowdown_ccdf`].
+///
+/// Returns `+∞` when no finite `s` reaches `q`: saturated bands (`ρ ≥ 1`)
+/// count as slower than any finite `s`, so once they hold more than
+/// `1 − q` of the jobs the percentile is infinite — as it is whenever the
+/// upward bracket (60 doublings from `s = 2`) fails to close.
 #[must_use]
 pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
     dist: &D,
@@ -266,27 +248,139 @@ pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
 ) -> f64 {
     assert!((0.0..1.0).contains(&q), "quantile must be in [0, 1)");
     let target = 1.0 - q;
-    if sita_slowdown_ccdf(dist, lambda, cutoffs, 1.0) <= target {
+    let mut tail = SlowdownTail::new(dist, lambda, cutoffs);
+    if tail.ccdf(1.0) <= target {
         return 1.0;
+    }
+    if tail.saturated_mass() > target {
+        return f64::INFINITY;
     }
     // bracket upward geometrically
     let mut hi = 2.0;
+    let mut closed = false;
     for _ in 0..60 {
-        if sita_slowdown_ccdf(dist, lambda, cutoffs, hi) <= target {
+        if tail.ccdf(hi) <= target {
+            closed = true;
             break;
         }
         hi *= 2.0;
     }
+    if !closed {
+        return f64::INFINITY;
+    }
     let mut lo = 1.0;
     for _ in 0..40 {
         let mid = (lo * hi).sqrt();
-        if sita_slowdown_ccdf(dist, lambda, cutoffs, mid) > target {
+        if tail.ccdf(mid) > target {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     (lo * hi).sqrt()
+}
+
+/// Size points per band at which [`SlowdownTail`] averages the waiting
+/// tail.
+const TAIL_POINTS: usize = 32;
+
+/// Everything in a SITA slowdown tail that does not depend on `s`: per
+/// band its mass and utilisation, and for a stable band its transform
+/// table and size grid. Built once per system, evaluated at any number
+/// of slowdowns.
+struct SlowdownTail {
+    bands: Vec<TailBand>,
+    /// scratch for one Euler inversion's damped weights
+    damped: Vec<f64>,
+}
+
+/// One band of a [`SlowdownTail`]; `grid` is `None` when saturated.
+struct TailBand {
+    mass: f64,
+    rho: f64,
+    lambda: f64,
+    grid: Option<(QuadTable, Vec<f64>)>,
+}
+
+impl SlowdownTail {
+    fn new<D: Distribution + ?Sized>(dist: &D, lambda: f64, cutoffs: &[f64]) -> Self {
+        assert!(
+            cutoffs.windows(2).all(|w| w[0] < w[1]),
+            "cutoffs must be strictly increasing"
+        );
+        let (_, sup_hi) = dist.support();
+        let mut edges = vec![0.0];
+        edges.extend_from_slice(cutoffs);
+        edges.push(if sup_hi.is_finite() { sup_hi } else { f64::INFINITY });
+        let mut bands = Vec::with_capacity(edges.len() - 1);
+        for w in edges.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let p = dist.prob_in(a, b);
+            if !(p > 1e-12) {
+                continue;
+            }
+            let band = BandDistribution {
+                inner: dist,
+                lo: a,
+                hi: b,
+                mass: p,
+                cdf_lo: dist.cdf(a),
+            };
+            let band_lambda = lambda * p;
+            let rho = band_lambda * band.raw_moment(1);
+            let grid = if rho >= 1.0 {
+                None
+            } else {
+                let xs = (0..TAIL_POINTS)
+                    .map(|i| band.quantile((i as f64 + 0.5) / TAIL_POINTS as f64))
+                    .filter(|x| x.is_finite() && *x > 0.0)
+                    .collect();
+                Some((QuadTable::build(&band), xs))
+            };
+            bands.push(TailBand {
+                mass: p,
+                rho,
+                lambda: band_lambda,
+                grid,
+            });
+        }
+        Self {
+            bands,
+            damped: Vec::new(),
+        }
+    }
+
+    /// `P(S > s)`.
+    fn ccdf(&mut self, s: f64) -> f64 {
+        assert!(s >= 1.0, "slowdown is at least 1 (got {s})");
+        let mut tail = 0.0;
+        for band in &self.bands {
+            let Some((table, xs)) = &band.grid else {
+                tail += band.mass; // saturated band: everything above any finite s
+                continue;
+            };
+            if s == 1.0 {
+                tail += band.mass * band.rho;
+                continue;
+            }
+            let mut acc = 0.0;
+            for &x in xs {
+                let t = (s - 1.0) * x;
+                acc += 1.0 - waiting_cdf_with_table(table, band.rho, band.lambda, t, &mut self.damped);
+            }
+            tail += band.mass * (acc / TAIL_POINTS as f64);
+        }
+        tail.clamp(0.0, 1.0)
+    }
+
+    /// Job mass on saturated bands — a floor under `P(S > s)` at every
+    /// finite `s`.
+    fn saturated_mass(&self) -> f64 {
+        self.bands
+            .iter()
+            .filter(|b| b.grid.is_none())
+            .fold(0.0, |acc, b| acc + b.mass)
+    }
 }
 
 /// Per-job waiting-time tail `P(W > t)` of a whole SITA system: each
@@ -394,6 +488,7 @@ pub fn mg1_slowdown_ccdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, s: f64
     }
     // coarse quantile grid over sizes; the waiting tail is smooth in t
     let table = QuadTable::build(dist);
+    let mut damped = Vec::new();
     const POINTS: usize = 48;
     let mut acc = 0.0;
     for i in 0..POINTS {
@@ -402,7 +497,7 @@ pub fn mg1_slowdown_ccdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, s: f64
         if !x.is_finite() || x <= 0.0 {
             continue;
         }
-        acc += 1.0 - waiting_cdf_with_table(&table, rho, lambda, (s - 1.0) * x);
+        acc += 1.0 - waiting_cdf_with_table(&table, rho, lambda, (s - 1.0) * x, &mut damped);
     }
     (acc / POINTS as f64).clamp(0.0, 1.0)
 }
@@ -588,6 +683,19 @@ mod tests {
         let p90 = sita_slowdown_quantile(&d, lambda, &[cutoff], 0.9);
         let back = sita_slowdown_ccdf(&d, lambda, &[cutoff], p90);
         assert!((back - 0.1).abs() < 0.02, "P(S > p90) = {back}");
+    }
+
+    #[test]
+    fn saturated_majority_has_no_finite_slowdown_quantile() {
+        // C90 at ρ = 0.7 with the cutoff at 2×10⁵: the short band holds
+        // 99.7 % of the jobs at ρ = 1.056, so P(S > s) ≥ 0.997 at every
+        // finite s and no finite p99 exists
+        let d = dses_workload::psc_c90().size_dist;
+        let lambda = 0.7 * 2.0 / d.mean();
+        let cutoffs = [2e5];
+        let short = crate::SitaAnalysis::analyze(&d, lambda, &cutoffs).hosts[0];
+        assert!(short.rho > 1.05 && short.job_fraction > 0.99, "{short:?}");
+        assert_eq!(sita_slowdown_quantile(&d, lambda, &cutoffs, 0.99), f64::INFINITY);
     }
 
     #[test]
