@@ -14,16 +14,21 @@ cargo test -q
 # than at benchmark time.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-# Analytic digest gate: one `analytic` iteration (~12 s) checks the
-# quadrature-fallback Erlang-4 fair solve, the SITA cutoff solves, the p99
-# transform inversion and the analytic policy roster against
-# `perfbench/references.txt`. It gates correctness only, never timing.
-analytic=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload analytic --seconds 1 --trace 0 | tail -n 1)
-if ! grep -q '"correct": true' <<<"$analytic" || ! grep -q '"failed": 0,' <<<"$analytic"; then
-    echo "ci: perfbench analytic digests failed: $analytic" >&2
-    exit 1
-fi
+# Digest gates: one iteration of each benchmark workload, checked against
+# `perfbench/references.txt`. `paper_h2` (~2 s) and `wide_full` (~3 s)
+# simulate — the C90 sweep grid and replications at 2 hosts, the full
+# collector at 8 and 64 hosts — so a change that moves one trace or kernel
+# bit fails here. `analytic` (~12 s) checks the quadrature-fallback
+# Erlang-4 fair solve, the SITA cutoff solves, the p99 transform inversion
+# and the analytic policy roster. They gate correctness only, never timing.
+for workload in paper_h2 wide_full analytic; do
+    result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+        echo "ci: perfbench $workload digests failed: $result" >&2
+        exit 1
+    fi
+done
 
 cargo clippy --all-targets -- -D warnings
 

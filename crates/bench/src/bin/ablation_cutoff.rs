@@ -52,11 +52,13 @@ fn main() {
         .collect();
     points.extend(anchors.iter().cloned());
     points.sort_by(|a, b| a.1.total_cmp(&b.1));
+    // one trace, shared by every cutoff
+    let trace = experiment.trace(rho);
     for (label, cutoff) in points {
         let spec = PolicySpec::SitaFixed {
             cutoffs: vec![cutoff],
         };
-        match experiment.try_run(&spec, rho) {
+        match experiment.try_run_on_trace(&spec, &trace) {
             Ok(r) => table.push_row(vec![
                 if label.is_empty() {
                     format!("{cutoff:.0}")

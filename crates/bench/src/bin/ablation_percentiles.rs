@@ -27,8 +27,10 @@ fn main() {
         format!("slowdown percentiles at rho = {rho}, C90, 2 hosts"),
         &["policy", "mean", "p50", "p90", "p95", "p99"],
     );
+    // one trace, shared by every policy
+    let trace = experiment.trace(rho);
     for spec in &specs {
-        match experiment.try_run(spec, rho) {
+        match experiment.try_run_on_trace(spec, &trace) {
             Ok(r) => {
                 let p = r.slowdown_percentiles.expect("percentiles enabled");
                 let get = |q: f64| {

@@ -34,11 +34,19 @@ fn main() {
             "SITA-E/U-fair (var)",
         ],
     );
-    for &rho in &[0.3, 0.5, 0.7, 0.8] {
-        let random = experiment.run(&PolicySpec::Random, rho);
-        let lwl = experiment.run(&PolicySpec::LeastWorkLeft, rho);
-        let sita_e = experiment.run(&PolicySpec::SitaE, rho);
-        let fair = experiment.run(&PolicySpec::SitaUFair, rho);
+    // one trace per load, shared by every policy and claim below
+    let loads = [0.3, 0.5, 0.7, 0.8];
+    let traces = experiment.traces(&loads);
+    let run = |spec: &PolicySpec, trace: &Trace| {
+        experiment
+            .try_run_on_trace(spec, trace)
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.name()))
+    };
+    for (&rho, trace) in loads.iter().zip(&traces) {
+        let random = run(&PolicySpec::Random, trace);
+        let lwl = run(&PolicySpec::LeastWorkLeft, trace);
+        let sita_e = run(&PolicySpec::SitaE, trace);
+        let fair = run(&PolicySpec::SitaUFair, trace);
         table.push_row(vec![
             format!("{rho:.1}"),
             fmt_ratio(random.slowdown.mean - 1.0, lwl.slowdown.mean - 1.0),
@@ -52,7 +60,7 @@ fn main() {
     println!("(ratios on queueing slowdown E[W/X] = E[S]-1, the paper's Theorem-1 quantity)\n");
 
     // -- claim 4: job fraction to Host 1 under SITA-E
-    let r = experiment.run(&PolicySpec::SitaE, 0.7);
+    let r = run(&PolicySpec::SitaE, &traces[2]);
     println!(
         "SITA-E at rho=0.7: {:.1}% of jobs to Host 1 (paper: ~98.7%), load fraction {:.3}\n",
         100.0 * r.job_fraction(0),
@@ -82,9 +90,9 @@ fn main() {
         "rule-of-thumb vs optimised cutoff (mean slowdown)",
         &["rho", "SITA-U-opt", "SITA-U-rot", "penalty"],
     );
-    for &rho in &[0.3, 0.5, 0.7, 0.8] {
-        let opt = experiment.run(&PolicySpec::SitaUOpt, rho);
-        let rot = experiment.run(&PolicySpec::SitaRuleOfThumb, rho);
+    for (&rho, trace) in loads.iter().zip(&traces) {
+        let opt = run(&PolicySpec::SitaUOpt, trace);
+        let rot = run(&PolicySpec::SitaRuleOfThumb, trace);
         rot_table.push_row(vec![
             format!("{rho:.1}"),
             fmt_num(opt.slowdown.mean),

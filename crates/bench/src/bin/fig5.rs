@@ -17,8 +17,10 @@ fn main() {
         &["rho", "SITA-U-opt", "SITA-U-fair", "rule-of-thumb rho/2", "SITA-E"],
     );
     for &rho in &loads {
+        // one trace per load, shared by the three policies
+        let trace = experiment.trace(rho);
         let frac = |spec: &PolicySpec| -> String {
-            match experiment.try_run(spec, rho) {
+            match experiment.try_run_on_trace(spec, &trace) {
                 Ok(r) => format!("{:.3}", r.load_fraction(0)),
                 Err(_) => "-".to_string(),
             }

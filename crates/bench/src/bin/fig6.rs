@@ -25,8 +25,10 @@ fn main() {
     for &h in &host_counts {
         // keep total simulated work comparable across host counts
         let experiment = exhibit_experiment(&preset, h).jobs(EXHIBIT_JOBS.max(25_000 * h));
+        // one trace per host count, shared by the four policies
+        let trace = experiment.trace(rho);
         let run = |spec: &PolicySpec| -> String {
-            match experiment.try_run(spec, rho) {
+            match experiment.try_run_on_trace(spec, &trace) {
                 Ok(r) => fmt_num(r.slowdown.mean),
                 Err(_) => "-".to_string(),
             }

@@ -17,7 +17,7 @@ use crate::policies::SizeInterval;
 use crate::rule_of_thumb::rule_of_thumb_cutoff;
 use dses_dist::{Distribution, Empirical};
 use dses_queueing::cutoff::{
-    sita_e_cutoffs, sita_u_fair_cutoff, sita_u_fair_cutoffs_multi, sita_u_opt_cutoff,
+    check_rate, sita_e_cutoffs, sita_u_fair_cutoff, sita_u_fair_cutoffs_multi, sita_u_opt_cutoff,
     sita_u_opt_cutoffs_multi, CutoffError, TruncatedMoments,
 };
 use dses_sim::{simulate_dispatch, MetricsConfig};
@@ -57,7 +57,9 @@ impl CutoffMethod {
 /// SITA-U rules use the multi-host water-filling/coordinate-descent
 /// solvers beyond 2 hosts — an extension over the paper, whose §5 falls
 /// back to grouping; see [`crate::policies::GroupedSita`] for that
-/// policy). `RuleOfThumb` is the paper's 2-host rule.
+/// policy). `RuleOfThumb` is the paper's 2-host rule. The rules that
+/// depend on the load (all but `EqualLoad`) return
+/// [`CutoffError::InvalidRate`] unless `lambda` is positive and finite.
 pub fn resolve_cutoff<D: Distribution + ?Sized>(
     dist: &D,
     lambda: f64,
@@ -102,6 +104,7 @@ pub fn resolve_cutoff<D: Distribution + ?Sized>(
                     "the rho/2 rule of thumb is the paper's 2-host rule (got {hosts} hosts)"
                 )));
             }
+            check_rate(lambda)?;
             let rho = lambda * dist.raw_moment(1) / hosts as f64;
             if rho >= 1.0 {
                 return Err(CutoffError::Infeasible { offered: rho * hosts as f64 });
@@ -135,6 +138,7 @@ pub fn experimental_cutoff(
             return Ok(sita_e_cutoffs(&emp, 2)?[0]);
         }
         CutoffMethod::RuleOfThumb => {
+            check_rate(training.arrival_rate())?;
             let rho = training.system_load(2);
             if !(rho < 1.0) {
                 return Err(CutoffError::Infeasible { offered: 2.0 * rho });
@@ -230,6 +234,30 @@ mod tests {
         }
         // the rule of thumb remains the paper's 2-host rule
         assert!(resolve_cutoff(&d, lambda, 4, CutoffMethod::RuleOfThumb).is_err());
+    }
+
+    #[test]
+    fn rules_that_need_an_arrival_rate_reject_a_missing_one() {
+        let d = c90ish();
+        for lambda in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (method, hosts) in [
+                (CutoffMethod::OptSlowdown, 2),
+                (CutoffMethod::Fair, 2),
+                (CutoffMethod::RuleOfThumb, 2),
+                (CutoffMethod::OptSlowdown, 4),
+                (CutoffMethod::Fair, 4),
+            ] {
+                let got = resolve_cutoff(&d, lambda, hosts, method);
+                assert!(
+                    matches!(got, Err(CutoffError::InvalidRate { .. })),
+                    "{method:?} h={hosts} lambda={lambda}: {got:?}"
+                );
+            }
+        }
+        // a one-job training trace has no arrival rate either
+        let one = Trace::new(vec![dses_workload::Job::new(0, 1.0, 100.0)]);
+        let got = experimental_cutoff(&one, CutoffMethod::RuleOfThumb, 8, 1);
+        assert!(matches!(got, Err(CutoffError::InvalidRate { lambda }) if lambda == 0.0));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::spec::{BuiltPolicy, PolicySpec};
 use dses_dist::{derive_seed, Distribution};
 use dses_queueing::cutoff::CutoffError;
 use dses_queueing::policies::{analyze_policy, AnalyticMetrics, AnalyticPolicy};
-use dses_sim::par::{effective_workers, par_map, par_map_indexed};
+use dses_sim::par::{effective_workers, par_map_indexed};
 use dses_sim::{simulate_dispatch, Demand, EventEngine, MetricsConfig, SimResult};
 use dses_workload::{Trace, WorkloadBuilder};
 use std::sync::Arc;
@@ -154,7 +154,8 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
         &self.dist
     }
 
-    /// Generate the Poisson trace for target system load `rho`.
+    /// Generate the Poisson trace for target system load `rho` — the
+    /// one-load case of [`Experiment::traces`].
     #[must_use]
     pub fn trace(&self, rho: f64) -> Trace {
         WorkloadBuilder::new(self.dist.clone())
@@ -162,6 +163,18 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
             .poisson_load(rho, self.hosts)
             .seed(self.seed)
             .build()
+    }
+
+    /// Generate the Poisson trace for each target system load in `loads`
+    /// ([`WorkloadBuilder::build_loads`]): the traces hold one job stream
+    /// and share its size and reciprocal columns, and trace `k` equals
+    /// `self.trace(loads[k])` bit for bit.
+    #[must_use]
+    pub fn traces(&self, loads: &[f64]) -> Vec<Trace> {
+        WorkloadBuilder::new(self.dist.clone())
+            .jobs(self.jobs)
+            .seed(self.seed)
+            .build_loads(loads, self.hosts)
     }
 
     /// Resolve the effective demand for an entry point that reads the
@@ -242,10 +255,10 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     }
 
     /// Resolve everything a run needs that depends on the *target*
-    /// operating point — the built policy (cutoffs resolved against the
-    /// trace's realised arrival rate) and the metrics configuration (for
-    /// 2-host SITA policies, slowdown statistics are split at the cutoff
-    /// so short-vs-long fairness is measured for free).
+    /// operating point — the built policy (cutoffs resolved once, against
+    /// the trace's realised arrival rate) and the metrics configuration
+    /// (for 2-host SITA policies, slowdown statistics are split at the
+    /// cutoff so short-vs-long fairness is measured for free).
     fn prepare_run(
         &self,
         spec: &PolicySpec,
@@ -253,23 +266,8 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
         reads: Demand,
     ) -> Result<(BuiltPolicy, MetricsConfig), CutoffError> {
         let lambda = trace.arrival_rate();
-        let built = spec.build(&self.dist, lambda, self.hosts)?;
-        let cutoff_method = match spec {
-            PolicySpec::SitaE => Some(crate::cutoffs::CutoffMethod::EqualLoad),
-            PolicySpec::SitaUOpt => Some(crate::cutoffs::CutoffMethod::OptSlowdown),
-            PolicySpec::SitaUFair => Some(crate::cutoffs::CutoffMethod::Fair),
-            PolicySpec::SitaRuleOfThumb => Some(crate::cutoffs::CutoffMethod::RuleOfThumb),
-            _ => None,
-        };
-        let split = match (cutoff_method, spec) {
-            (Some(m), _) if self.hosts == 2 => {
-                crate::cutoffs::resolve_cutoff(&self.dist, lambda, self.hosts, m)
-                    .ok()
-                    .map(|c| c[0])
-            }
-            (None, PolicySpec::SitaFixed { cutoffs }) if cutoffs.len() == 1 => Some(cutoffs[0]),
-            _ => None,
-        };
+        let (built, cutoffs) = spec.build_with_cutoffs(&self.dist, lambda, self.hosts)?;
+        let split = cutoffs.filter(|_| self.hosts == 2).map(|c| c[0]);
         Ok((built, self.metrics_config(split, reads)))
     }
 
@@ -285,13 +283,14 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     /// Run the full `specs` × `loads` grid, fanned over
     /// [`Experiment::threads`] workers.
     ///
-    /// Each load's trace is generated **once** and shared read-only
-    /// (`Arc<Trace>`) by every policy — the trace depends only on
-    /// `(workload, rho, seed)`, not on the policy. Every grid point is a
-    /// pure function of `(spec, rho, seed)` and results are collected by
-    /// grid index, never completion order, so the output is bit-for-bit
-    /// identical to running [`Experiment::sweep`] per spec sequentially,
-    /// for any thread count.
+    /// Each load's trace is generated **once** and shared read-only by
+    /// every policy — the trace depends only on `(workload, rho, seed)`,
+    /// not on the policy — and the loads' traces share one size column
+    /// and one reciprocal column ([`Experiment::traces`]). Every grid
+    /// point is a pure function of `(spec, rho, seed)` and results are
+    /// collected by grid index, never completion order, so the output is
+    /// bit-for-bit identical to running [`Experiment::sweep`] per spec
+    /// sequentially, for any thread count.
     #[must_use]
     pub fn sweep_grid(&self, specs: &[PolicySpec], loads: &[f64]) -> Vec<LoadSweep> {
         let workers = self.workers();
@@ -305,13 +304,8 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
         // shared ownership (`Arc`) of the experiment and inputs rather
         // than borrowing from this stack frame.
         let this = Arc::new(self.clone());
-        // Phase 1: one trace per load, built in parallel, shared below.
-        let traces: Arc<Vec<Arc<Trace>>> = {
-            let this = Arc::clone(&this);
-            Arc::new(par_map(loads, workers, move |_, &rho| {
-                Arc::new(this.trace(rho))
-            }))
-        };
+        // Phase 1: one trace per load over one shared job stream.
+        let traces: Arc<Vec<Trace>> = Arc::new(self.traces(loads));
         // Phase 2: the flat specs × loads grid of independent runs.
         let shared_specs: Arc<Vec<PolicySpec>> = Arc::new(specs.to_vec());
         let shared_loads: Arc<Vec<f64>> = Arc::new(loads.to_vec());
@@ -673,5 +667,67 @@ mod replication_tests {
     fn replication_errors_propagate() {
         let e = experiment();
         assert!(e.replicate(&PolicySpec::SitaUOpt, 1.5, 3).is_err());
+    }
+}
+
+#[cfg(test)]
+mod degenerate_trace_tests {
+    use super::*;
+    use crate::cutoffs::CutoffMethod;
+    use dses_workload::Job;
+
+    fn roster() -> Vec<PolicySpec> {
+        let mut specs = PolicySpec::paper_roster();
+        specs.push(PolicySpec::SitaRuleOfThumb);
+        for method in [CutoffMethod::EqualLoad, CutoffMethod::OptSlowdown, CutoffMethod::Fair] {
+            specs.push(PolicySpec::Grouped { method });
+        }
+        specs
+    }
+
+    #[test]
+    fn traces_without_an_arrival_rate_give_errors_not_panics() {
+        let d = dses_workload::psc_c90().size_dist;
+        let empty = Trace::new(vec![]);
+        let one = Trace::new(vec![Job::new(0, 3.0, 100.0)]);
+        for hosts in [2, 4] {
+            let e = Experiment::new(d.clone()).hosts(hosts);
+            for trace in [&empty, &one] {
+                assert_eq!(trace.arrival_rate(), 0.0);
+                for spec in roster() {
+                    let result = e.try_run_on_trace(&spec, trace);
+                    let what = format!("{} on {} jobs, h={hosts}", spec.name(), trace.len());
+                    // the SITA-U rules and the rule of thumb need the rate
+                    let needs_rate = match spec {
+                        PolicySpec::SitaUOpt | PolicySpec::SitaUFair => true,
+                        PolicySpec::SitaRuleOfThumb => true,
+                        PolicySpec::Grouped { method } => method != CutoffMethod::EqualLoad,
+                        _ => false,
+                    };
+                    if needs_rate {
+                        let err = result.expect_err(&what);
+                        // beyond 2 hosts the rule of thumb fails on its host count first
+                        if !matches!(spec, PolicySpec::SitaRuleOfThumb) || hosts == 2 {
+                            assert_eq!(err, CutoffError::InvalidRate { lambda: 0.0 }, "{what}");
+                        }
+                    } else {
+                        let r = result.unwrap_or_else(|err| panic!("{}: {err}", spec.name()));
+                        assert_eq!(r.measured, trace.len() as u64, "{}", spec.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_of_degenerate_traces_report_failed_points() {
+        let d = dses_workload::psc_c90().size_dist;
+        for jobs in [0, 1] {
+            let sweep = Experiment::new(d.clone())
+                .jobs(jobs)
+                .sweep_grid(&[PolicySpec::SitaUFair, PolicySpec::SitaE], &[0.5]);
+            assert!(sweep[0].points[0].mean_slowdown.is_nan(), "{jobs} jobs");
+            assert_eq!(sweep[1].points[0].measured, jobs as u64);
+        }
     }
 }

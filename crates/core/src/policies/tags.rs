@@ -44,19 +44,18 @@ pub fn simulate_tags(trace: &Trace, cutoffs: &[f64], cfg: MetricsConfig) -> SimR
     // allocated once at full size and ping-ponged between levels, so the
     // cascade performs no per-level reallocation.
     let mut incoming: Vec<(f64, usize)> = trace
-        .jobs()
+        .arrivals()
         .iter()
         .enumerate()
-        .map(|(i, j)| (j.arrival, i))
+        .map(|(i, &arrival)| (arrival, i))
         .collect();
     let mut next_incoming: Vec<(f64, usize)> = Vec::with_capacity(trace.len());
-    let jobs = trace.jobs();
     for level in 0..levels {
         let cutoff = cutoffs.get(level).copied().unwrap_or(f64::INFINITY);
         let mut free_at = 0.0f64;
         next_incoming.clear();
         for &(arrival, idx) in &incoming {
-            let job = &jobs[idx];
+            let job = trace.job(idx);
             if job.size <= cutoff {
                 // completes here: full (re)run of `size`
                 let start = arrival.max(free_at);

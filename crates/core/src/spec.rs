@@ -112,28 +112,33 @@ impl PolicySpec {
         lambda: f64,
         hosts: usize,
     ) -> Result<BuiltPolicy, CutoffError> {
-        let built = match self {
-            PolicySpec::Random => BuiltPolicy::Dispatch(Box::new(RandomPolicy)),
-            PolicySpec::RoundRobin => BuiltPolicy::Dispatch(Box::new(RoundRobin::default())),
-            PolicySpec::ShortestQueue => BuiltPolicy::Dispatch(Box::new(ShortestQueue)),
-            PolicySpec::LeastWorkLeft => BuiltPolicy::Dispatch(Box::new(LeastWorkLeft)),
-            PolicySpec::CentralQueue => BuiltPolicy::Central(QueueDiscipline::Fcfs),
-            PolicySpec::CentralSjf => BuiltPolicy::Central(QueueDiscipline::Sjf),
-            PolicySpec::SitaE => {
-                let cutoffs = resolve_cutoff(dist, lambda, hosts, CutoffMethod::EqualLoad)?;
-                BuiltPolicy::Dispatch(Box::new(SizeInterval::new(cutoffs, "SITA-E")))
-            }
-            PolicySpec::SitaUOpt => {
-                let cutoffs = resolve_cutoff(dist, lambda, hosts, CutoffMethod::OptSlowdown)?;
-                BuiltPolicy::Dispatch(Box::new(SizeInterval::new(cutoffs, "SITA-U-opt")))
-            }
-            PolicySpec::SitaUFair => {
-                let cutoffs = resolve_cutoff(dist, lambda, hosts, CutoffMethod::Fair)?;
-                BuiltPolicy::Dispatch(Box::new(SizeInterval::new(cutoffs, "SITA-U-fair")))
-            }
+        self.build_with_cutoffs(dist, lambda, hosts).map(|(built, _)| built)
+    }
+
+    /// [`PolicySpec::build`], also returning the cutoffs of a plain
+    /// size-interval policy (the four SITA rules and `SitaFixed`; `None`
+    /// for every other spec, `Grouped` included), so a caller that needs
+    /// them does not solve them a second time.
+    pub(crate) fn build_with_cutoffs<D: Distribution + ?Sized>(
+        &self,
+        dist: &D,
+        lambda: f64,
+        hosts: usize,
+    ) -> Result<(BuiltPolicy, Option<Vec<f64>>), CutoffError> {
+        let resolve = |method| resolve_cutoff(dist, lambda, hosts, method);
+        let dispatch = |policy: Box<dyn Dispatcher>| (BuiltPolicy::Dispatch(policy), None);
+        Ok(match self {
+            PolicySpec::Random => dispatch(Box::new(RandomPolicy)),
+            PolicySpec::RoundRobin => dispatch(Box::<RoundRobin>::default()),
+            PolicySpec::ShortestQueue => dispatch(Box::new(ShortestQueue)),
+            PolicySpec::LeastWorkLeft => dispatch(Box::new(LeastWorkLeft)),
+            PolicySpec::CentralQueue => (BuiltPolicy::Central(QueueDiscipline::Fcfs), None),
+            PolicySpec::CentralSjf => (BuiltPolicy::Central(QueueDiscipline::Sjf), None),
+            PolicySpec::SitaE => size_interval(resolve(CutoffMethod::EqualLoad)?, "SITA-E"),
+            PolicySpec::SitaUOpt => size_interval(resolve(CutoffMethod::OptSlowdown)?, "SITA-U-opt"),
+            PolicySpec::SitaUFair => size_interval(resolve(CutoffMethod::Fair)?, "SITA-U-fair"),
             PolicySpec::SitaRuleOfThumb => {
-                let cutoffs = resolve_cutoff(dist, lambda, hosts, CutoffMethod::RuleOfThumb)?;
-                BuiltPolicy::Dispatch(Box::new(SizeInterval::new(cutoffs, "SITA-U-rot")))
+                size_interval(resolve(CutoffMethod::RuleOfThumb)?, "SITA-U-rot")
             }
             PolicySpec::SitaFixed { cutoffs } => {
                 if cutoffs.len() + 1 != hosts {
@@ -142,7 +147,7 @@ impl PolicySpec {
                         cutoffs.len()
                     )));
                 }
-                BuiltPolicy::Dispatch(Box::new(SizeInterval::new(cutoffs.clone(), "SITA-fixed")))
+                size_interval(cutoffs.clone(), "SITA-fixed")
             }
             PolicySpec::Grouped { method } => {
                 if hosts < 2 {
@@ -158,16 +163,21 @@ impl PolicySpec {
                 let m1 = dist.raw_moment(1);
                 let short_share = dist.partial_moment(1, 0.0, cutoff) / m1;
                 let short_hosts = GroupedSita::short_group_for_load_share(hosts, short_share);
-                BuiltPolicy::Dispatch(Box::new(GroupedSita::new(
+                dispatch(Box::new(GroupedSita::new(
                     cutoff,
                     hosts,
                     short_hosts,
                     format!("{}/LWL", method.label()),
                 )))
             }
-        };
-        Ok(built)
+        })
     }
+}
+
+/// A size-interval policy on `cutoffs`, returned with its cutoffs.
+fn size_interval(cutoffs: Vec<f64>, label: &str) -> (BuiltPolicy, Option<Vec<f64>>) {
+    let policy = SizeInterval::new(cutoffs.clone(), label);
+    (BuiltPolicy::Dispatch(Box::new(policy)), Some(cutoffs))
 }
 
 #[cfg(test)]

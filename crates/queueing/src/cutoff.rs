@@ -36,6 +36,23 @@ pub enum CutoffError {
     },
     /// The optimisation bracket collapsed (numerical failure).
     SolveFailed(String),
+    /// The arrival rate is not positive and finite — e.g. the realised
+    /// rate of a trace with fewer than two jobs, which is 0 — so no
+    /// load-dependent cutoff exists.
+    InvalidRate {
+        /// the rejected total arrival rate
+        lambda: f64,
+    },
+}
+
+/// Accept an arrival rate the load-dependent cutoff rules can use
+/// (positive and finite); anything else is [`CutoffError::InvalidRate`].
+pub fn check_rate(lambda: f64) -> Result<(), CutoffError> {
+    if lambda > 0.0 && lambda.is_finite() {
+        Ok(())
+    } else {
+        Err(CutoffError::InvalidRate { lambda })
+    }
 }
 
 impl std::fmt::Display for CutoffError {
@@ -45,6 +62,9 @@ impl std::fmt::Display for CutoffError {
                 write!(f, "no stabilising cutoff exists (offered load {offered})")
             }
             CutoffError::SolveFailed(msg) => write!(f, "cutoff solve failed: {msg}"),
+            CutoffError::InvalidRate { lambda } => {
+                write!(f, "arrival rate {lambda} must be positive and finite")
+            }
         }
     }
 }
@@ -302,6 +322,7 @@ fn feasible_interval<D: Distribution + ?Sized>(
     dist: &D,
     lambda: f64,
 ) -> Result<(f64, f64), CutoffError> {
+    check_rate(lambda)?;
     let (lo, hi) = dist.support();
     let hi_finite = if hi.is_finite() { hi } else { dist.quantile(1.0 - 1e-12) };
     let m1 = dist.raw_moment(1);
@@ -463,6 +484,7 @@ pub fn sita_u_opt_cutoffs_multi<D: Distribution + ?Sized>(
     hosts: usize,
 ) -> Result<Vec<f64>, CutoffError> {
     assert!(hosts >= 2, "need at least two hosts");
+    check_rate(lambda)?;
     // Coordinate descent re-evaluates bands whose edges did not move on
     // every sweep. For quadrature-fallback distributions the memoizing
     // view collapses those repeats; when every moment resolves in closed
@@ -570,6 +592,7 @@ pub fn sita_u_fair_cutoffs_multi<D: Distribution + ?Sized>(
     hosts: usize,
 ) -> Result<Vec<f64>, CutoffError> {
     assert!(hosts >= 2, "need at least two hosts");
+    check_rate(lambda)?;
     // Water-filling's outer bisection replays near-identical band edges
     // across placements; the memoizing view collapses the repeats — but
     // only pays off when a repeat is expensive. Closed-form moments go

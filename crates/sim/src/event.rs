@@ -249,10 +249,10 @@ impl EventEngine {
         let hosts = &mut event.hosts;
         let departures = &mut event.departures;
         let views = &mut event.views;
-        let jobs = trace.jobs();
+        let arrivals = trace.arrivals();
         let mut next = 0usize;
         loop {
-            let arrival_time = jobs.get(next).map(|j| j.arrival);
+            let arrival_time = arrivals.get(next).copied();
             let departure_time = departures.peek().map(|Reverse((OrdF64(t), _))| *t);
             match (arrival_time, departure_time) {
                 (None, None) => break,
@@ -278,7 +278,7 @@ impl EventEngine {
                     }
                 }
                 (Some(now), _) => {
-                    let job = jobs[next];
+                    let job = trace.job(next);
                     next += 1;
                     for (v, h) in views.iter_mut().zip(hosts.iter()) {
                         *v = h.view(now);
@@ -367,10 +367,10 @@ impl EventEngine {
                     .map(|Reverse((_, id))| sjf_jobs.remove(&id).expect("job stored")),
             }
         };
-        let jobs = trace.jobs();
+        let arrivals = trace.arrivals();
         let mut next = 0usize;
         loop {
-            let arrival_time = jobs.get(next).map(|j| j.arrival);
+            let arrival_time = arrivals.get(next).copied();
             let departure_time = departures.peek().map(|Reverse((OrdF64(t), _))| *t);
             match (arrival_time, departure_time) {
                 (None, None) => break,
@@ -394,7 +394,7 @@ impl EventEngine {
                     }
                 }
                 (Some(now), _) => {
-                    let job = jobs[next];
+                    let job = trace.job(next);
                     next += 1;
                     match hosts.iter().position(Host::is_idle) {
                         Some(h) => {

@@ -383,7 +383,6 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         _ => Selected::Generic,
     };
 
-    let jobs = trace.jobs();
     let arrivals = trace.arrivals();
     let sizes = trace.sizes();
     let inv_sizes = trace.inv_sizes();
@@ -459,7 +458,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         // Full loop: per-host completion heaps maintain queue lengths
         // alongside the Lindley scalars. Also the reference loop the
         // specialized ones are validated against.
-        for i in 0..jobs.len() {
+        for i in 0..arrivals.len() {
             let now = arrivals[i];
             for h in 0..hosts {
                 let heap = &mut heaps[h];
@@ -476,7 +475,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
                 };
             }
             let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&jobs[i], &state, &mut rng);
+            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
             assert!(
                 target < hosts,
                 "policy {} returned host {target} of {hosts}",
@@ -489,7 +488,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             heaps[target].push(Reverse(OrdF64(completion)));
             collector.record_with_inv(
                 JobRecord {
-                    id: jobs[i].id,
+                    id: i as u64,
                     arrival: now,
                     size: sizes[i],
                     start,
@@ -516,7 +515,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         // and the later entries keep their exact counts, so queue
         // lengths are bit-identical to the full loop's. `work_left`
         // stays 0 — the policy declared it never reads it.
-        for i in 0..jobs.len() {
+        for i in 0..arrivals.len() {
             let now = arrivals[i];
             while let Some(&Reverse((OrdF64(next), h))) = expiry.peek() {
                 if next > now {
@@ -535,7 +534,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
                 }
             }
             let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&jobs[i], &state, &mut rng);
+            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
             assert!(
                 target < hosts,
                 "policy {} returned host {target} of {hosts}",
@@ -552,7 +551,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             views[target].queue_len += 1;
             collector.record_with_inv(
                 JobRecord {
-                    id: jobs[i].id,
+                    id: i as u64,
                     arrival: now,
                     size: sizes[i],
                     start,
@@ -565,13 +564,13 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     } else if needs.needs_work_left() {
         // Work-left loop: the Lindley scalar is the whole host state.
         // `queue_len` stays 0 — the policy declared it never reads it.
-        for i in 0..jobs.len() {
+        for i in 0..arrivals.len() {
             let now = arrivals[i];
             for (v, &f) in views.iter_mut().zip(free_at.iter()) {
                 v.work_left = (f - now).max(0.0);
             }
             let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&jobs[i], &state, &mut rng);
+            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
             assert!(
                 target < hosts,
                 "policy {} returned host {target} of {hosts}",
@@ -582,7 +581,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             free_at[target] = completion;
             collector.record_with_inv(
                 JobRecord {
-                    id: jobs[i].id,
+                    id: i as u64,
                     arrival: now,
                     size: sizes[i],
                     start,
@@ -595,10 +594,10 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     } else {
         // Static loop: the policy reads no host state at all, so the
         // views are frozen zeros (correct length, never refreshed).
-        for i in 0..jobs.len() {
+        for i in 0..arrivals.len() {
             let now = arrivals[i];
             let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&jobs[i], &state, &mut rng);
+            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
             assert!(
                 target < hosts,
                 "policy {} returned host {target} of {hosts}",
@@ -609,7 +608,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             free_at[target] = completion;
             collector.record_with_inv(
                 JobRecord {
-                    id: jobs[i].id,
+                    id: i as u64,
                     arrival: now,
                     size: sizes[i],
                     start,
@@ -641,11 +640,10 @@ fn run_static_kernel<S: SpeedModel, F: FnMut(f64, &mut Rng64) -> usize>(
     free_at: &mut [f64],
     collector: &mut Collector,
 ) {
-    let jobs = trace.jobs();
     let arrivals = trace.arrivals();
     let sizes = trace.sizes();
     let inv_sizes = trace.inv_sizes();
-    for i in 0..jobs.len() {
+    for i in 0..arrivals.len() {
         let now = arrivals[i];
         let size = sizes[i];
         let target = select(size, rng);
@@ -659,7 +657,7 @@ fn run_static_kernel<S: SpeedModel, F: FnMut(f64, &mut Rng64) -> usize>(
         free_at[target] = completion;
         collector.record_with_inv(
             JobRecord {
-                id: jobs[i].id,
+                id: i as u64,
                 arrival: now,
                 size,
                 start,
@@ -684,11 +682,10 @@ fn run_work_left_kernel<S: SpeedModel>(
     free_at: &mut [f64],
     collector: &mut Collector,
 ) {
-    let jobs = trace.jobs();
     let arrivals = trace.arrivals();
     let sizes = trace.sizes();
     let inv_sizes = trace.inv_sizes();
-    for i in 0..jobs.len() {
+    for i in 0..arrivals.len() {
         let now = arrivals[i];
         let target = argmin_work_left(free_at, now);
         let start = now.max(free_at[target]);
@@ -696,7 +693,7 @@ fn run_work_left_kernel<S: SpeedModel>(
         free_at[target] = completion;
         collector.record_with_inv(
             JobRecord {
-                id: jobs[i].id,
+                id: i as u64,
                 arrival: now,
                 size: sizes[i],
                 start,

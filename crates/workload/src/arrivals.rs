@@ -317,11 +317,7 @@ impl ReplayArrivals {
     /// Extract the gap sequence of an existing trace.
     #[must_use]
     pub fn gaps_of(trace: &crate::trace::Trace) -> Vec<f64> {
-        trace
-            .jobs()
-            .windows(2)
-            .map(|w| w[1].arrival - w[0].arrival)
-            .collect()
+        trace.arrivals().windows(2).map(|w| w[1] - w[0]).collect()
     }
 }
 

@@ -53,19 +53,19 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
 #[must_use]
 pub fn index_of_dispersion(trace: &Trace, window: f64) -> f64 {
     assert!(window > 0.0, "window must be positive");
-    let jobs = trace.jobs();
-    if jobs.len() < 2 {
+    let arrivals = trace.arrivals();
+    if arrivals.len() < 2 {
         return 0.0;
     }
-    let start = jobs[0].arrival;
+    let start = arrivals[0];
     let span = trace.duration();
     let bins = (span / window).floor() as usize;
     if bins < 2 {
         return 0.0;
     }
     let mut counts = vec![0u64; bins];
-    for j in jobs {
-        let idx = ((j.arrival - start) / window) as usize;
+    for &a in arrivals {
+        let idx = ((a - start) / window) as usize;
         if idx < bins {
             counts[idx] += 1;
         }
@@ -90,11 +90,7 @@ pub fn index_of_dispersion(trace: &Trace, window: f64) -> f64 {
 /// IDC at `idc_points` windows spanning 1×–1000× the mean gap.
 #[must_use]
 pub fn burstiness_report(trace: &Trace, lags: usize, idc_points: usize) -> BurstinessReport {
-    let gaps: Vec<f64> = trace
-        .jobs()
-        .windows(2)
-        .map(|w| w[1].arrival - w[0].arrival)
-        .collect();
+    let gaps: Vec<f64> = trace.arrivals().windows(2).map(|w| w[1] - w[0]).collect();
     let scv = if gaps.is_empty() {
         0.0
     } else {

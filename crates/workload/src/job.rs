@@ -25,15 +25,32 @@ impl Job {
     /// are internal data and malformed ones are programming errors.
     #[must_use]
     pub fn new(id: u64, arrival: f64, size: f64) -> Self {
+        Self {
+            id,
+            arrival: Self::checked_arrival(id, arrival),
+            size: Self::checked_size(id, size),
+        }
+    }
+
+    /// [`Job::new`]'s arrival check, for generators that write a trace's
+    /// columns without building `Job`s: returns `arrival` if it is finite
+    /// and nonnegative, and panics otherwise.
+    pub(crate) fn checked_arrival(id: u64, arrival: f64) -> f64 {
         assert!(
             arrival >= 0.0 && arrival.is_finite(),
             "job {id}: arrival {arrival} must be finite and nonnegative"
         );
+        arrival
+    }
+
+    /// [`Job::new`]'s size check: returns `size` if it is finite and
+    /// positive, and panics otherwise.
+    pub(crate) fn checked_size(id: u64, size: f64) -> f64 {
         assert!(
             size > 0.0 && size.is_finite(),
             "job {id}: size {size} must be finite and positive"
         );
-        Self { id, arrival, size }
+        size
     }
 }
 

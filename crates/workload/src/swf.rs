@@ -235,7 +235,7 @@ mod tests {
         let text = write_swf(&t, 8);
         let t2 = parse_trace(&text, SwfFilter::default()).unwrap();
         assert_eq!(t.len(), t2.len());
-        for (a, b) in t.jobs().iter().zip(t2.jobs()) {
+        for (a, b) in t.jobs().zip(t2.jobs()) {
             assert_eq!(a.arrival, b.arrival);
             assert_eq!(a.size, b.size);
         }

@@ -1,9 +1,10 @@
 //! Synthetic trace generation: size distribution × arrival process → trace.
 
-use crate::arrivals::{ArrivalProcess, Poisson};
+use crate::arrivals::ArrivalProcess;
 use crate::job::Job;
-use crate::trace::Trace;
+use crate::trace::{reciprocals, Trace};
 use dses_dist::prelude::*;
+use std::sync::Arc;
 
 /// Builder for synthetic job traces.
 ///
@@ -24,6 +25,25 @@ use dses_dist::prelude::*;
 /// let rho = trace.system_load(2);
 /// assert!(rho > 0.3 && rho < 1.5, "load = {rho}");
 /// ```
+///
+/// # How a trace is generated
+///
+/// The builder writes the [`Trace`]'s three columns directly, in arrival
+/// order. Job `i`'s size is the `i`-th draw from stream 1 of
+/// `Rng64::seed_from(seed)`, its reciprocal is `1.0 / size`, and its
+/// arrival is the running sum `t += gap` of the first `i + 1` gaps,
+/// drawn from stream 2. No [`Job`] records are built and nothing is
+/// sorted, yet every job passes [`Job::new`]'s checks. [`Trace::new`]'s
+/// stable sort runs only if an explicit arrival process yields a
+/// decreasing arrival, which no built-in process does.
+///
+/// A Poisson gap is `e / λ`, with `e` a unit exponential and `λ = ρ·h /
+/// E[X]`. The sizes, reciprocals and unit exponentials depend on the
+/// seed but not on the load. [`WorkloadBuilder::build_loads`] therefore
+/// draws them once for a whole load sweep: its traces share one size
+/// column and one reciprocal column and differ only in their arrivals.
+/// [`WorkloadBuilder::build`] under [`WorkloadBuilder::poisson_load`] is
+/// its one-load case.
 #[derive(Debug)]
 pub struct WorkloadBuilder<D: Distribution> {
     size_dist: D,
@@ -104,26 +124,93 @@ impl<D: Distribution> WorkloadBuilder<D> {
     /// Generate the trace.
     #[must_use]
     pub fn build(self) -> Trace {
-        let root = Rng64::seed_from(self.seed);
-        let mut size_rng = root.stream(1);
-        let mut gap_rng = root.stream(2);
-        let mut process: Box<dyn ArrivalProcessObj> = match self.load_spec {
+        match self.load_spec {
             LoadSpec::PoissonLoad { rho, hosts } => {
-                let rate = rho * hosts as f64 / self.size_dist.mean();
-                Box::new(Poisson::new(rate))
+                let mut one = self.build_loads(&[rho], hosts);
+                // dses-lint: allow(panic-hygiene) -- build_loads returns one trace per load
+                one.pop().expect("one load in, one trace out")
             }
-            LoadSpec::Process(p) => p,
-        };
-        process.reset();
-        let mut jobs = Vec::with_capacity(self.n_jobs);
-        let mut t = 0.0;
-        for id in 0..self.n_jobs {
-            t += process.next_gap(&mut gap_rng);
-            let size = self.size_dist.sample(&mut size_rng);
-            jobs.push(Job::new(id as u64, t, size));
+            LoadSpec::Process(mut process) => {
+                let (sizes, inv_sizes, mut gap_rng) =
+                    size_columns(&self.size_dist, self.n_jobs, self.seed);
+                process.reset();
+                let arrivals = arrival_column(self.n_jobs, |_| process.next_gap(&mut gap_rng));
+                Trace::from_columns(arrivals, sizes, inv_sizes)
+            }
         }
-        Trace::new(jobs)
     }
+
+    /// Generate one Poisson trace per system load in `loads`, on `hosts`
+    /// hosts — the paper's load sweep over one fixed job stream. Like
+    /// [`WorkloadBuilder::poisson_load`], this replaces any arrival
+    /// process set on the builder.
+    ///
+    /// Trace `k` equals `poisson_load(loads[k], hosts).build()` bit for
+    /// bit. The sizes, their reciprocals and the unit exponentials are
+    /// drawn once, and every trace shares the one size column and the one
+    /// reciprocal column: a k-load sweep of n jobs holds (2 + k)·8·n
+    /// bytes of columns where k separate builds would hold k·24·n.
+    #[must_use]
+    pub fn build_loads(self, loads: &[f64], hosts: usize) -> Vec<Trace> {
+        assert!(
+            loads.iter().all(|&rho| rho > 0.0 && rho.is_finite()),
+            "load must be positive"
+        );
+        assert!(hosts > 0, "need at least one host");
+        let n = self.n_jobs;
+        let (sizes, inv_sizes, mut gap_rng) = size_columns(&self.size_dist, n, self.seed);
+        let mean = self.size_dist.mean();
+        // One load draws its unit exponentials as it sums them; a sweep
+        // draws them once into a column that every load rescales.
+        let units: Option<Vec<f64>> = if loads.len() > 1 {
+            Some((0..n).map(|_| gap_rng.standard_exponential()).collect())
+        } else {
+            None
+        };
+        loads
+            .iter()
+            .map(|&rho| {
+                let rate = rho * hosts as f64 / mean;
+                assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
+                // each load allocates its own arrivals column: once per
+                // trace, never per job
+                let arrivals = match &units {
+                    Some(units) => arrival_column(n, |i| units[i] / rate),
+                    None => arrival_column(n, |_| gap_rng.standard_exponential() / rate),
+                };
+                Trace::from_columns(arrivals, Arc::clone(&sizes), Arc::clone(&inv_sizes))
+            })
+            .collect()
+    }
+}
+
+/// The load-invariant columns of a generated trace: `n` sizes drawn from
+/// stream 1 of `Rng64::seed_from(seed)`, each passing [`Job::new`]'s size
+/// check, and their reciprocals. Also returns stream 2, the gap stream.
+fn size_columns<D: Distribution>(
+    dist: &D,
+    n: usize,
+    seed: u64,
+) -> (Arc<[f64]>, Arc<[f64]>, Rng64) {
+    let root = Rng64::seed_from(seed);
+    let mut size_rng = root.stream(1);
+    let sizes: Arc<[f64]> = (0..n)
+        .map(|i| Job::checked_size(i as u64, dist.sample(&mut size_rng)))
+        .collect();
+    let inv_sizes = reciprocals(&sizes);
+    (sizes, inv_sizes, root.stream(2))
+}
+
+/// Arrival times as the running sum `t += gap(i)` from `t = 0`, each
+/// passing [`Job::new`]'s arrival check.
+fn arrival_column(n: usize, mut gap: impl FnMut(usize) -> f64) -> Vec<f64> {
+    let mut t = 0.0;
+    (0..n)
+        .map(|i| {
+            t += gap(i);
+            Job::checked_arrival(i as u64, t)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -196,8 +283,8 @@ mod tests {
             .jobs(1000)
             .seed(3)
             .build();
-        for w in t.jobs().windows(2) {
-            assert!(w[1].arrival >= w[0].arrival);
+        for w in t.arrivals().windows(2) {
+            assert!(w[1] >= w[0]);
         }
     }
 }

@@ -3,45 +3,96 @@
 
 use crate::job::Job;
 use dses_dist::Summary;
+use std::sync::Arc;
 
-/// An arrival-ordered job trace.
+/// An arrival-ordered job trace, stored as three columns.
 ///
-/// Alongside the array-of-structs job list, the trace keeps
-/// structure-of-arrays copies of the arrival times, sizes, and reciprocal
-/// sizes: the simulation hot loops stream through those contiguous `f64`
-/// slices (one cache line holds 8 jobs' worth of each) instead of
-/// striding across 24-byte [`Job`] records. The reciprocals turn the
-/// per-job `1/size` slowdown divide in the metrics path into a load —
-/// `1.0 / size` is one IEEE operation, so computing it once here is
-/// bit-identical to computing it per record. Every constructor funnels
-/// through [`Trace::new`], so the views can never fall out of sync.
+/// Job `i` is `(arrivals[i], sizes[i])` with id `i`; nothing else is
+/// stored, so a trace costs 24 bytes per job. The simulation hot loops
+/// stream through the contiguous `f64` columns (one cache line holds 8
+/// jobs' worth of each), and the API that wants a [`Job`] —
+/// [`Trace::job`], [`Trace::jobs`], a `Dispatcher` — gets one built by
+/// value from the columns. The reciprocal column turns the per-job
+/// `1/size` slowdown divide in the metrics path into a load: `1.0 /
+/// size` is one IEEE operation, so computing it once here is
+/// bit-identical to computing it per record.
+///
+/// The size and reciprocal columns are `Arc<[f64]>`: they do not depend
+/// on the arrival times, so the traces of one load sweep
+/// ([`crate::WorkloadBuilder::build_loads`]) and a trace and its
+/// rescaled copy ([`Trace::scale_interarrivals`]) share one buffer of
+/// each. [`Trace::new`] sorts its jobs by arrival; every other
+/// constructor checks that its arrivals are in order and falls back to
+/// that stable sort if they are not, so the columns can never fall out
+/// of step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    jobs: Vec<Job>,
     arrivals: Vec<f64>,
-    sizes: Vec<f64>,
-    inv_sizes: Vec<f64>,
+    sizes: Arc<[f64]>,
+    inv_sizes: Arc<[f64]>,
+}
+
+/// `1.0 / size` for every size: the reciprocal column.
+pub(crate) fn reciprocals(sizes: &[f64]) -> Arc<[f64]> {
+    sizes.iter().map(|&s| 1.0 / s).collect()
 }
 
 impl Trace {
     /// Build a trace from jobs, sorting by arrival time and renumbering
-    /// ids in arrival order (stable for ties).
+    /// ids in arrival order (stable for ties) — the constructor for
+    /// external data such as SWF logs. Generated traces write their
+    /// columns directly ([`crate::WorkloadBuilder`]).
     #[must_use]
     pub fn new(mut jobs: Vec<Job>) -> Self {
         jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-        for (i, j) in jobs.iter_mut().enumerate() {
-            j.id = i as u64;
+        let sizes: Arc<[f64]> = jobs.iter().map(|j| j.size).collect();
+        Self {
+            arrivals: jobs.iter().map(|j| j.arrival).collect(),
+            inv_sizes: reciprocals(&sizes),
+            sizes,
         }
-        let arrivals = jobs.iter().map(|j| j.arrival).collect();
-        let sizes: Vec<f64> = jobs.iter().map(|j| j.size).collect();
-        let inv_sizes = sizes.iter().map(|&s| 1.0 / s).collect();
-        Self { jobs, arrivals, sizes, inv_sizes }
     }
 
-    /// The jobs, in arrival order.
+    /// Assemble a trace from columns of equal length. Columns already in
+    /// arrival order are kept as they are — a stable sort of sorted input
+    /// is the identity — and anything else takes [`Trace::new`]'s sort.
+    pub(crate) fn from_columns(
+        arrivals: Vec<f64>,
+        sizes: Arc<[f64]>,
+        inv_sizes: Arc<[f64]>,
+    ) -> Self {
+        debug_assert!(arrivals.len() == sizes.len() && sizes.len() == inv_sizes.len());
+        if arrivals.is_sorted_by(|a, b| a.total_cmp(b).is_le()) {
+            Self { arrivals, sizes, inv_sizes }
+        } else {
+            Self::new(
+                arrivals
+                    .iter()
+                    .zip(sizes.iter())
+                    .enumerate()
+                    .map(|(i, (&arrival, &size))| Job { id: i as u64, arrival, size })
+                    .collect(),
+            )
+        }
+    }
+
+    /// Job `i` in arrival order, built by value from the columns (its id
+    /// is `i`).
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
     #[must_use]
-    pub fn jobs(&self) -> &[Job] {
-        &self.jobs
+    pub fn job(&self, i: usize) -> Job {
+        Job {
+            id: i as u64,
+            arrival: self.arrivals[i],
+            size: self.sizes[i],
+        }
+    }
+
+    /// The jobs in arrival order, each built by value from the columns.
+    pub fn jobs(&self) -> impl ExactSizeIterator<Item = Job> + DoubleEndedIterator + '_ {
+        (0..self.len()).map(|i| self.job(i))
     }
 
     /// The arrival times in arrival order, as a contiguous slice
@@ -54,20 +105,20 @@ impl Trace {
     /// Number of jobs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.arrivals.len()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.arrivals.is_empty()
     }
 
     /// Trace duration: last arrival time minus first (0 for < 2 jobs).
     #[must_use]
     pub fn duration(&self) -> f64 {
-        match (self.jobs.first(), self.jobs.last()) {
-            (Some(first), Some(last)) => last.arrival - first.arrival,
+        match (self.arrivals.first(), self.arrivals.last()) {
+            (Some(first), Some(last)) => last - first,
             _ => 0.0,
         }
     }
@@ -76,10 +127,10 @@ impl Trace {
     #[must_use]
     pub fn arrival_rate(&self) -> f64 {
         let d = self.duration();
-        if d <= 0.0 || self.jobs.len() < 2 {
+        if d <= 0.0 || self.len() < 2 {
             0.0
         } else {
-            (self.jobs.len() - 1) as f64 / d
+            (self.len() - 1) as f64 / d
         }
     }
 
@@ -102,11 +153,7 @@ impl Trace {
     /// Summary statistics of the interarrival times.
     #[must_use]
     pub fn interarrival_summary(&self) -> Summary {
-        let gaps: Vec<f64> = self
-            .jobs
-            .windows(2)
-            .map(|w| w[1].arrival - w[0].arrival)
-            .collect();
+        let gaps: Vec<f64> = self.arrivals.windows(2).map(|w| w[1] - w[0]).collect();
         Summary::from_values(&gaps)
     }
 
@@ -131,15 +178,19 @@ impl Trace {
     /// (§4.1).
     #[must_use]
     pub fn split_half(&self) -> (Trace, Trace) {
-        let mid = self.jobs.len() / 2;
-        let first = Trace::new(self.jobs[..mid].to_vec());
+        let mid = self.len() / 2;
+        let first = self.truncate(mid);
         // re-zero the second half's clock so both halves start at t ≈ 0
-        let offset = self.jobs.get(mid).map_or(0.0, |j| j.arrival);
-        let second = Trace::new(
-            self.jobs[mid..]
-                .iter()
-                .map(|j| Job::new(j.id, j.arrival - offset, j.size))
-                .collect(),
+        let offset = self.arrivals.get(mid).map_or(0.0, |&a| a);
+        let arrivals = self.arrivals[mid..]
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| Job::checked_arrival(i as u64, a - offset))
+            .collect();
+        let second = Trace::from_columns(
+            arrivals,
+            self.sizes[mid..].into(),
+            self.inv_sizes[mid..].into(),
         );
         (first, second)
     }
@@ -147,17 +198,23 @@ impl Trace {
     /// Return a copy with every interarrival time multiplied by `factor`
     /// (> 0). This is the paper's §6 operation: take the (bursty)
     /// empirical arrival sequence and scale it to produce a target load,
-    /// preserving its correlation structure.
+    /// preserving its correlation structure. The copy shares this trace's
+    /// size and reciprocal columns.
     #[must_use]
     pub fn scale_interarrivals(&self, factor: f64) -> Trace {
         assert!(factor > 0.0 && factor.is_finite(), "factor must be positive");
-        let base = self.jobs.first().map_or(0.0, |j| j.arrival);
-        let jobs = self
-            .jobs
+        let base = self.arrivals.first().map_or(0.0, |&a| a);
+        let arrivals = self
+            .arrivals
             .iter()
-            .map(|j| Job::new(j.id, base + (j.arrival - base) * factor, j.size))
+            .enumerate()
+            .map(|(i, &a)| Job::checked_arrival(i as u64, base + (a - base) * factor))
             .collect();
-        Trace::new(jobs)
+        Trace::from_columns(
+            arrivals,
+            Arc::clone(&self.sizes),
+            Arc::clone(&self.inv_sizes),
+        )
     }
 
     /// Return a copy scaled so the *system* load on `hosts` hosts equals
@@ -173,7 +230,12 @@ impl Trace {
     /// Keep only the first `n` jobs.
     #[must_use]
     pub fn truncate(&self, n: usize) -> Trace {
-        Trace::new(self.jobs.iter().take(n).copied().collect())
+        let n = n.min(self.len());
+        Trace::from_columns(
+            self.arrivals[..n].to_vec(),
+            self.sizes[..n].into(),
+            self.inv_sizes[..n].into(),
+        )
     }
 
     /// A per-host backlog capacity hint for simulation buffers (completion
@@ -185,7 +247,7 @@ impl Trace {
     /// pre-commit O(n) memory per host.
     #[must_use]
     pub fn backlog_hint(&self, hosts: usize) -> usize {
-        ((self.jobs.len() / hosts.max(1)) / 8).clamp(32, 4096)
+        ((self.len() / hosts.max(1)) / 8).clamp(32, 4096)
     }
 }
 
@@ -205,9 +267,9 @@ mod tests {
     #[test]
     fn sorts_and_renumbers() {
         let t = toy();
-        let arrivals: Vec<f64> = t.jobs().iter().map(|j| j.arrival).collect();
-        assert_eq!(arrivals, vec![0.0, 2.0, 4.0, 6.0]);
-        let ids: Vec<u64> = t.jobs().iter().map(|j| j.id).collect();
+        assert_eq!(t.arrivals(), [0.0, 2.0, 4.0, 6.0]);
+        assert_eq!(t.sizes(), [1.0, 4.0, 2.0, 1.0]);
+        let ids: Vec<u64> = t.jobs().map(|j| j.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
@@ -242,8 +304,9 @@ mod tests {
         let (a, b) = t.split_half();
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.jobs()[0].arrival, 0.0);
-        assert_eq!(b.jobs()[1].arrival, 2.0);
+        assert_eq!(b.arrivals(), [0.0, 2.0]);
+        assert_eq!(b.sizes(), [2.0, 1.0]);
+        assert_eq!(b.job(1), Job::new(1, 2.0, 1.0));
     }
 
     #[test]
@@ -260,6 +323,9 @@ mod tests {
         let t = toy();
         let s = t.scale_interarrivals(3.0);
         assert_eq!(s.sizes(), t.sizes());
+        // the rescaled copy shares the size and reciprocal columns
+        assert_eq!(s.sizes().as_ptr(), t.sizes().as_ptr());
+        assert_eq!(s.inv_sizes().as_ptr(), t.inv_sizes().as_ptr());
     }
 
     #[test]
@@ -284,7 +350,8 @@ mod tests {
     fn truncate_keeps_prefix() {
         let t = toy().truncate(2);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.jobs()[1].arrival, 2.0);
+        assert_eq!(t.job(1).arrival, 2.0);
+        assert_eq!(toy().truncate(9), toy());
     }
 
     #[test]
@@ -301,13 +368,7 @@ impl Trace {
     /// SITA band of a real trace in isolation.
     #[must_use]
     pub fn filter_sizes(&self, lo: f64, hi: f64) -> Trace {
-        Trace::new(
-            self.jobs
-                .iter()
-                .filter(|j| j.size > lo && j.size <= hi)
-                .copied()
-                .collect(),
-        )
+        Trace::new(self.jobs().filter(|j| j.size > lo && j.size <= hi).collect())
     }
 
     /// Keep only jobs arriving in `[t0, t1)`, re-zeroing the clock — e.g.
@@ -316,8 +377,7 @@ impl Trace {
     pub fn window(&self, t0: f64, t1: f64) -> Trace {
         assert!(t1 > t0, "window must be non-empty");
         Trace::new(
-            self.jobs
-                .iter()
+            self.jobs()
                 .filter(|j| j.arrival >= t0 && j.arrival < t1)
                 .map(|j| Job::new(j.id, j.arrival - t0, j.size))
                 .collect(),
@@ -328,9 +388,7 @@ impl Trace {
     /// model two submission sources sharing a server bank.
     #[must_use]
     pub fn merge(&self, other: &Trace) -> Trace {
-        let mut jobs = self.jobs.clone();
-        jobs.extend(other.jobs.iter().copied());
-        Trace::new(jobs)
+        Trace::new(self.jobs().chain(other.jobs()).collect())
     }
 }
 
@@ -359,8 +417,7 @@ mod manipulation_tests {
     fn window_rezeros_clock() {
         let t = toy().window(2.0, 6.0);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.jobs()[0].arrival, 0.0);
-        assert_eq!(t.jobs()[1].arrival, 2.0);
+        assert_eq!(t.arrivals(), [0.0, 2.0]);
     }
 
     #[test]
@@ -375,9 +432,8 @@ mod manipulation_tests {
         let b = Trace::new(vec![Job::new(0, 3.0, 2.0)]);
         let m = a.merge(&b);
         assert_eq!(m.len(), 3);
-        let arrivals: Vec<f64> = m.jobs().iter().map(|j| j.arrival).collect();
-        assert_eq!(arrivals, vec![1.0, 3.0, 5.0]);
-        let ids: Vec<u64> = m.jobs().iter().map(|j| j.id).collect();
+        assert_eq!(m.arrivals(), [1.0, 3.0, 5.0]);
+        let ids: Vec<u64> = m.jobs().map(|j| j.id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
 

@@ -381,3 +381,32 @@ fn orders_beyond_one_sweep_split_into_sweeps_and_keep_their_bits() {
     assert_eq!(bits(&cached), bits(&want));
     assert_eq!(memo.stats(), (1, 10), "the repeated order 1 hits");
 }
+
+#[test]
+fn a_two_host_sita_run_solves_its_cutoff_once() {
+    use dses_core::cutoffs::{resolve_cutoff, CutoffMethod};
+    use dses_core::{Experiment, PolicySpec};
+    let counter = Arc::new(CountingUniform::default());
+    let d: Arc<dyn Distribution> = counter.clone();
+    let e = Experiment::new(Arc::clone(&d)).hosts(2).jobs(2_000).seed(5);
+    let rho = 0.7;
+    let sweeps = |f: &mut dyn FnMut()| {
+        let before = counter.quantiles();
+        f();
+        counter.quantiles() - before
+    };
+    let mut trace = None;
+    let build = sweeps(&mut || trace = Some(e.trace(rho)));
+    let lambda = trace.expect("built").arrival_rate();
+    let mut cutoff = 0.0;
+    let solve = sweeps(&mut || cutoff = resolve_cutoff(&d, lambda, 2, CutoffMethod::Fair).unwrap()[0]);
+    assert!(solve > 0, "a quadrature-fallback solve sweeps quantiles");
+    // the policy and the short/long class split share one solve
+    let mut result = None;
+    let run = sweeps(&mut || result = Some(e.try_run(&PolicySpec::SitaUFair, rho).unwrap()));
+    assert_eq!(run, build + solve, "trace build {build} + one solve {solve}");
+    let r = result.expect("ran");
+    let (short, long) = (r.short_slowdown.unwrap(), r.long_slowdown.unwrap());
+    assert_eq!(short.count + long.count, r.measured);
+    assert!(short.count > 0 && long.count > 0, "split at {cutoff}");
+}

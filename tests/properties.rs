@@ -328,7 +328,6 @@ fn pipeline_is_scale_invariant() {
                     .build();
                 Trace::new(
                     raw.jobs()
-                        .iter()
                         .map(|j| {
                             dses_workload::Job::new(
                                 j.id,
