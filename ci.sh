@@ -54,10 +54,4 @@ if [ "$lint_elapsed" -gt 20 ]; then
     exit 1
 fi
 
-# Perf smoke: tiny-config perf_report exercising the parallel sweep, the
-# specialized kernels, and the memoized cutoff solvers. Exits nonzero if
-# any optimised path is not bit-identical to its reference. Writes no
-# benchmark files.
-cargo run --release -q -p dses-bench --bin perf_report -- --smoke
-
 echo "ci: all checks passed"

@@ -104,16 +104,43 @@ fn policies() -> String {
     out
 }
 
-fn experiment_from(args: &Args) -> Result<(Experiment<Mixture>, f64), ArgError> {
-    let preset = names::workload(args.get_or("workload", "c90"))?;
+/// `--hosts` (default 2) and `--load` (default 0.7), checked in one
+/// place for every command: at least one host, and a system load
+/// strictly inside (0, 1).
+fn hosts_and_load(args: &Args) -> Result<(usize, f64), ArgError> {
+    let hosts = args.get_usize("hosts", 2)?;
+    if hosts == 0 {
+        return Err(ArgError("--hosts must be at least 1, got 0".to_string()));
+    }
     let load = args.get_f64("load", 0.7)?;
     if !(load > 0.0 && load < 1.0) {
         return Err(ArgError(format!("--load must be in (0,1), got {load}")));
     }
+    Ok((hosts, load))
+}
+
+/// Warm-up must leave jobs to measure: a run that discards every job
+/// reports zeros, not a result.
+fn check_warmup(warmup: usize, jobs: usize) -> Result<(), ArgError> {
+    if warmup >= jobs {
+        return Err(ArgError(format!(
+            "--warmup {warmup} leaves no jobs to measure out of {jobs}"
+        )));
+    }
+    Ok(())
+}
+
+/// The experiment the simulating commands share.
+fn experiment_from(args: &Args) -> Result<(Experiment<Mixture>, f64), ArgError> {
+    let preset = names::workload(args.get_or("workload", "c90"))?;
+    let (hosts, load) = hosts_and_load(args)?;
+    let jobs = args.get_usize("jobs", 100_000)?;
+    let warmup = args.get_usize("warmup", 1_000)?;
+    check_warmup(warmup, jobs)?;
     let experiment = Experiment::new(preset.size_dist.clone())
-        .hosts(args.get_usize("hosts", 2)?)
-        .jobs(args.get_usize("jobs", 100_000)?)
-        .warmup_jobs(args.get_usize("warmup", 1_000)?)
+        .hosts(hosts)
+        .jobs(jobs)
+        .warmup_jobs(warmup)
         .seed(args.get_u64("seed", 0)?)
         .threads(args.get_usize("threads", 0)?)
         .fairness_bins(if args.has("fairness") { 12 } else { 0 })
@@ -201,7 +228,9 @@ fn simulate(args: &Args) -> Result<String, ArgError> {
 }
 
 fn analyze(args: &Args) -> Result<String, ArgError> {
-    let (experiment, load) = experiment_from(args)?;
+    let preset = names::workload(args.get_or("workload", "c90"))?;
+    let (hosts, load) = hosts_and_load(args)?;
+    let experiment = Experiment::new(preset.size_dist.clone()).hosts(hosts);
     let policy = names::analytic_policy(args.get_or("policy", "sita-u-fair"))?;
     let m = experiment
         .analytic(policy, load)
@@ -283,8 +312,7 @@ fn replicate(args: &Args) -> Result<String, ArgError> {
 fn cutoff(args: &Args) -> Result<String, ArgError> {
     let preset = names::workload(args.get_or("workload", "c90"))?;
     let method = names::cutoff_method(args.get_or("method", "fair"))?;
-    let load = args.get_f64("load", 0.7)?;
-    let hosts = args.get_usize("hosts", 2)?;
+    let (hosts, load) = hosts_and_load(args)?;
     let d = &preset.size_dist;
     let lambda = load * hosts as f64 / d.mean();
     let cutoffs = dses_core::cutoffs::resolve_cutoff(d, lambda, hosts, method)
@@ -381,14 +409,21 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
     if trace.is_empty() {
         return Err(ArgError("trace is empty after filtering".to_string()));
     }
-    let hosts = args.get_usize("hosts", 2)?;
+    let (hosts, load) = hosts_and_load(args)?;
     let trace: Trace = match args.get("load") {
         Some(_) => {
-            let rho = args.get_f64("load", 0.7)?;
-            trace.scale_to_load(hosts, rho)
+            if trace.system_load(hosts) <= 0.0 {
+                return Err(ArgError(format!(
+                    "cannot scale {path} to --load {load}: its {} job(s) carry zero system load",
+                    trace.len()
+                )));
+            }
+            trace.scale_to_load(hosts, load)
         }
         None => trace,
     };
+    let warmup = args.get_usize("warmup", 0)?;
+    check_warmup(warmup, trace.len())?;
     let spec = names::policy(args.get_or("policy", "least-work-left"))?;
     // build the policy against the trace's own empirical distribution
     let sizes = trace.sizes();
@@ -396,7 +431,7 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
         .map_err(|e| ArgError(e.to_string()))?;
     let experiment = Experiment::new(EmpiricalArc(std::sync::Arc::new(emp)))
         .hosts(hosts)
-        .warmup_jobs(args.get_usize("warmup", 0)?)
+        .warmup_jobs(warmup)
         .seed(args.get_u64("seed", 0)?);
     let result = experiment
         .try_run_on_trace(&spec, &trace)
@@ -550,6 +585,87 @@ mod tests {
         assert!(run_tokens(&["simulate", "--policy", "nope"]).is_err());
         assert!(run_tokens(&["frobnicate"]).is_err());
         assert!(run_tokens(&["swf"]).is_err());
+    }
+
+    /// Write `jobs` C90 jobs as an SWF log under a per-test file name.
+    fn swf_file(name: &str, jobs: usize) -> String {
+        let trace = dses_workload::psc_c90().trace(jobs, 0.5, 2, 1);
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, swf::write_swf(&trace, 8)).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    fn assert_rejected(tokens: &[&str], names: &str) {
+        match run_tokens(tokens) {
+            Err(e) => assert!(e.0.contains(names), "{tokens:?}: {e}"),
+            Ok(out) => panic!("{tokens:?} was accepted:\n{out}"),
+        }
+    }
+
+    #[test]
+    fn zero_hosts_is_rejected_by_every_command() {
+        let path = swf_file("dses_cli_zero_hosts.swf", 200);
+        for cmd in ["simulate", "sweep", "analyze", "replicate", "cutoff"] {
+            assert_rejected(
+                &[cmd, "--hosts", "0", "--jobs", "500", "--warmup", "0"],
+                "--hosts",
+            );
+        }
+        assert_rejected(&["swf", "--file", &path, "--hosts", "0"], "--hosts");
+    }
+
+    #[test]
+    fn out_of_range_loads_are_rejected_by_cutoff_and_swf() {
+        let path = swf_file("dses_cli_bad_load.swf", 200);
+        for load in ["0", "-1", "nan", "1.5"] {
+            assert_rejected(&["swf", "--file", &path, "--load", load], "--load");
+            assert_rejected(
+                &["cutoff", "--method", "equal-load", "--load", load],
+                "--load",
+            );
+        }
+    }
+
+    #[test]
+    fn swf_rejects_rescaling_a_trace_with_zero_system_load() {
+        let path = swf_file("dses_cli_one_job.swf", 1);
+        assert_rejected(
+            &["swf", "--file", &path, "--load", "0.6"],
+            "zero system load",
+        );
+    }
+
+    #[test]
+    fn sita_u_rules_below_two_hosts_are_errors() {
+        assert_rejected(
+            &[
+                "simulate",
+                "--policy",
+                "sita-u-opt",
+                "--hosts",
+                "1",
+                "--jobs",
+                "2000",
+            ],
+            "got 1",
+        );
+        assert_rejected(
+            &["analyze", "--policy", "sita-u-fair", "--hosts", "1"],
+            "got 1",
+        );
+        assert_rejected(&["cutoff", "--method", "fair", "--hosts", "1"], "got 1");
+        let out = run_tokens(&["cutoff", "--method", "equal-load", "--hosts", "1"]).unwrap();
+        assert!(out.contains("host 0"), "{out}");
+    }
+
+    #[test]
+    fn warmup_that_discards_every_job_is_rejected() {
+        for cmd in ["simulate", "sweep", "replicate"] {
+            assert_rejected(&[cmd, "--warmup", "5000", "--jobs", "100"], "--warmup 5000");
+            assert_rejected(&[cmd, "--warmup", "100", "--jobs", "100"], "out of 100");
+        }
+        let path = swf_file("dses_cli_warmup.swf", 50);
+        assert_rejected(&["swf", "--file", &path, "--warmup", "50"], "out of 50");
     }
 }
 

@@ -261,6 +261,32 @@ mod tests {
     }
 
     #[test]
+    fn every_rule_rejects_a_host_count_it_cannot_serve() {
+        let d = c90ish();
+        let lambda = 0.5 / d.mean();
+        for hosts in [0, 1] {
+            for method in [
+                CutoffMethod::EqualLoad,
+                CutoffMethod::OptSlowdown,
+                CutoffMethod::Fair,
+                CutoffMethod::RuleOfThumb,
+            ] {
+                let got = resolve_cutoff(&d, lambda, hosts, method);
+                if method == CutoffMethod::EqualLoad && hosts == 1 {
+                    // one host needs no cutoff
+                    assert_eq!(got, Ok(vec![]));
+                } else {
+                    let named = format!("got {hosts}");
+                    assert!(
+                        matches!(&got, Err(CutoffError::SolveFailed(m)) if m.contains(&named)),
+                        "{method:?} h={hosts}: {got:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn experimental_agrees_with_analytic_on_equal_load() {
         let d = c90ish();
         let trace = WorkloadBuilder::new(d.clone())

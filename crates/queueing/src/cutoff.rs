@@ -34,7 +34,8 @@ pub enum CutoffError {
         /// total offered load `λ·E[X]` (in host-capacities)
         offered: f64,
     },
-    /// The optimisation bracket collapsed (numerical failure).
+    /// The optimisation bracket collapsed (numerical failure), or the
+    /// rule does not apply at the requested host count.
     SolveFailed(String),
     /// The arrival rate is not positive and finite — e.g. the realised
     /// rate of a trace with fewer than two jobs, which is 0 — so no
@@ -301,7 +302,11 @@ pub fn sita_e_cutoffs<D: Distribution + ?Sized>(
     dist: &D,
     hosts: usize,
 ) -> Result<Vec<f64>, CutoffError> {
-    assert!(hosts >= 1, "need at least one host");
+    if hosts == 0 {
+        return Err(CutoffError::SolveFailed(
+            "SITA-E needs at least one host (got 0)".to_string(),
+        ));
+    }
     let (lo, hi) = dist.support();
     let m1 = dist.raw_moment(1);
     let mut cutoffs = Vec::with_capacity(hosts - 1);
@@ -483,7 +488,11 @@ pub fn sita_u_opt_cutoffs_multi<D: Distribution + ?Sized>(
     lambda: f64,
     hosts: usize,
 ) -> Result<Vec<f64>, CutoffError> {
-    assert!(hosts >= 2, "need at least two hosts");
+    if hosts < 2 {
+        return Err(CutoffError::SolveFailed(format!(
+            "SITA-U-opt needs at least 2 hosts (got {hosts})"
+        )));
+    }
     check_rate(lambda)?;
     // Coordinate descent re-evaluates bands whose edges did not move on
     // every sweep. For quadrature-fallback distributions the memoizing
@@ -591,7 +600,11 @@ pub fn sita_u_fair_cutoffs_multi<D: Distribution + ?Sized>(
     lambda: f64,
     hosts: usize,
 ) -> Result<Vec<f64>, CutoffError> {
-    assert!(hosts >= 2, "need at least two hosts");
+    if hosts < 2 {
+        return Err(CutoffError::SolveFailed(format!(
+            "SITA-U-fair needs at least 2 hosts (got {hosts})"
+        )));
+    }
     check_rate(lambda)?;
     // Water-filling's outer bisection replays near-identical band edges
     // across placements; the memoizing view collapses the repeats — but

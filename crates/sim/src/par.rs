@@ -37,10 +37,6 @@
 //! A worker panic is captured, stops further index claims for that batch,
 //! and is re-raised on the submitting thread, as with the sequential
 //! loop. The module remains dependency-free.
-//!
-//! [`par_map_indexed_scoped`] keeps the original scoped-spawn
-//! implementation as a benchmark baseline (`perf_report` measures the
-//! pool against it).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -354,44 +350,6 @@ where
     par_map_indexed(items.len(), workers, move |i| f(i, &items[i]))
 }
 
-/// The original per-call `std::thread::scope` implementation, kept as
-/// the benchmark baseline the persistent pool is measured against
-/// (`perf_report --smoke`). Semantics are identical to
-/// [`par_map_indexed`]; the only difference is that every call spawns
-/// and joins `workers` fresh OS threads.
-pub fn par_map_indexed_scoped<R, F>(n: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result); // dses-lint: allow(panic-hygiene) -- poisoned lock means a worker panicked; that panic is already propagating
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned") // dses-lint: allow(panic-hygiene) -- poisoned lock means a worker panicked; that panic is already propagating
-                .expect("worker filled every claimed slot") // dses-lint: allow(panic-hygiene) -- run_indexed waits until all n indices completed
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,13 +361,6 @@ mod tests {
             let parallel = par_map_indexed(97, workers, |i| (i as u64).wrapping_mul(2_654_435_761));
             assert_eq!(parallel, sequential, "workers = {workers}");
         }
-    }
-
-    #[test]
-    fn scoped_baseline_matches_the_pool() {
-        let pooled = par_map_indexed(53, 4, |i| i * 3 + 1);
-        let scoped = par_map_indexed_scoped(53, 4, |i| i * 3 + 1);
-        assert_eq!(pooled, scoped);
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl std::ops::BitOr for StateNeeds {
 ///
 /// Declaring a kernel that disagrees with `dispatch` desynchronises the
 /// specialized engine from the reference engines; the cross-engine
-/// identity gates (`tests/kernels.rs`, `perf_report`) catch it.
+/// identity gates (`tests/kernels.rs`) catch it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DispatchKernel<'a> {
     /// No closed form — the engine calls [`Dispatcher::dispatch`].

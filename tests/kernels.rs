@@ -4,20 +4,25 @@
 //! thumb, fixed-cutoff, and grouped variants) runs through
 //!
 //! 1. the fast engine's *specialized* loop (whatever the policy's
-//!    [`StateNeeds`] selects),
-//! 2. the fast engine's *full* loop (the same policy wrapped so it
+//!    [`StateNeeds`] and `DispatchKernel` select — for the closed-form
+//!    policies, the inlined vectorizable kernel),
+//! 2. the *opaque* specialized loop (the same policy wrapped so it keeps
+//!    its [`StateNeeds`] but declares no kernel: one `dispatch` call per
+//!    job),
+//! 3. the fast engine's *full* loop (the same policy wrapped so it
 //!    claims `StateNeeds::ALL`), and
-//! 3. the event engine,
+//! 4. the event engine,
 //!
-//! on a C90-style trace at three loads, and all three must produce
+//! on a C90-style trace at three loads, and all four must produce
 //! record-for-record identical schedules. Central-queue policies have no
 //! dispatch form and are exercised by the event-engine tests instead.
 //!
-//! The closed-form static kernels (Random, Round-Robin, SITA) are also
-//! pinned from a single host up to h = 1024 — where SITA's host lookup
-//! switches from the linear prefix count to binary search — and on the
-//! adversarial SITA ladders: every job on the first host, every job on
-//! the last, and job sizes placed exactly on the cutoffs.
+//! The closed-form static kernels (Random, Round-Robin, SITA) and
+//! Least-Work-Left's chunked work-left kernel are also pinned from a
+//! single host up to h = 1024 — where SITA's host lookup switches from
+//! the linear prefix count to binary search — and on the adversarial
+//! SITA ladders: every job on the first host, every job on the last, and
+//! job sizes placed exactly on the cutoffs.
 
 use dses_core::cutoffs::CutoffMethod;
 use dses_core::policies::SizeInterval;
@@ -42,6 +47,27 @@ impl Dispatcher for ForceFull {
     }
     fn reset(&mut self) {
         self.0.reset();
+    }
+}
+
+/// Forces the opaque specialized loop: keeps the policy's declared
+/// `state_needs` but inherits the default `DispatchKernel::Opaque`, so
+/// the engine calls `dispatch` once per job instead of inlining the
+/// policy's closed-form kernel.
+struct ForceOpaque(Box<dyn Dispatcher>);
+
+impl Dispatcher for ForceOpaque {
+    fn dispatch(&mut self, job: &Job, state: &SystemState<'_>, rng: &mut Rng64) -> usize {
+        self.0.dispatch(job, state, rng)
+    }
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+    fn state_needs(&self) -> StateNeeds {
+        self.0.state_needs()
     }
 }
 
@@ -78,10 +104,10 @@ fn sorted(mut records: Vec<JobRecord>) -> Vec<JobRecord> {
     records
 }
 
-/// Run `trace` through the specialized loop, the full loop, and the
-/// event engine — a fresh policy from `fresh` for each — and assert the
-/// three schedules are record-for-record identical. Returns the
-/// specialized loop's records in id order.
+/// Run `trace` through the specialized loop, the opaque specialized
+/// loop, the full loop, and the event engine — a fresh policy from
+/// `fresh` for each — and assert the four schedules are record-for-record
+/// identical. Returns the specialized loop's records in id order.
 fn assert_engines_identical(
     trace: &Trace,
     hosts: usize,
@@ -90,10 +116,16 @@ fn assert_engines_identical(
     label: &str,
 ) -> Vec<JobRecord> {
     let fast = simulate_dispatch(trace, hosts, fresh().as_mut(), seed, records_cfg());
+    let opaque = simulate_dispatch(trace, hosts, &mut ForceOpaque(fresh()), seed, records_cfg());
     let slow = simulate_dispatch(trace, hosts, &mut ForceFull(fresh()), seed, records_cfg());
     let event = EventEngine::new(hosts, records_cfg()).run_dispatch(trace, fresh().as_mut(), seed);
 
     let fast_records = sorted(fast.records.unwrap());
+    assert_eq!(
+        fast_records,
+        sorted(opaque.records.unwrap()),
+        "{label}: specialized kernel vs opaque loop"
+    );
     assert_eq!(
         fast_records,
         sorted(slow.records.unwrap()),
@@ -107,7 +139,7 @@ fn assert_engines_identical(
     fast_records
 }
 
-fn assert_three_way_identical(spec: &PolicySpec, hosts: usize, rho: f64, seed: u64) {
+fn assert_c90_engines_identical(spec: &PolicySpec, hosts: usize, rho: f64, seed: u64) {
     let trace = dses_workload::psc_c90().trace(5_000, rho, hosts, seed);
     let lambda = trace.arrival_rate();
     assert_engines_identical(
@@ -123,7 +155,7 @@ fn assert_three_way_identical(spec: &PolicySpec, hosts: usize, rho: f64, seed: u
 fn every_policy_matches_across_kernels_and_engines_two_hosts() {
     for spec in dispatch_roster() {
         for (i, &rho) in [0.3, 0.6, 0.9].iter().enumerate() {
-            assert_three_way_identical(&spec, 2, rho, 42 + i as u64);
+            assert_c90_engines_identical(&spec, 2, rho, 42 + i as u64);
         }
     }
 }
@@ -144,9 +176,11 @@ fn multi_host_policies_match_across_kernels_and_engines() {
     ];
     for spec in roster {
         for (i, &rho) in [0.3, 0.6, 0.9].iter().enumerate() {
-            assert_three_way_identical(&spec, 4, rho, 11 + i as u64);
+            assert_c90_engines_identical(&spec, 4, rho, 11 + i as u64);
         }
     }
+    // the queue-length kernel's tournament heap over 16 FIFO fronts
+    assert_c90_engines_identical(&PolicySpec::ShortestQueue, 16, 0.8, 17);
 }
 
 #[test]
@@ -158,17 +192,22 @@ fn declared_needs_never_exceed_the_full_loop() {
     assert_eq!(policy.name(), "Round-Robin");
 }
 
-/// The static kernels from a single host to h = 1024 at two loads. SITA
-/// runs from solved SITA-E cutoffs up to h = 64 and from a geometric
-/// ladder of 1023 cutoffs at h = 1024 — deep in the binary-search host
-/// lookup — so the widest case stays solver-free.
+/// The static kernels and Least-Work-Left's chunked work-left kernel
+/// from a single host to h = 1024 at two loads. SITA runs from solved
+/// SITA-E cutoffs up to h = 64 and from a geometric ladder of 1023
+/// cutoffs at h = 1024 — deep in the binary-search host lookup — so the
+/// widest case stays solver-free.
 #[test]
 fn static_kernels_match_across_engines_from_one_to_1024_hosts() {
     for &hosts in &[1usize, 8, 64, 1024] {
         for &rho in &[0.5, 0.9] {
             let trace = dses_workload::psc_c90().trace(5_000, rho, hosts, 11);
             let lambda = trace.arrival_rate();
-            let mut roster = vec![PolicySpec::Random, PolicySpec::RoundRobin];
+            let mut roster = vec![
+                PolicySpec::Random,
+                PolicySpec::RoundRobin,
+                PolicySpec::LeastWorkLeft,
+            ];
             if hosts <= 64 {
                 roster.push(PolicySpec::SitaE);
             }

@@ -1,12 +1,16 @@
-//! Zero-allocation gates for the collector's finish path and the
-//! block-batched tier.
+//! Zero-allocation gates for every kernel class, the collector's finish
+//! path and the block-batched tier.
 //!
 //! `Collector::finish_into` hands its per-host tallies and record
 //! buffer to the output by pointer swap, so a warmed workspace run —
 //! including the widest host count, whose per-host vector is the
 //! largest hand-off — must perform **zero** heap allocations in steady
-//! state. The batched tier's SoA lanes are a grow-once boxed block
-//! owned by the collector; once built they are reused forever.
+//! state. The same holds for each kernel's own state: the static
+//! kernels' Lindley scalars, the work-left kernel's chunked argmin, and
+//! the queue-length kernel's FIFO deques and expiry heap all live in the
+//! grow-once workspace. The batched tier's SoA lanes are a grow-once
+//! boxed block owned by the collector; once built they are reused
+//! forever.
 //!
 //! This gate lives in its own test binary: the default harness runs a
 //! binary's tests on multiple threads, and any concurrent test would
@@ -89,28 +93,53 @@ fn steady_state_collector_tiers_do_not_allocate() {
             },
         ),
     ];
-    for &hosts in &[8usize, 1024] {
+    // One policy per kernel class: the three closed-form static kernels,
+    // the work-left kernel, and the queue-length kernel.
+    let roster = [
+        PolicySpec::Random,
+        PolicySpec::RoundRobin,
+        PolicySpec::SitaE,
+        PolicySpec::LeastWorkLeft,
+        PolicySpec::ShortestQueue,
+    ];
+    for &hosts in &[8usize, 64, 1024] {
         let trace = dses_workload::psc_c90().trace(12_000, 0.7, hosts, 23);
+        // Least-Work-Left and Shortest-Queue cost O(h) per job; a shorter
+        // trace keeps their wide cases quick in a debug build
+        let short = trace.truncate(2_000);
         let lambda = trace.arrival_rate();
-        let mut policy = build(&PolicySpec::Random, lambda, hosts);
-        for (tier, cfg) in &tiers {
-            // warm-up run grows every buffer (and the block lanes) to
-            // this shape
-            simulate_dispatch_into(&trace, hosts, policy.as_mut(), 1, *cfg, &mut ws, &mut out);
-            let (_, allocs) = alloc_count_of(|| {
-                for seed in 2..6 {
-                    simulate_dispatch_into(
-                        &trace,
-                        hosts,
-                        policy.as_mut(),
-                        seed,
-                        *cfg,
-                        &mut ws,
-                        &mut out,
-                    );
-                }
-            });
-            assert_eq!(allocs, 0, "{tier} tier allocated in steady state at h={hosts}");
+        for spec in &roster {
+            let scans_hosts = matches!(spec, PolicySpec::LeastWorkLeft | PolicySpec::ShortestQueue);
+            let trace = if hosts >= 64 && scans_hosts {
+                &short
+            } else {
+                &trace
+            };
+            let mut policy = build(spec, lambda, hosts);
+            for (tier, cfg) in &tiers {
+                // warm-up run grows every buffer (and the block lanes) to
+                // this shape
+                simulate_dispatch_into(trace, hosts, policy.as_mut(), 1, *cfg, &mut ws, &mut out);
+                let (_, allocs) = alloc_count_of(|| {
+                    for seed in 2..6 {
+                        simulate_dispatch_into(
+                            trace,
+                            hosts,
+                            policy.as_mut(),
+                            seed,
+                            *cfg,
+                            &mut ws,
+                            &mut out,
+                        );
+                    }
+                });
+                assert_eq!(
+                    allocs,
+                    0,
+                    "{}: {tier} tier allocated in steady state at h={hosts}",
+                    spec.name()
+                );
+            }
         }
     }
 }
