@@ -37,8 +37,16 @@ impl Args {
     ///
     /// `--key value` stores a value; a `--switch` followed by another
     /// flag (or nothing) is a boolean switch. Positional arguments other
-    /// than the leading command are rejected.
+    /// than the leading command are rejected. `--help` or `-h` anywhere
+    /// parses as the `help` command.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
+        let raw: Vec<String> = raw.into_iter().collect();
+        if raw.iter().any(|t| t == "--help" || t == "-h") {
+            return Ok(Args {
+                command: "help".to_string(),
+                ..Args::default()
+            });
+        }
         let mut iter = raw.into_iter().peekable();
         let command = iter
             .next()
@@ -70,6 +78,40 @@ impl Args {
             }
         }
         Ok(args)
+    }
+
+    /// Check the parsed flags against what the command reads: the
+    /// `values` it takes as `--key value` and the `switches` it takes
+    /// bare. Any other flag, a switch given a value, or a value flag
+    /// given none is an error that names the flag and the command — a
+    /// misspelled flag must not be silently ignored.
+    pub fn check_flags(&self, values: &[&str], switches: &[&str]) -> Result<(), ArgError> {
+        let command = &self.command;
+        for (key, value) in &self.values {
+            if switches.contains(&key.as_str()) {
+                return Err(ArgError(format!(
+                    "--{key} is a switch of `dses {command}` and takes no value, got {value:?}"
+                )));
+            }
+            if !values.contains(&key.as_str()) {
+                return Err(ArgError(format!(
+                    "unknown flag --{key} for `dses {command}`; see `dses help`"
+                )));
+            }
+        }
+        for key in &self.switches {
+            if values.contains(&key.as_str()) {
+                return Err(ArgError(format!(
+                    "--{key} of `dses {command}` needs a value"
+                )));
+            }
+            if !switches.contains(&key.as_str()) {
+                return Err(ArgError(format!(
+                    "unknown flag --{key} for `dses {command}`; see `dses help`"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// A string value.
@@ -203,6 +245,38 @@ mod tests {
         assert_eq!(a.get_loads("loads", &[0.7]).unwrap(), vec![0.7]);
         let a = parse(&["x", "--loads", "0.9:0.1:0.2"]).unwrap();
         assert!(a.get_loads("loads", &[]).is_err());
+    }
+
+    #[test]
+    fn help_anywhere_is_the_help_command() {
+        for tokens in [
+            &["--help"][..],
+            &["-h"],
+            &["simulate", "--help"],
+            &["sweep", "--loads", "0.5", "-h"],
+            &["--load", "0.7", "--help"],
+        ] {
+            assert_eq!(parse(tokens).unwrap().command, "help", "{tokens:?}");
+        }
+    }
+
+    #[test]
+    fn check_flags_names_the_flag_and_the_command() {
+        let rejected = |tokens: &[&str], values: &[&str], switches: &[&str]| {
+            let args = parse(tokens).unwrap();
+            args.check_flags(values, switches).unwrap_err().0
+        };
+        let e = rejected(&["simulate", "--polcy", "lwl"], &["policy"], &[]);
+        assert!(e.contains("--polcy") && e.contains("simulate"), "{e}");
+        let e = rejected(&["simulate", "--fairnes"], &[], &["fairness"]);
+        assert!(e.contains("--fairnes") && e.contains("simulate"), "{e}");
+        // a switch given a value, and a value flag given none
+        let e = rejected(&["simulate", "--fairness", "12"], &[], &["fairness"]);
+        assert!(e.contains("takes no value"), "{e}");
+        let e = rejected(&["simulate", "--policy"], &["policy"], &[]);
+        assert!(e.contains("needs a value"), "{e}");
+        let a = parse(&["simulate", "--policy", "lwl", "--fairness"]).unwrap();
+        assert_eq!(a.check_flags(&["policy"], &["fairness"]), Ok(()));
     }
 
     #[test]

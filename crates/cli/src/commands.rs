@@ -10,23 +10,99 @@ use dses_dist::{Distribution, Mixture};
 use dses_sim::SimResult;
 use dses_workload::{swf, Trace};
 
-/// Run one subcommand, returning the text to print.
+/// A subcommand: the names it answers to, the `--key value` flags and
+/// bare switches it reads, and its handler.
+struct Command {
+    names: &'static [&'static str],
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    run: fn(&Args) -> Result<String, ArgError>,
+}
+
+/// Every subcommand. A flag outside a command's lists is an error, so
+/// each list must name exactly the flags its handler reads — and
+/// [`help`] must document them (a test checks both directions).
+const COMMANDS: &[Command] = &[
+    Command {
+        names: &["help"],
+        values: &[],
+        switches: &[],
+        run: |_| Ok(help()),
+    },
+    Command {
+        names: &["workloads"],
+        values: &[],
+        switches: &[],
+        run: |_| workloads(),
+    },
+    Command {
+        names: &["policies"],
+        values: &[],
+        switches: &[],
+        run: |_| Ok(policies()),
+    },
+    Command {
+        names: &["simulate"],
+        values: &[
+            "workload", "hosts", "jobs", "warmup", "seed", "metrics", "policy", "load", "slo",
+        ],
+        switches: &["fairness", "percentiles"],
+        run: simulate,
+    },
+    Command {
+        names: &["analyze", "analyse"],
+        values: &["workload", "policy", "load", "hosts"],
+        switches: &[],
+        run: analyze,
+    },
+    Command {
+        names: &["sweep"],
+        values: &[
+            "workload", "hosts", "jobs", "warmup", "seed", "metrics", "policies", "loads",
+            "threads",
+        ],
+        switches: &[],
+        run: sweep,
+    },
+    Command {
+        names: &["replicate"],
+        values: &[
+            "workload", "hosts", "jobs", "warmup", "seed", "metrics", "policies", "load", "reps",
+            "threads",
+        ],
+        switches: &[],
+        run: replicate,
+    },
+    Command {
+        names: &["cutoff"],
+        values: &["workload", "method", "load", "hosts"],
+        switches: &[],
+        run: cutoff,
+    },
+    Command {
+        names: &["swf"],
+        values: &["file", "procs", "policy", "hosts", "load", "warmup", "seed"],
+        switches: &[],
+        run: swf_cmd,
+    },
+    Command {
+        names: &["burstiness"],
+        values: &["file", "procs", "workload", "jobs", "seed"],
+        switches: &[],
+        run: burstiness_cmd,
+    },
+];
+
+/// Run one subcommand, returning the text to print. Its flags are
+/// checked before it runs.
 pub fn run(args: &Args) -> Result<String, ArgError> {
-    match args.command.as_str() {
-        "help" | "-h" | "--help" => Ok(help()),
-        "workloads" => workloads(),
-        "policies" => Ok(policies()),
-        "simulate" => simulate(args),
-        "analyze" | "analyse" => analyze(args),
-        "sweep" => sweep(args),
-        "replicate" => replicate(args),
-        "cutoff" => cutoff(args),
-        "swf" => swf_cmd(args),
-        "burstiness" => burstiness_cmd(args),
-        other => Err(ArgError(format!(
-            "unknown command {other:?}; try `dses help`"
-        ))),
-    }
+    let name = args.command.as_str();
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.names.contains(&name))
+        .ok_or_else(|| ArgError(format!("unknown command {name:?}; try `dses help`")))?;
+    args.check_flags(command.values, command.switches)?;
+    (command.run)(args)
 }
 
 /// Top-level usage text.
@@ -36,8 +112,11 @@ dses — distributed-server task-assignment simulator & analyzer
 (reproduction of Schroeder & Harchol-Balter, HPDC 2000)
 
 USAGE: dses <command> [--flag value]...
+       (--help or -h anywhere prints this text; a flag the command
+       does not read is an error)
 
 COMMANDS
+  help                              print this text
   workloads                         list the calibrated workload presets
   policies                          list the task-assignment policies
   simulate   run one simulation
@@ -61,12 +140,12 @@ COMMANDS
       --loads lo:hi:step or a,b,c   (default 0.1:0.9:0.2)
       --threads <n>                 worker threads; 0 = all cores (default 0)
                                     results are identical for every n
-      --workload, --hosts, --jobs, --seed as above
+      --workload, --hosts, --jobs, --seed, --warmup, --metrics as above
   replicate  multi-seed runs with ~95% confidence intervals
       --policies a,b,c              (default lwl,sita-e,sita-u-fair)
       --reps <n>                    (default 5)
       --threads <n>                 worker threads; 0 = all cores (default 0)
-      --workload, --load, --hosts, --jobs, --seed as above
+      --workload, --load, --hosts, --jobs, --seed, --warmup, --metrics as above
   cutoff     solve SITA cutoffs
       --method equal-load|opt|fair|rot
       --workload, --load, --hosts as above
@@ -75,9 +154,13 @@ COMMANDS
       --policy <name>, --hosts <h>
       --procs <p>                   keep only p-processor jobs
       --load <rho>                  rescale interarrivals to this load
+      --warmup <n>                  jobs trimmed from stats (default 0)
+      --seed <s>                    policy random seed (default 0)
   burstiness measure a trace's arrival burstiness
       --file <path>                 SWF log (or omit for a synthetic demo)
       --procs <p>                   keep only p-processor jobs
+      --workload, --jobs, --seed    the synthetic demo's preset, length
+                                    and seed (default c90, 50000, 0)
 
 EXAMPLES
   dses simulate --workload c90 --policy sita-u-fair --load 0.7
@@ -104,19 +187,29 @@ fn policies() -> String {
     out
 }
 
-/// `--hosts` (default 2) and `--load` (default 0.7), checked in one
-/// place for every command: at least one host, and a system load
-/// strictly inside (0, 1).
-fn hosts_and_load(args: &Args) -> Result<(usize, f64), ArgError> {
+/// `--hosts` (default 2), checked in one place for every command: at
+/// least one host.
+fn hosts(args: &Args) -> Result<usize, ArgError> {
     let hosts = args.get_usize("hosts", 2)?;
     if hosts == 0 {
         return Err(ArgError("--hosts must be at least 1, got 0".to_string()));
     }
+    Ok(hosts)
+}
+
+/// `--load` (default 0.7), checked in one place for every command: a
+/// system load strictly inside (0, 1).
+fn load(args: &Args) -> Result<f64, ArgError> {
     let load = args.get_f64("load", 0.7)?;
     if !(load > 0.0 && load < 1.0) {
         return Err(ArgError(format!("--load must be in (0,1), got {load}")));
     }
-    Ok((hosts, load))
+    Ok(load)
+}
+
+/// [`hosts`] and [`load`].
+fn hosts_and_load(args: &Args) -> Result<(usize, f64), ArgError> {
+    Ok((hosts(args)?, load(args)?))
 }
 
 /// Warm-up must leave jobs to measure: a run that discards every job
@@ -130,36 +223,29 @@ fn check_warmup(warmup: usize, jobs: usize) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// The experiment the simulating commands share.
-fn experiment_from(args: &Args) -> Result<(Experiment<Mixture>, f64), ArgError> {
+/// The experiment the simulating commands share: `--workload`,
+/// `--hosts`, `--jobs`, `--warmup`, `--seed` and `--metrics`.
+fn experiment_from(args: &Args) -> Result<Experiment<Mixture>, ArgError> {
     let preset = names::workload(args.get_or("workload", "c90"))?;
-    let (hosts, load) = hosts_and_load(args)?;
     let jobs = args.get_usize("jobs", 100_000)?;
     let warmup = args.get_usize("warmup", 1_000)?;
     check_warmup(warmup, jobs)?;
     let experiment = Experiment::new(preset.size_dist.clone())
-        .hosts(hosts)
+        .hosts(hosts(args)?)
         .jobs(jobs)
         .warmup_jobs(warmup)
-        .seed(args.get_u64("seed", 0)?)
-        .threads(args.get_usize("threads", 0)?)
-        .fairness_bins(if args.has("fairness") { 12 } else { 0 })
-        .percentiles(args.has("percentiles"));
-    let experiment = match args.get("slo") {
-        Some(_) => experiment.slo(args.get_f64("slo", 10.0)?),
-        None => experiment,
-    };
-    let experiment = match args.get_or("metrics", "auto") {
-        "full" => experiment.metrics_mode(MetricsMode::Full),
-        "auto" => experiment.metrics_mode(MetricsMode::Auto),
-        "means" => experiment.metrics_mode(MetricsMode::Means),
+        .seed(args.get_u64("seed", 0)?);
+    let mode = match args.get_or("metrics", "auto") {
+        "full" => MetricsMode::Full,
+        "auto" => MetricsMode::Auto,
+        "means" => MetricsMode::Means,
         other => {
             return Err(ArgError(format!(
                 "--metrics expects full, auto, or means, got {other:?}"
             )))
         }
     };
-    Ok((experiment, load))
+    Ok(experiment.metrics_mode(mode))
 }
 
 /// Render the standard result block.
@@ -211,7 +297,22 @@ fn render_result(title: &str, r: &SimResult) -> String {
 }
 
 fn simulate(args: &Args) -> Result<String, ArgError> {
-    let (experiment, load) = experiment_from(args)?;
+    let experiment = experiment_from(args)?
+        .fairness_bins(if args.has("fairness") { 12 } else { 0 })
+        .percentiles(args.has("percentiles"));
+    let experiment = match args.get("slo") {
+        Some(_) => {
+            let slo = args.get_f64("slo", 10.0)?;
+            if slo.is_nan() || slo < 1.0 {
+                return Err(ArgError(format!(
+                    "--slo must be a slowdown of at least 1, got {slo}"
+                )));
+            }
+            experiment.slo(slo)
+        }
+        None => experiment,
+    };
+    let load = load(args)?;
     let spec = names::policy(args.get_or("policy", "sita-u-fair"))?;
     let result = experiment
         .try_run(&spec, load)
@@ -260,7 +361,7 @@ fn analyze(args: &Args) -> Result<String, ArgError> {
 }
 
 fn sweep(args: &Args) -> Result<String, ArgError> {
-    let (experiment, _) = experiment_from(args)?;
+    let experiment = experiment_from(args)?.threads(args.get_usize("threads", 0)?);
     let specs = names::policy_list(args.get_or("policies", "random,lwl,sita-e,sita-u-fair"))?;
     let loads = args.get_loads("loads", &[0.1, 0.3, 0.5, 0.7, 0.9])?;
     // The whole policy × load grid fans out over --threads workers with
@@ -286,7 +387,8 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
 }
 
 fn replicate(args: &Args) -> Result<String, ArgError> {
-    let (experiment, load) = experiment_from(args)?;
+    let experiment = experiment_from(args)?.threads(args.get_usize("threads", 0)?);
+    let load = load(args)?;
     let specs = names::policy_list(args.get_or("policies", "lwl,sita-e,sita-u-fair"))?;
     let reps = args.get_usize("reps", 5)?;
     if reps == 0 {
@@ -411,15 +513,9 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
     }
     let (hosts, load) = hosts_and_load(args)?;
     let trace: Trace = match args.get("load") {
-        Some(_) => {
-            if trace.system_load(hosts) <= 0.0 {
-                return Err(ArgError(format!(
-                    "cannot scale {path} to --load {load}: its {} job(s) carry zero system load",
-                    trace.len()
-                )));
-            }
-            trace.scale_to_load(hosts, load)
-        }
+        Some(text) => trace
+            .scale_to_load(hosts, load)
+            .map_err(|e| ArgError(format!("cannot scale {path} to --load {text}: {e}")))?,
         None => trace,
     };
     let warmup = args.get_usize("warmup", 0)?;
@@ -605,11 +701,15 @@ mod tests {
     #[test]
     fn zero_hosts_is_rejected_by_every_command() {
         let path = swf_file("dses_cli_zero_hosts.swf", 200);
-        for cmd in ["simulate", "sweep", "analyze", "replicate", "cutoff"] {
+        for cmd in ["simulate", "sweep", "replicate"] {
             assert_rejected(
                 &[cmd, "--hosts", "0", "--jobs", "500", "--warmup", "0"],
                 "--hosts",
             );
+        }
+        // analyze and cutoff simulate nothing, so they read no --jobs
+        for cmd in ["analyze", "cutoff"] {
+            assert_rejected(&[cmd, "--hosts", "0"], "--hosts");
         }
         assert_rejected(&["swf", "--file", &path, "--hosts", "0"], "--hosts");
     }
@@ -656,6 +756,103 @@ mod tests {
         assert_rejected(&["cutoff", "--method", "fair", "--hosts", "1"], "got 1");
         let out = run_tokens(&["cutoff", "--method", "equal-load", "--hosts", "1"]).unwrap();
         assert!(out.contains("host 0"), "{out}");
+    }
+
+    #[test]
+    fn swf_rejects_a_load_whose_rescaled_arrivals_overflow() {
+        // three jobs over 10^8 s: --load 1e-310 needs a ~10^304 factor,
+        // which pushes the last arrival past f64::MAX
+        let trace = Trace::new(vec![
+            dses_workload::Job::new(0, 0.0, 100.0),
+            dses_workload::Job::new(1, 5e7, 100.0),
+            dses_workload::Job::new(2, 1e8, 100.0),
+        ]);
+        let path = std::env::temp_dir().join("dses_cli_tiny_load.swf");
+        std::fs::write(&path, swf::write_swf(&trace, 8)).unwrap();
+        let path = path.to_str().unwrap();
+        assert_rejected(&["swf", "--file", path, "--load", "1e-310"], "overflows");
+        let out = run_tokens(&["swf", "--file", path, "--load", "0.5"]).unwrap();
+        assert!(out.contains("3 jobs"), "{out}");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_naming_the_flag_and_the_command() {
+        for command in COMMANDS {
+            for name in command.names {
+                for flag in ["--bogus", "--polcy"] {
+                    match run_tokens(&[name, flag, "lwl"]) {
+                        Err(e) => assert!(
+                            e.0.contains(flag) && e.0.contains(&format!("dses {name}")),
+                            "{name} {flag}: {e}"
+                        ),
+                        Ok(_) => panic!("`dses {name} {flag} lwl` was accepted"),
+                    }
+                }
+            }
+        }
+        // flags another command reads are unknown here too
+        assert_rejected(&["sweep", "--load", "0.5"], "--load");
+        assert_rejected(&["simulate", "--threads", "2"], "--threads");
+        assert_rejected(&["analyze", "--jobs", "100"], "--jobs");
+        // a value flag without its value, a switch with one
+        assert_rejected(&["simulate", "--policy"], "needs a value");
+        assert_rejected(&["simulate", "--fairness", "12"], "takes no value");
+    }
+
+    #[test]
+    fn help_flag_anywhere_prints_the_usage() {
+        for tokens in [&["--help"][..], &["-h"], &["simulate", "--help"], &["swf", "--file", "x", "-h"]] {
+            assert_eq!(run_tokens(tokens).unwrap(), help(), "{tokens:?}");
+        }
+    }
+
+    #[test]
+    fn help_documents_exactly_the_flags_each_command_reads() {
+        let text = help();
+        let body = &text[text.find("COMMANDS").unwrap()..text.find("EXAMPLES").unwrap()];
+        // a command's section runs from its two-space-indented line to
+        // the next one; every `--flag` mentioned in it is documented
+        let mut sections: Vec<(String, Vec<String>)> = Vec::new();
+        for line in body.lines().skip(1) {
+            if let Some(name) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                let name = name.split_whitespace().next().unwrap().to_string();
+                sections.push((name, Vec::new()));
+            }
+            let flags = &mut sections.last_mut().unwrap().1;
+            for (i, _) in line.match_indices("--") {
+                let flag: String = line[i + 2..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase())
+                    .collect();
+                flags.push(flag);
+            }
+        }
+        assert_eq!(sections.len(), COMMANDS.len(), "{sections:?}");
+        for command in COMMANDS {
+            let name = command.names[0];
+            let (_, documented) = sections
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("help has no section for {name}"));
+            let mut documented = documented.clone();
+            documented.sort();
+            documented.dedup();
+            let mut read: Vec<String> = command
+                .values
+                .iter()
+                .chain(command.switches)
+                .map(|f| (*f).to_string())
+                .collect();
+            read.sort();
+            assert_eq!(documented, read, "dses help for `{name}`");
+        }
+    }
+
+    #[test]
+    fn slo_below_one_is_rejected() {
+        for slo in ["0.5", "nan"] {
+            assert_rejected(&["simulate", "--jobs", "2000", "--slo", slo], "--slo");
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! the metrics the paper plots.
 
 use crate::spec::{BuiltPolicy, PolicySpec};
+use dses_dist::par::{effective_workers, par_map_indexed};
 use dses_dist::{derive_seed, Distribution};
 use dses_queueing::cutoff::CutoffError;
 use dses_queueing::policies::{analyze_policy, AnalyticMetrics, AnalyticPolicy};
-use dses_sim::par::{effective_workers, par_map_indexed};
 use dses_sim::{simulate_dispatch, Demand, EventEngine, MetricsConfig, SimResult};
 use dses_workload::{Trace, WorkloadBuilder};
 use std::sync::Arc;

@@ -18,9 +18,12 @@
 //!   from published summary statistics (mean, squared coefficient of
 //!   variation, tail-load fraction) — this is how we substitute for the
 //!   proprietary PSC/CTC traces;
-//! * online statistics (Welford), summaries, histograms; and
+//! * online statistics (Welford), summaries, histograms;
 //! * a small, deterministic, splittable random-number generator so every
-//!   simulation in the workspace is exactly reproducible from a seed.
+//!   simulation in the workspace is exactly reproducible from a seed; and
+//! * the std-only worker pool ([`par`]) every layer above fans its
+//!   independent tasks out on, with results identical at any worker
+//!   count.
 //!
 //! ## Quick example
 //!
@@ -53,6 +56,7 @@ pub mod fit;
 pub mod histogram;
 pub mod moments;
 pub mod numeric;
+pub mod par;
 pub mod quantile;
 pub mod rng;
 pub mod special;

@@ -1,11 +1,13 @@
-//! Deterministic parallel execution of independent simulation runs.
+//! Deterministic parallel execution of independent tasks on one
+//! process-wide worker pool.
 //!
 //! Every paper exhibit is a grid — loads × policies × seeds — of runs
 //! that share no mutable state: each run is a pure function of its grid
 //! index (the trace is regenerated or shared read-only, the policy RNG is
-//! derived from a per-index seed via `dses_dist::derive_seed`). That
-//! makes parallelism trivial to get right *and* trivial to get
-//! deterministic:
+//! derived from a per-index seed via [`crate::derive_seed`]). The
+//! analytic layer has grids of its own: one slowdown-tail evaluation is
+//! 2 bands × 32 size points of independent Euler inversions. That makes
+//! parallelism trivial to get right *and* trivial to get deterministic:
 //!
 //! * workers pull indices from an atomic counter (dynamic load balancing
 //!   — grid points vary wildly in cost near saturation), and
@@ -15,11 +17,13 @@
 //! Consequently [`par_map`] with any worker count — including 1 — returns
 //! bit-for-bit the same vector as the sequential loop `items.map(f)`.
 //! There is no other source of nondeterminism to control: the engines
-//! never consult wall-clock time, thread ids, or a global RNG.
+//! and the solvers never consult wall-clock time, thread ids, or a
+//! global RNG.
 //!
-//! Replications are grid points like any other: `Experiment::replicate`
-//! submits one index per replication, each a solo run, so R lanes spread
-//! over every worker instead of queueing behind one another.
+//! The pool is std-only and lives in this bottom crate so that every
+//! layer above can fan out on it: `dses-queueing` for the transform
+//! inversions, `dses-core` for sweeps and replications (`dses-sim`
+//! re-exports it under its old paths).
 //!
 //! Execution happens on a process-wide, **long-lived** [`WorkerPool`]
 //! (std-only: parked threads plus a mutex/condvar batch queue) rather
@@ -32,7 +36,9 @@
 //! drained by more than `w` threads (the caller plus `w − 1` helpers),
 //! and the queue accepts concurrent submitters (independent tests or
 //! nested calls), each caller participating in draining its own batch —
-//! so progress never depends on a pool thread being free.
+//! so progress never depends on a pool thread being free, and a batch
+//! submitted from inside a pool task shares the one pool instead of
+//! spawning threads.
 //!
 //! A worker panic is captured, stops further index claims for that batch,
 //! and is re-raised on the submitting thread, as with the sequential
@@ -451,41 +457,5 @@ mod tests {
         // the pool survives a panicked batch
         let ok = pool.run_indexed(8, 4, |i| i + 1);
         assert_eq!(ok, (1..=8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn simulation_runs_are_identical_across_worker_counts() {
-        // end-to-end: real engine runs fanned out per seed must agree
-        // bit-for-bit with the sequential loop
-        use crate::metrics::MetricsConfig;
-        use crate::simulate_dispatch;
-        use crate::state::{Dispatcher, SystemState};
-        use dses_dist::Rng64;
-        use dses_workload::{Job, Trace};
-
-        struct Coin;
-        impl Dispatcher for Coin {
-            fn dispatch(&mut self, _: &Job, s: &SystemState<'_>, rng: &mut Rng64) -> usize {
-                rng.below(s.num_hosts() as u64) as usize
-            }
-        }
-
-        let trace = Arc::new(Trace::new(
-            (0..200)
-                .map(|i| Job::new(i, f64::from(i as u32) * 0.5, 1.0 + f64::from(i as u32 % 7)))
-                .collect(),
-        ));
-        let run = move |trace: Arc<Trace>| {
-            move |seed: usize| {
-                let mut p = Coin;
-                let r = simulate_dispatch(&trace, 3, &mut p, seed as u64, MetricsConfig::default());
-                (r.slowdown.mean.to_bits(), r.response.mean.to_bits(), r.makespan.to_bits())
-            }
-        };
-        let sequential: Vec<_> = (0..16).map(run(Arc::clone(&trace))).collect();
-        for workers in [2, 8] {
-            let parallel = par_map_indexed(16, workers, run(Arc::clone(&trace)));
-            assert_eq!(parallel, sequential, "workers = {workers}");
-        }
     }
 }

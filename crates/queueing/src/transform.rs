@@ -18,7 +18,9 @@
 //! analytic slowdown tail predictions to set against the simulated
 //! percentiles of the `ablation_percentiles` exhibit.
 
+use dses_dist::par::{available_workers, par_map_indexed};
 use dses_dist::{numeric, Distribution};
+use std::sync::Arc;
 
 /// `E[e^{−sX}]` for a real `s ≥ 0`, via `∫₀¹ exp(−s·Q(u)) du`.
 ///
@@ -220,7 +222,10 @@ pub fn mg1_waiting_ccdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, t: f64)
 /// percentiles for every SITA policy — the `ablation_percentiles`
 /// exhibit prints them beside the simulated estimates. To evaluate many
 /// `s` on one system, [`sita_slowdown_quantile`] builds the per-band
-/// tables once; this function builds them for a single `s`.
+/// tables once; this function builds them for a single `s`. The
+/// independent Euler inversions behind one evaluation run on the
+/// [`dses_dist::par`] pool, and the result is identical at any worker
+/// count.
 #[must_use]
 pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
     dist: &D,
@@ -229,7 +234,7 @@ pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
     s: f64,
 ) -> f64 {
     assert!(s >= 1.0, "slowdown is at least 1 (got {s})");
-    SlowdownTail::new(dist, lambda, cutoffs).ccdf(s)
+    SlowdownTail::new(dist, lambda, cutoffs, available_workers()).ccdf(s)
 }
 
 /// Analytic slowdown percentile of a SITA system: the smallest `s` with
@@ -239,6 +244,11 @@ pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
 /// count as slower than any finite `s`, so once they hold more than
 /// `1 − q` of the jobs the percentile is infinite — as it is whenever the
 /// upward bracket (60 doublings from `s = 2`) fails to close.
+///
+/// Each bisection step only asks which side of `1 − q` the tail lies
+/// on, so it stops inverting as soon as the terms computed so far decide
+/// that (see [`SlowdownTail::exceeds`]); the answer is the same bits the
+/// full evaluation gives, at any worker count.
 #[must_use]
 pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
     dist: &D,
@@ -248,36 +258,8 @@ pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(
 ) -> f64 {
     assert!((0.0..1.0).contains(&q), "quantile must be in [0, 1)");
     let target = 1.0 - q;
-    let mut tail = SlowdownTail::new(dist, lambda, cutoffs);
-    if tail.ccdf(1.0) <= target {
-        return 1.0;
-    }
-    if tail.saturated_mass() > target {
-        return f64::INFINITY;
-    }
-    // bracket upward geometrically
-    let mut hi = 2.0;
-    let mut closed = false;
-    for _ in 0..60 {
-        if tail.ccdf(hi) <= target {
-            closed = true;
-            break;
-        }
-        hi *= 2.0;
-    }
-    if !closed {
-        return f64::INFINITY;
-    }
-    let mut lo = 1.0;
-    for _ in 0..40 {
-        let mid = (lo * hi).sqrt();
-        if tail.ccdf(mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo * hi).sqrt()
+    let tail = SlowdownTail::new(dist, lambda, cutoffs, available_workers());
+    tail.quantile(target, |s| tail.exceeds(s, target))
 }
 
 /// Size points per band at which [`SlowdownTail`] averages the waiting
@@ -286,24 +268,40 @@ const TAIL_POINTS: usize = 32;
 
 /// Everything in a SITA slowdown tail that does not depend on `s`: per
 /// band its mass and utilisation, and for a stable band its transform
-/// table and size grid. Built once per system, evaluated at any number
-/// of slowdowns.
+/// table; plus the flat list of (band, size point) pairs whose waiting
+/// tails `1 − F_W((s−1)·x)` are the terms of one evaluation. Built once
+/// per system, evaluated at any number of slowdowns.
+///
+/// The bands and the point list sit behind `Arc` so the terms of one
+/// evaluation — independent Euler inversions — can run as tasks on the
+/// [`dses_dist::par`] pool; [`SlowdownTail::fold`] then combines them on
+/// the calling thread in one fixed order, so the result does not depend
+/// on `workers`.
 struct SlowdownTail {
-    bands: Vec<TailBand>,
-    /// scratch for one Euler inversion's damped weights
-    damped: Vec<f64>,
+    bands: Arc<[TailBand]>,
+    /// `(band index, size)` of every term, band by band in cutoff order
+    /// and by ascending size within a band — the order of the fold
+    points: Arc<[(usize, f64)]>,
+    /// pool workers one evaluation fans out on
+    workers: usize,
 }
 
-/// One band of a [`SlowdownTail`]; `grid` is `None` when saturated.
+/// One band of a [`SlowdownTail`]: its transform table and term count,
+/// or `None` when it is saturated.
 struct TailBand {
     mass: f64,
     rho: f64,
     lambda: f64,
-    grid: Option<(QuadTable, Vec<f64>)>,
+    grid: Option<(QuadTable, usize)>,
 }
 
 impl SlowdownTail {
-    fn new<D: Distribution + ?Sized>(dist: &D, lambda: f64, cutoffs: &[f64]) -> Self {
+    fn new<D: Distribution + ?Sized>(
+        dist: &D,
+        lambda: f64,
+        cutoffs: &[f64],
+        workers: usize,
+    ) -> Self {
         assert!(
             cutoffs.windows(2).all(|w| w[0] < w[1]),
             "cutoffs must be strictly increasing"
@@ -313,6 +311,7 @@ impl SlowdownTail {
         edges.extend_from_slice(cutoffs);
         edges.push(if sup_hi.is_finite() { sup_hi } else { f64::INFINITY });
         let mut bands = Vec::with_capacity(edges.len() - 1);
+        let mut points = Vec::with_capacity((edges.len() - 1) * TAIL_POINTS);
         for w in edges.windows(2) {
             let (a, b) = (w[0], w[1]);
             let p = dist.prob_in(a, b);
@@ -331,11 +330,15 @@ impl SlowdownTail {
             let grid = if rho >= 1.0 {
                 None
             } else {
-                let xs = (0..TAIL_POINTS)
-                    .map(|i| band.quantile((i as f64 + 0.5) / TAIL_POINTS as f64))
-                    .filter(|x| x.is_finite() && *x > 0.0)
-                    .collect();
-                Some((QuadTable::build(&band), xs))
+                let before = points.len();
+                let index = bands.len();
+                points.extend(
+                    (0..TAIL_POINTS)
+                        .map(|i| band.quantile((i as f64 + 0.5) / TAIL_POINTS as f64))
+                        .filter(|x| x.is_finite() && *x > 0.0)
+                        .map(|x| (index, x)),
+                );
+                Some((QuadTable::build(&band), points.len() - before))
             };
             bands.push(TailBand {
                 mass: p,
@@ -345,17 +348,80 @@ impl SlowdownTail {
             });
         }
         Self {
-            bands,
-            damped: Vec::new(),
+            bands: bands.into(),
+            points: points.into(),
+            workers: workers.max(1),
         }
     }
 
-    /// `P(S > s)`.
-    fn ccdf(&mut self, s: f64) -> f64 {
+    /// `P(S > s)`: every term as one pool task, then one fold.
+    fn ccdf(&self, s: f64) -> f64 {
         assert!(s >= 1.0, "slowdown is at least 1 (got {s})");
+        let mut terms = vec![0.0; self.terms_at(s)];
+        self.compute(s, 0, &mut terms);
+        self.fold(s, &terms, 0.0)
+    }
+
+    /// Whether `P(S > s) > target` — exactly `self.ccdf(s) > target`,
+    /// usually from a fraction of the terms.
+    ///
+    /// The terms are computed in rounds of `workers`, in fold order.
+    /// After each round the fold runs twice with the missing terms set
+    /// to 0 and to 1: every term lies in [0, 1] (it is one minus a CDF
+    /// clamped into [0, 1]), and each fold step — add, divide by
+    /// `TAIL_POINTS`, multiply by a nonnegative mass, clamp — is monotone
+    /// under round-to-nearest, so the two folds bracket the full one. A
+    /// lower fold above `target` or an upper fold at most `target`
+    /// decides the comparison the full fold would make, bit for bit.
+    fn exceeds(&self, s: f64, target: f64) -> bool {
+        assert!(s >= 1.0, "slowdown is at least 1 (got {s})");
+        let mut terms = vec![0.0; self.terms_at(s)];
+        let mut done = 0;
+        while done < terms.len() {
+            let next = (done + self.workers).min(terms.len());
+            self.compute(s, done, &mut terms[done..next]);
+            done = next;
+            if done < terms.len() {
+                if self.fold(s, &terms[..done], 0.0) > target {
+                    return true;
+                }
+                if self.fold(s, &terms[..done], 1.0) <= target {
+                    return false;
+                }
+            }
+        }
+        self.fold(s, &terms, 0.0) > target
+    }
+
+    /// How many terms an evaluation at `s ≥ 1` has: all of them above
+    /// 1, none at `s = 1`, where `P(S > 1) = P(W > 0) = ρ` per band needs
+    /// no inversion.
+    fn terms_at(&self, s: f64) -> usize {
+        if s > 1.0 {
+            self.points.len()
+        } else {
+            0
+        }
+    }
+
+    /// Terms `first, first + 1, …` at `s` into `out`, as pool tasks.
+    fn compute(&self, s: f64, first: usize, out: &mut [f64]) {
+        let bands = Arc::clone(&self.bands);
+        let points = Arc::clone(&self.points);
+        let terms = par_map_indexed(out.len(), self.workers, move |i| {
+            term(&bands, points[first + i], s)
+        });
+        out.copy_from_slice(&terms);
+    }
+
+    /// The tail from the leading `terms` of an evaluation at `s`, with
+    /// every later term taken as `fill` — the arithmetic and order of a
+    /// sequential band-by-band loop.
+    fn fold(&self, s: f64, terms: &[f64], fill: f64) -> f64 {
+        let mut next = terms.iter().copied().chain(std::iter::repeat(fill));
         let mut tail = 0.0;
-        for band in &self.bands {
-            let Some((table, xs)) = &band.grid else {
+        for band in self.bands.iter() {
+            let Some((_, count)) = band.grid else {
                 tail += band.mass; // saturated band: everything above any finite s
                 continue;
             };
@@ -364,13 +430,47 @@ impl SlowdownTail {
                 continue;
             }
             let mut acc = 0.0;
-            for &x in xs {
-                let t = (s - 1.0) * x;
-                acc += 1.0 - waiting_cdf_with_table(table, band.rho, band.lambda, t, &mut self.damped);
+            for term in next.by_ref().take(count) {
+                acc += term;
             }
             tail += band.mass * (acc / TAIL_POINTS as f64);
         }
         tail.clamp(0.0, 1.0)
+    }
+
+    /// The smallest `s` with `P(S > s) ≤ target`, where `above(s)`
+    /// answers `P(S > s) > target`: the geometric bracket and the
+    /// 40-step bisection of [`sita_slowdown_quantile`].
+    fn quantile(&self, target: f64, mut above: impl FnMut(f64) -> bool) -> f64 {
+        if !above(1.0) {
+            return 1.0;
+        }
+        if self.saturated_mass() > target {
+            return f64::INFINITY;
+        }
+        // bracket upward geometrically
+        let mut hi = 2.0;
+        let mut closed = false;
+        for _ in 0..60 {
+            if !above(hi) {
+                closed = true;
+                break;
+            }
+            hi *= 2.0;
+        }
+        if !closed {
+            return f64::INFINITY;
+        }
+        let mut lo = 1.0;
+        for _ in 0..40 {
+            let mid = (lo * hi).sqrt();
+            if above(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo * hi).sqrt()
     }
 
     /// Job mass on saturated bands — a floor under `P(S > s)` at every
@@ -381,6 +481,22 @@ impl SlowdownTail {
             .filter(|b| b.grid.is_none())
             .fold(0.0, |acc, b| acc + b.mass)
     }
+}
+
+/// One term of a [`SlowdownTail`] evaluation: `P(W > (s−1)·x)` on the
+/// band the point belongs to, in [0, 1].
+fn term(bands: &[TailBand], (band, x): (usize, f64), s: f64) -> f64 {
+    let band = &bands[band];
+    let Some((table, _)) = &band.grid else {
+        return 1.0; // a saturated band's wait exceeds every t (it has no points)
+    };
+    let t = (s - 1.0) * x;
+    let term = 1.0 - waiting_cdf_with_table(table, band.rho, band.lambda, t, &mut Vec::new());
+    debug_assert!(
+        term.is_finite(),
+        "slowdown-tail term at s = {s}, x = {x} is {term}"
+    );
+    term
 }
 
 /// Per-job waiting-time tail `P(W > t)` of a whole SITA system: each
@@ -696,6 +812,118 @@ mod tests {
         let short = crate::SitaAnalysis::analyze(&d, lambda, &cutoffs).hosts[0];
         assert!(short.rho > 1.05 && short.job_fraction > 0.99, "{short:?}");
         assert_eq!(sita_slowdown_quantile(&d, lambda, &cutoffs, 0.99), f64::INFINITY);
+    }
+
+    /// The two-band hyperexponential system of `tests/analytic_reuse.rs`
+    /// (ρ = 0.6 over two hosts, cutoff at the 90th size percentile).
+    fn tail_case(workers: usize) -> SlowdownTail {
+        let d = HyperExponential::fit_mean_scv(1.0, 4.0).unwrap();
+        let cutoffs = [d.quantile(0.9)];
+        SlowdownTail::new(&d, 1.2 / d.mean(), &cutoffs, workers)
+    }
+
+    /// The same tail on `workers` workers, sharing `tail`'s bands and
+    /// points.
+    fn on_workers(tail: &SlowdownTail, workers: usize) -> SlowdownTail {
+        SlowdownTail {
+            bands: Arc::clone(&tail.bands),
+            points: Arc::clone(&tail.points),
+            workers,
+        }
+    }
+
+    /// `tail` with every 127th quadrature node, reweighted to the full
+    /// table's total weight: on `tail_case` one inversion sums 29 nodes
+    /// instead of 3,664, so a whole bisection runs in a debug build in a
+    /// fraction of a second. The fold and the bisection see the same
+    /// bands, points and term ranges as the full tail; only the value of
+    /// each term differs.
+    fn coarse(tail: &SlowdownTail) -> SlowdownTail {
+        let thin = |table: &QuadTable| {
+            let total: f64 = table.pts.iter().map(|p| p.1).sum();
+            let kept: Vec<(f64, f64)> = table.pts.iter().step_by(127).copied().collect();
+            let scale = total / kept.iter().map(|p| p.1).sum::<f64>();
+            let pts = kept.into_iter().map(|(x, w)| (x, w * scale)).collect();
+            QuadTable { pts }
+        };
+        let bands = tail
+            .bands
+            .iter()
+            .map(|b| TailBand {
+                grid: b.grid.as_ref().map(|(table, count)| (thin(table), *count)),
+                ..*b
+            })
+            .collect();
+        SlowdownTail {
+            bands,
+            ..on_workers(tail, tail.workers)
+        }
+    }
+
+    #[test]
+    fn slowdown_tail_is_bit_identical_at_any_worker_count() {
+        let one = tail_case(1);
+        assert_eq!(one.points.len(), 2 * TAIL_POINTS);
+        let ccdf = [1.0, 5.0].map(|s| one.ccdf(s).to_bits());
+        let coarse = coarse(&one);
+        let quantile = coarse.quantile(0.1, |s| coarse.exceeds(s, 0.1)).to_bits();
+        for workers in [2, 3, 8] {
+            let tail = on_workers(&one, workers);
+            let bits = [1.0, 5.0].map(|s| tail.ccdf(s).to_bits());
+            assert_eq!(bits, ccdf, "workers = {workers}");
+            let tail = on_workers(&coarse, workers);
+            let q = tail.quantile(0.1, |s| tail.exceeds(s, 0.1));
+            assert_eq!(q.to_bits(), quantile, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn exceeds_decides_every_bisection_step_as_the_full_fold_does() {
+        let tail = coarse(&tail_case(3));
+        let target = 0.1;
+        let mut visited = 0;
+        let q = tail.quantile(target, |s| {
+            let ccdf = tail.ccdf(s);
+            for t in [ccdf.next_down(), ccdf, ccdf.next_up()] {
+                assert_eq!(tail.exceeds(s, t), ccdf > t, "s = {s}, t = {t}");
+            }
+            visited += 1;
+            tail.exceeds(s, target)
+        });
+        assert!(q > 1.0 && q.is_finite(), "the bisection must run: q = {q}");
+        assert!(visited > 40, "{visited} steps");
+        let full = tail.quantile(target, |s| tail.ccdf(s) > target);
+        assert_eq!(q.to_bits(), full.to_bits());
+    }
+
+    #[test]
+    fn exceeds_matches_the_full_fold_where_the_bounds_are_tight() {
+        // Near s = 1 every term approaches its band's ρ, so on a heavily
+        // loaded SITA-E split (both bands at ρ = 0.95) an upper fold that
+        // fills missing terms with less than 1 answers wrongly.
+        let d = HyperExponential::fit_mean_scv(1.0, 4.0).unwrap();
+        let heavy_cutoffs = crate::cutoff::sita_e_cutoffs(&d, 2).unwrap();
+        let heavy = SlowdownTail::new(&d, 1.9, &heavy_cutoffs, 2);
+        assert!(heavy.bands.iter().all(|b| (b.rho - 0.95).abs() < 1e-6));
+        let mut cases = Vec::new();
+        for tail in [coarse(&heavy), coarse(&tail_case(3))] {
+            for s in [1.0 + 1e-9, 1.01, 2.0, 10.0] {
+                cases.push((s, tail.ccdf(s), on_workers(&tail, tail.workers)));
+            }
+        }
+        // At s = 10^3 on the full tail_case every term after the first is
+        // exactly 0, so the lower fold equals the full one after the first
+        // round: only a strict comparison keeps exceeds(s, ccdf(s)) false.
+        let full = tail_case(3);
+        let mut terms = vec![0.0; full.points.len()];
+        full.compute(1e3, 0, &mut terms);
+        assert!(terms[0] > 0.0 && terms[1..].iter().all(|&t| t == 0.0));
+        cases.push((1e3, full.fold(1e3, &terms, 0.0), full));
+        for (s, ccdf, tail) in cases {
+            for t in [ccdf.next_down(), ccdf, ccdf.next_up()] {
+                assert_eq!(tail.exceeds(s, t), ccdf > t, "s = {s}, t = {t}");
+            }
+        }
     }
 
     #[test]

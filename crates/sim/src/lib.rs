@@ -36,7 +36,6 @@
 pub mod event;
 pub mod fast;
 pub mod metrics;
-pub mod par;
 pub mod state;
 pub mod validate;
 pub mod workspace;
@@ -46,6 +45,9 @@ pub use fast::{
     simulate_dispatch, simulate_dispatch_fused_into, simulate_dispatch_into,
     simulate_dispatch_speeds, simulate_dispatch_speeds_into,
 };
+/// The worker pool, which lives in `dses-dist` so the analytic layer
+/// can use it too; re-exported here under its original paths.
+pub use dses_dist::par;
 pub use par::{available_workers, effective_workers, par_map, par_map_indexed, WorkerPool};
 pub use metrics::{Demand, HostStats, JobRecord, MetricsConfig, SimResult};
 pub use state::{

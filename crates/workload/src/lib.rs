@@ -39,5 +39,5 @@ pub use burstiness::{burstiness_report, BurstinessReport};
 pub use job::Job;
 pub use presets::{ctc_sp2, psc_c90, psc_j90, WorkloadPreset};
 pub use synthetic::WorkloadBuilder;
-pub use trace::Trace;
+pub use trace::{Trace, TraceError};
 pub use users::{UserTrace, UserWorkloadBuilder};

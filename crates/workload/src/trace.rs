@@ -32,6 +32,56 @@ pub struct Trace {
     inv_sizes: Arc<[f64]>,
 }
 
+/// Why a [`Trace`] cannot be rescaled ([`Trace::scale_interarrivals`],
+/// [`Trace::scale_to_load`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TraceError {
+    /// The interarrival scale factor is not positive (or is NaN).
+    InvalidFactor {
+        /// the rejected factor
+        factor: f64,
+    },
+    /// The target system load is not positive and finite.
+    InvalidLoad {
+        /// the rejected load
+        load: f64,
+    },
+    /// The trace carries zero system load — fewer than two jobs, or all
+    /// arriving at one instant — so no rescaling reaches a target load.
+    ZeroLoad {
+        /// jobs in the trace
+        jobs: usize,
+    },
+    /// Rescaling by `factor` pushes an arrival time past the largest
+    /// finite `f64`.
+    Overflow {
+        /// the interarrival scale factor
+        factor: f64,
+    },
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::InvalidFactor { factor } => {
+                write!(f, "interarrival scale factor {factor} must be positive")
+            }
+            Self::InvalidLoad { load } => {
+                write!(f, "target load {load} must be positive and finite")
+            }
+            Self::ZeroLoad { jobs } => {
+                write!(f, "its {jobs} job(s) carry zero system load")
+            }
+            Self::Overflow { factor } => write!(
+                f,
+                "scaling its interarrival times by {factor:e} overflows the arrival clock"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
 /// `1.0 / size` for every size: the reciprocal column.
 pub(crate) fn reciprocals(sizes: &[f64]) -> Arc<[f64]> {
     sizes.iter().map(|&s| 1.0 / s).collect()
@@ -200,30 +250,51 @@ impl Trace {
     /// empirical arrival sequence and scale it to produce a target load,
     /// preserving its correlation structure. The copy shares this trace's
     /// size and reciprocal columns.
-    #[must_use]
-    pub fn scale_interarrivals(&self, factor: f64) -> Trace {
-        assert!(factor > 0.0 && factor.is_finite(), "factor must be positive");
+    ///
+    /// # Errors
+    /// [`TraceError::InvalidFactor`] unless `factor > 0`, and
+    /// [`TraceError::Overflow`] when a rescaled arrival time is not
+    /// finite.
+    pub fn scale_interarrivals(&self, factor: f64) -> Result<Trace, TraceError> {
+        if !(factor > 0.0) {
+            return Err(TraceError::InvalidFactor { factor });
+        }
         let base = self.arrivals.first().map_or(0.0, |&a| a);
-        let arrivals = self
+        let arrivals: Vec<f64> = self
             .arrivals
             .iter()
-            .enumerate()
-            .map(|(i, &a)| Job::checked_arrival(i as u64, base + (a - base) * factor))
+            .map(|&a| base + (a - base) * factor)
             .collect();
-        Trace::from_columns(
+        if !arrivals.iter().all(|a| a.is_finite()) {
+            return Err(TraceError::Overflow { factor });
+        }
+        Ok(Trace::from_columns(
             arrivals,
             Arc::clone(&self.sizes),
             Arc::clone(&self.inv_sizes),
-        )
+        ))
     }
 
     /// Return a copy scaled so the *system* load on `hosts` hosts equals
     /// `target_load`.
-    #[must_use]
-    pub fn scale_to_load(&self, hosts: usize, target_load: f64) -> Trace {
-        assert!(target_load > 0.0, "target load must be positive");
+    ///
+    /// # Errors
+    /// [`TraceError::InvalidLoad`] unless `target_load` is positive and
+    /// finite, [`TraceError::ZeroLoad`] when the trace carries no load to
+    /// scale (fewer than two jobs, or one arrival instant), and
+    /// [`TraceError::Overflow`] when the load is so small that the
+    /// rescaled arrival times overflow.
+    ///
+    /// # Panics
+    /// Panics if `hosts` is 0 (see [`Trace::system_load`]).
+    pub fn scale_to_load(&self, hosts: usize, target_load: f64) -> Result<Trace, TraceError> {
+        if !(target_load > 0.0 && target_load.is_finite()) {
+            return Err(TraceError::InvalidLoad { load: target_load });
+        }
         let current = self.system_load(hosts);
-        assert!(current > 0.0, "cannot scale an empty or instantaneous trace");
+        if !(current > 0.0) {
+            return Err(TraceError::ZeroLoad { jobs: self.len() });
+        }
         self.scale_interarrivals(current / target_load)
     }
 
@@ -312,20 +383,59 @@ mod tests {
     #[test]
     fn scaling_interarrivals_scales_load() {
         let t = toy();
-        let slow = t.scale_interarrivals(2.0);
+        let slow = t.scale_interarrivals(2.0).unwrap();
         assert!((slow.system_load(1) - 0.5).abs() < 1e-12);
-        let fast = t.scale_to_load(1, 0.8);
+        let fast = t.scale_to_load(1, 0.8).unwrap();
         assert!((fast.system_load(1) - 0.8).abs() < 1e-9);
     }
 
     #[test]
     fn scale_preserves_sizes_and_order() {
         let t = toy();
-        let s = t.scale_interarrivals(3.0);
+        let s = t.scale_interarrivals(3.0).unwrap();
         assert_eq!(s.sizes(), t.sizes());
         // the rescaled copy shares the size and reciprocal columns
         assert_eq!(s.sizes().as_ptr(), t.sizes().as_ptr());
         assert_eq!(s.inv_sizes().as_ptr(), t.inv_sizes().as_ptr());
+    }
+
+    #[test]
+    fn rescaling_rejects_bad_input_with_typed_errors() {
+        use TraceError::{InvalidFactor, InvalidLoad, Overflow, ZeroLoad};
+        let t = toy();
+        for load in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let r = t.scale_to_load(2, load);
+            assert!(matches!(r, Err(InvalidLoad { .. })), "load {load}");
+        }
+        for factor in [0.0, -2.0, f64::NAN] {
+            let r = t.scale_interarrivals(factor);
+            assert!(matches!(r, Err(InvalidFactor { .. })), "factor {factor}");
+        }
+        let one_job = Trace::new(vec![Job::new(0, 5.0, 1.0)]);
+        let two_at_once = Trace::new(vec![Job::new(0, 5.0, 1.0), Job::new(1, 5.0, 2.0)]);
+        let empty = Trace::new(vec![]);
+        assert_eq!(one_job.scale_to_load(1, 0.5), Err(ZeroLoad { jobs: 1 }));
+        assert_eq!(two_at_once.scale_to_load(2, 0.5), Err(ZeroLoad { jobs: 2 }));
+        assert_eq!(empty.scale_to_load(1, 0.5), Err(ZeroLoad { jobs: 0 }));
+        // a tiny valid load on a trace spanning 10^8 s: the factor is
+        // finite (~10^304) but the last arrival overflows
+        let long = Trace::new(vec![
+            Job::new(0, 0.0, 100.0),
+            Job::new(1, 5e7, 100.0),
+            Job::new(2, 1e8, 100.0),
+        ]);
+        for r in [
+            long.scale_to_load(2, 1e-310),
+            t.scale_interarrivals(f64::INFINITY),
+            t.scale_interarrivals(f64::MAX),
+        ] {
+            assert!(matches!(r, Err(Overflow { .. })), "{r:?}");
+        }
+        // every error names its cause
+        let msg = long.scale_to_load(2, 1e-310).unwrap_err().to_string();
+        assert!(msg.contains("overflows"), "{msg}");
+        let msg = one_job.scale_to_load(1, 0.5).unwrap_err().to_string();
+        assert!(msg.contains("zero system load"), "{msg}");
     }
 
     #[test]

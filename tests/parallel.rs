@@ -1,15 +1,18 @@
 //! Determinism contract of the parallel execution path.
 //!
-//! The whole point of `dses_sim::par` is that parallelism is free: any
+//! The whole point of `dses_dist::par` is that parallelism is free: any
 //! thread count must produce bit-for-bit the results of the sequential
-//! loop. These tests pin that down for the two grid entry points
-//! (`Experiment::sweep_grid`, `Experiment::replicate`) and check that
-//! streaming metrics (the sweep default) agree with full-record mode.
+//! loop. These tests pin that down for raw engine runs fanned out on the
+//! pool and for the two grid entry points (`Experiment::sweep_grid`,
+//! `Experiment::replicate`), and check that streaming metrics (the sweep
+//! default) agree with full-record mode.
 
 use dses_core::{Experiment, LoadSweep, PolicySpec};
-use dses_dist::Mixture;
-use dses_sim::{simulate_dispatch, MetricsConfig};
-use dses_workload::psc_c90;
+use dses_dist::par::par_map_indexed;
+use dses_dist::{Mixture, Rng64};
+use dses_sim::{simulate_dispatch, Dispatcher, MetricsConfig, SystemState};
+use dses_workload::{psc_c90, Job, Trace};
+use std::sync::Arc;
 
 fn experiment() -> Experiment<Mixture> {
     Experiment::new(psc_c90().size_dist)
@@ -48,6 +51,36 @@ fn assert_sweeps_bitwise_equal(a: &[LoadSweep], b: &[LoadSweep], context: &str) 
             }
             assert_eq!(pa.measured, pb.measured, "{context}: {}", sa.policy);
         }
+    }
+}
+
+#[test]
+fn simulation_runs_are_identical_across_worker_counts() {
+    // end-to-end: real engine runs fanned out per seed must agree
+    // bit-for-bit with the sequential loop
+    struct Coin;
+    impl Dispatcher for Coin {
+        fn dispatch(&mut self, _: &Job, s: &SystemState<'_>, rng: &mut Rng64) -> usize {
+            rng.below(s.num_hosts() as u64) as usize
+        }
+    }
+
+    let trace = Arc::new(Trace::new(
+        (0..200)
+            .map(|i| Job::new(i, f64::from(i as u32) * 0.5, 1.0 + f64::from(i as u32 % 7)))
+            .collect(),
+    ));
+    let run = move |trace: Arc<Trace>| {
+        move |seed: usize| {
+            let mut p = Coin;
+            let r = simulate_dispatch(&trace, 3, &mut p, seed as u64, MetricsConfig::default());
+            (r.slowdown.mean.to_bits(), r.response.mean.to_bits(), r.makespan.to_bits())
+        }
+    };
+    let sequential: Vec<_> = (0..16).map(run(Arc::clone(&trace))).collect();
+    for workers in [2, 8] {
+        let parallel = par_map_indexed(16, workers, run(Arc::clone(&trace)));
+        assert_eq!(parallel, sequential, "workers = {workers}");
     }
 }
 
