@@ -18,10 +18,11 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # `perfbench/references.txt`. `paper_h2` (~2 s) and `wide_full` (~3 s)
 # simulate — the C90 sweep grid and replications at 2 hosts, the full
 # collector at 8 and 64 hosts — so a change that moves one trace or kernel
-# bit fails here. `analytic` (~9 s on 2 vCPUs; its p99 inversion fans out
-# on the worker pool) checks the quadrature-fallback Erlang-4 fair solve,
-# the SITA cutoff solves, the p99 transform inversion and the analytic
-# policy roster. They gate correctness only, never timing.
+# bit fails here. `analytic` (~6 s on 2 vCPUs, most of it the Erlang-4
+# solve; its p99 inversion fans out on the worker pool) checks the
+# quadrature-fallback Erlang-4 fair solve, the SITA cutoff solves, the
+# p99 transform inversion and the analytic policy roster. They gate
+# correctness only, never timing.
 for workload in paper_h2 wide_full analytic; do
     result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
@@ -32,6 +33,10 @@ for workload in paper_h2 wide_full analytic; do
 done
 
 cargo clippy --all-targets -- -D warnings
+
+# Rustdoc gate: an unresolved, ambiguous or private intra-doc link fails
+# here instead of rotting in the generated docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Source-level invariant gate: the per-file rules (determinism,
 # no-alloc, panic-hygiene, float-totality, header-conformance), the

@@ -525,7 +525,8 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
     let sizes = trace.sizes();
     let emp = dses_dist::Empirical::from_values(sizes)
         .map_err(|e| ArgError(e.to_string()))?;
-    let experiment = Experiment::new(EmpiricalArc(std::sync::Arc::new(emp)))
+    let dist: std::sync::Arc<dyn Distribution> = std::sync::Arc::new(emp);
+    let experiment = Experiment::new(dist)
         .hosts(hosts)
         .warmup_jobs(warmup)
         .seed(args.get_u64("seed", 0)?);
@@ -542,32 +543,6 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
     );
     out.push_str(&render_result(&format!("{} on {hosts} hosts", spec.name()), &result));
     Ok(out)
-}
-
-/// Cheap-clone wrapper so the empirical distribution can drive an
-/// [`Experiment`] (which requires `Clone`).
-#[derive(Debug, Clone)]
-struct EmpiricalArc(std::sync::Arc<dses_dist::Empirical>);
-
-impl Distribution for EmpiricalArc {
-    fn sample(&self, rng: &mut dses_dist::Rng64) -> f64 {
-        self.0.sample(rng)
-    }
-    fn support(&self) -> (f64, f64) {
-        self.0.support()
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        self.0.cdf(x)
-    }
-    fn quantile(&self, p: f64) -> f64 {
-        self.0.quantile(p)
-    }
-    fn raw_moment(&self, k: i32) -> f64 {
-        self.0.raw_moment(k)
-    }
-    fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
-        self.0.partial_moment(k, a, b)
-    }
 }
 
 #[cfg(test)]
@@ -773,6 +748,37 @@ mod tests {
         assert_rejected(&["swf", "--file", path, "--load", "1e-310"], "overflows");
         let out = run_tokens(&["swf", "--file", path, "--load", "0.5"]).unwrap();
         assert!(out.contains("3 jobs"), "{out}");
+    }
+
+    #[test]
+    fn swf_rejects_equal_load_cutoffs_that_a_runtime_cap_collapses() {
+        // every 10th job runs into a 12-hour wall-clock cap, so that one
+        // size carries ~73% of the load and two equal-load cutoffs land
+        // on it
+        let trace = Trace::new(
+            (0..1_000u64)
+                .map(|i| {
+                    let size = if i % 10 == 9 { 43_200.0 } else { (60 + i * 37 % 3_541) as f64 };
+                    dses_workload::Job::new(i, 100.0 * i as f64, size)
+                })
+                .collect(),
+        );
+        let path = std::env::temp_dir().join("dses_cli_runtime_cap.swf");
+        std::fs::write(&path, swf::write_swf(&trace, 8)).unwrap();
+        let path = path.to_str().unwrap();
+        for hosts in ["4", "16"] {
+            for policy in ["sita-e", "sita-u-opt"] {
+                assert_rejected(
+                    &["swf", "--file", path, "--load", "0.7", "--policy", policy, "--hosts", hosts],
+                    "size 43200.000 carry",
+                );
+            }
+            let out = run_tokens(&[
+                "swf", "--file", path, "--load", "0.7", "--policy", "sita-u-fair", "--hosts", hosts,
+            ])
+            .unwrap();
+            assert!(out.contains("1000 jobs"), "{out}");
+        }
     }
 
     #[test]

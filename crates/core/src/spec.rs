@@ -134,11 +134,13 @@ impl PolicySpec {
             PolicySpec::LeastWorkLeft => dispatch(Box::new(LeastWorkLeft)),
             PolicySpec::CentralQueue => (BuiltPolicy::Central(QueueDiscipline::Fcfs), None),
             PolicySpec::CentralSjf => (BuiltPolicy::Central(QueueDiscipline::Sjf), None),
-            PolicySpec::SitaE => size_interval(resolve(CutoffMethod::EqualLoad)?, "SITA-E"),
-            PolicySpec::SitaUOpt => size_interval(resolve(CutoffMethod::OptSlowdown)?, "SITA-U-opt"),
-            PolicySpec::SitaUFair => size_interval(resolve(CutoffMethod::Fair)?, "SITA-U-fair"),
+            PolicySpec::SitaE => size_interval(resolve(CutoffMethod::EqualLoad)?, "SITA-E")?,
+            PolicySpec::SitaUOpt => {
+                size_interval(resolve(CutoffMethod::OptSlowdown)?, "SITA-U-opt")?
+            }
+            PolicySpec::SitaUFair => size_interval(resolve(CutoffMethod::Fair)?, "SITA-U-fair")?,
             PolicySpec::SitaRuleOfThumb => {
-                size_interval(resolve(CutoffMethod::RuleOfThumb)?, "SITA-U-rot")
+                size_interval(resolve(CutoffMethod::RuleOfThumb)?, "SITA-U-rot")?
             }
             PolicySpec::SitaFixed { cutoffs } => {
                 if cutoffs.len() + 1 != hosts {
@@ -147,7 +149,7 @@ impl PolicySpec {
                         cutoffs.len()
                     )));
                 }
-                size_interval(cutoffs.clone(), "SITA-fixed")
+                size_interval(cutoffs.clone(), "SITA-fixed")?
             }
             PolicySpec::Grouped { method } => {
                 if hosts < 2 {
@@ -174,10 +176,21 @@ impl PolicySpec {
     }
 }
 
-/// A size-interval policy on `cutoffs`, returned with its cutoffs.
-fn size_interval(cutoffs: Vec<f64>, label: &str) -> (BuiltPolicy, Option<Vec<f64>>) {
+/// A size-interval policy on `cutoffs`, returned with its cutoffs, or an
+/// error unless they are positive, finite and strictly increasing (which
+/// [`SizeInterval::new`] asserts).
+fn size_interval(
+    cutoffs: Vec<f64>,
+    label: &str,
+) -> Result<(BuiltPolicy, Option<Vec<f64>>), CutoffError> {
+    let positive = cutoffs.iter().all(|c| *c > 0.0 && c.is_finite());
+    if !positive || !cutoffs.windows(2).all(|w| w[0] < w[1]) {
+        return Err(CutoffError::SolveFailed(format!(
+            "{label} cutoffs {cutoffs:?} are not positive, finite and strictly increasing"
+        )));
+    }
     let policy = SizeInterval::new(cutoffs.clone(), label);
-    (BuiltPolicy::Dispatch(Box::new(policy)), Some(cutoffs))
+    Ok((BuiltPolicy::Dispatch(Box::new(policy)), Some(cutoffs)))
 }
 
 #[cfg(test)]
@@ -225,6 +238,32 @@ mod tests {
         };
         assert!(spec.build(&d, 0.001, 2).is_ok());
         assert!(spec.build(&d, 0.001, 3).is_err());
+        // cutoffs `SizeInterval::new` would reject are an error, not a panic
+        for cutoffs in [[100.0, 100.0], [200.0, 100.0], [-1.0, 5.0], [1.0, f64::NAN]] {
+            let spec = PolicySpec::SitaFixed { cutoffs: cutoffs.to_vec() };
+            let got = spec.build(&d, 0.001, 3);
+            assert!(matches!(got, Err(CutoffError::SolveFailed(_))), "{spec:?}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn a_size_carrying_most_of_the_load_is_an_error_not_a_panic() {
+        // a tenth of the jobs hit a 12-hour cap and carry ~73% of the load
+        let sizes: Vec<f64> = (0..1_000)
+            .map(|i| if i % 10 == 9 { 43_200.0 } else { 60.0 + (i * 37 % 3_541) as f64 })
+            .collect();
+        let d = dses_dist::Empirical::from_values(&sizes).unwrap();
+        for hosts in [4, 16] {
+            let lambda = 0.7 * hosts as f64 / d.mean();
+            for spec in [PolicySpec::SitaE, PolicySpec::SitaUOpt] {
+                let got = spec.build(&d, lambda, hosts);
+                assert!(
+                    matches!(got, Err(CutoffError::LoadAtom { .. })),
+                    "{spec:?} h={hosts}: {got:?}"
+                );
+            }
+            assert!(PolicySpec::SitaUFair.build(&d, lambda, hosts).is_ok(), "h={hosts}");
+        }
     }
 
     #[test]

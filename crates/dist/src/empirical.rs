@@ -89,22 +89,21 @@ impl Empirical {
         self.sorted.partition_point(|&v| v <= x)
     }
 
-    /// Fast prefix-sum partial moment for k ∈ {-1, 0, 1, 2, 3}.
-    fn prefix_partial(&self, k: i32, a: f64, b: f64) -> Option<f64> {
-        let lo = self.count_le(a);
-        let hi = self.count_le(b);
+    /// `E[X^k · 1{X ∈ sorted[lo..hi]}]`: prefix-sum lookups for
+    /// k ∈ {−1, 0, 1, 2, 3}, an O(hi − lo) scan for other orders.
+    fn range_moment(&self, k: i32, lo: usize, hi: usize) -> f64 {
         if hi <= lo {
-            return Some(0.0);
+            return 0.0;
         }
         let n = self.sorted.len() as f64;
-        let pick = |p: &Vec<f64>| (p[hi] - p[lo]) / n;
+        let pick = |p: &[f64]| (p[hi] - p[lo]) / n;
         match k {
-            0 => Some((hi - lo) as f64 / n),
-            1 => Some(pick(&self.prefix1)),
-            2 => Some(pick(&self.prefix2)),
-            3 => Some(pick(&self.prefix3)),
-            -1 => Some(pick(&self.prefix_inv)),
-            _ => None,
+            0 => (hi - lo) as f64 / n,
+            1 => pick(&self.prefix1),
+            2 => pick(&self.prefix2),
+            3 => pick(&self.prefix3),
+            -1 => pick(&self.prefix_inv),
+            _ => self.sorted[lo..hi].iter().map(|&x| x.powi(k)).sum::<f64>() / n,
         }
     }
 }
@@ -135,23 +134,29 @@ impl Distribution for Empirical {
     }
 
     fn raw_moment(&self, k: i32) -> f64 {
-        let (lo, hi) = self.support();
-        self.partial_moment(k, lo - 1.0, hi)
+        self.range_moment(k, 0, self.sorted.len())
     }
 
     fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
         if b <= a {
             return 0.0;
         }
-        if let Some(m) = self.prefix_partial(k, a, b) {
-            return m;
+        self.range_moment(k, self.count_le(a), self.count_le(b))
+    }
+
+    /// Locates the band once for all orders. Orders other than −1…3 scan
+    /// the band: a SITA analysis asks for order −2 (its slowdown
+    /// variance), the cutoff objectives never do.
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        assert_eq!(ks.len(), out.len(), "one output slot per order");
+        if b <= a {
+            out.fill(0.0);
+            return;
         }
-        // other orders: an O(band) scan. Not rare — every SITA band asks
-        // for order −2 (`ServiceMoments::inv2` in `dses-queueing`)
-        let lo = self.count_le(a);
-        let hi = self.count_le(b);
-        let n = self.sorted.len() as f64;
-        self.sorted[lo..hi].iter().map(|&x| x.powi(k)).sum::<f64>() / n
+        let (lo, hi) = (self.count_le(a), self.count_le(b));
+        for (o, &k) in out.iter_mut().zip(ks) {
+            *o = self.range_moment(k, lo, hi);
+        }
     }
 }
 
@@ -215,6 +220,21 @@ mod tests {
         let m4 = d.partial_moment(4, 0.0, 10.0);
         let want = (1.0 + 16.0 + 81.0 + 256.0 + 625.0) / 5.0;
         assert!((m4 - want).abs() < 1e-9);
+    }
+
+    #[test]
+    fn raw_moments_keep_the_smallest_sample_above_2_pow_53() {
+        // the whole sample, not (min − 1, max]: min − 1 rounds to min here
+        let d = Empirical::from_values(&[1e17, 3e17]).unwrap();
+        assert_eq!(d.mean(), 2e17);
+        let big = 2f64.powi(54);
+        let d = Empirical::from_values(&[big, 3.0 * big]).unwrap();
+        assert_eq!(d.raw_moment(0), 1.0);
+        assert_eq!(d.raw_moment(1), 2.0 * big);
+        assert_eq!(d.raw_moment(-2), (big.powi(-2) + (3.0 * big).powi(-2)) / 2.0);
+        // one distinct value: the support is a point
+        let one = Empirical::from_values(&[big, big]).unwrap();
+        assert_eq!(one.mean(), big);
     }
 
     #[test]

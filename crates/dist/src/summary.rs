@@ -95,7 +95,7 @@ impl Summary {
     /// statistics (type-7, the numpy/R default).
     ///
     /// # Panics
-    /// Panics if the summary is empty or `q` outside [0,1].
+    /// Panics if the summary is empty or `q` outside `[0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         assert!(!self.sorted.is_empty(), "quantile of empty summary");

@@ -162,9 +162,9 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
     /// exists for distributions whose partial moments share expensive
     /// work across orders — a quantile-space quadrature evaluates the same
     /// quantile nodes for every order, so one sweep can serve them all
-    /// (override with [`quantile_space_partial_moments`]). SITA analysis
-    /// asks for five orders per band (`ServiceMoments::of_interval` in
-    /// `dses-queueing`).
+    /// (override with [`quantile_space_partial_moments`]). A SITA
+    /// analysis asks for five orders per band (`ServiceMoments::of_interval`
+    /// in `dses-queueing`), a cutoff objective for three.
     ///
     /// The default loops over `partial_moment`, so types with closed forms
     /// keep their own per-order code; wrappers forward to the inner

@@ -29,7 +29,7 @@
 //! enforcement, and `StateNeeds`-vs-usage verification.
 //!
 //! The third tier (`--dataflow`) recovers a per-function control-flow
-//! graph from the token stream ([`cfg`]) and runs hot-loop dataflow
+//! graph from the token stream ([`cfg`](mod@cfg)) and runs hot-loop dataflow
 //! analyses ([`dataflow`]): divide budgets (`// dses-lint: divides(N)`),
 //! loop-allocation freedom, grow-once workspace buffers, and
 //! demand-monomorphism of const-generic record paths.

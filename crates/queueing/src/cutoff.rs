@@ -16,7 +16,7 @@
 //! moments (BoundedPareto, Empirical) make them fast; others fall back to
 //! the numeric defaults.
 
-use crate::sita::{stable_queueing_slowdown, SitaAnalysis, SitaHost};
+use crate::sita::{all_stable, edges, stable_queueing_slowdown, top_edge, Band};
 use dses_dist::numeric;
 use dses_dist::{Distribution, Rng64};
 // dses-lint: allow(determinism) -- moment memo: keyed by exact bit patterns,
@@ -44,6 +44,15 @@ pub enum CutoffError {
         /// the rejected total arrival rate
         lambda: f64,
     },
+    /// One job size carries so much of the load that two equal-load
+    /// cutoffs land on it, leaving no strictly increasing SITA-E cutoffs —
+    /// e.g. a log whose wall-clock cap many jobs run into.
+    LoadAtom {
+        /// the job size, to the solver's tolerance (10⁻¹⁰ of the mean)
+        size: f64,
+        /// the fraction of the total load jobs of this size carry
+        load_share: f64,
+    },
 }
 
 /// Accept an arrival rate the load-dependent cutoff rules can use
@@ -66,6 +75,12 @@ impl std::fmt::Display for CutoffError {
             CutoffError::InvalidRate { lambda } => {
                 write!(f, "arrival rate {lambda} must be positive and finite")
             }
+            CutoffError::LoadAtom { size, load_share } => write!(
+                f,
+                "jobs of size {size:.3} carry {:.1}% of the load, more than one \
+                 host's equal share: equal-load cutoffs cannot separate the hosts",
+                100.0 * load_share
+            ),
         }
     }
 }
@@ -297,7 +312,9 @@ pub(crate) fn tests_support_c90ish() -> dses_dist::Mixture {
 /// SITA-E cutoffs for `h` hosts: each host receives exactly `1/h` of the
 /// total load. Independent of the arrival rate.
 ///
-/// Returns `h − 1` interior cutoffs.
+/// Returns `h − 1` strictly increasing interior cutoffs, or
+/// [`CutoffError::LoadAtom`] when one job size carries so much load that
+/// two of them would coincide.
 pub fn sita_e_cutoffs<D: Distribution + ?Sized>(
     dist: &D,
     hosts: usize,
@@ -309,13 +326,22 @@ pub fn sita_e_cutoffs<D: Distribution + ?Sized>(
     }
     let (lo, hi) = dist.support();
     let m1 = dist.raw_moment(1);
-    let mut cutoffs = Vec::with_capacity(hosts - 1);
+    let hi_finite = if hi.is_finite() { hi } else { dist.quantile(1.0 - 1e-12) };
+    let tol = 1e-10 * m1.max(1.0);
+    let mut cutoffs: Vec<f64> = Vec::with_capacity(hosts - 1);
     for i in 1..hosts {
         let target = m1 * i as f64 / hosts as f64;
         let f = |c: f64| dist.partial_moment(1, 0.0, c) - target;
-        let hi_finite = if hi.is_finite() { hi } else { dist.quantile(1.0 - 1e-12) };
-        let c = numeric::bisect(f, lo, hi_finite, 1e-10 * m1.max(1.0))
+        let c = numeric::bisect(f, lo, hi_finite, tol)
             .map_err(|e| CutoffError::SolveFailed(format!("SITA-E host {i}: {e}")))?;
+        if cutoffs.last().is_some_and(|&prev| c <= prev) {
+            // both targets fall in one jump of the load curve: an atom,
+            // which the bisection brackets to within `tol` of `c`
+            return Err(CutoffError::LoadAtom {
+                size: c,
+                load_share: dist.partial_moment(1, c - tol, c + tol) / m1,
+            });
+        }
         cutoffs.push(c);
     }
     Ok(cutoffs)
@@ -359,16 +385,13 @@ fn feasible_interval<D: Distribution + ?Sized>(
     Ok((c_lo, c_hi))
 }
 
-/// Mean queueing slowdown as a function of the 2-host cutoff (the
-/// objective SITA-U-opt minimises — the +1 of the response convention
-/// does not move the argmin).
-fn objective<D: Distribution + ?Sized>(dist: &D, lambda: f64, c: f64) -> f64 {
-    let a = SitaAnalysis::analyze(dist, lambda, &[c]);
-    if a.is_stable() {
-        a.mean_queueing_slowdown
-    } else {
-        f64::INFINITY
-    }
+/// The two hosts of the 2-host SITA system split at `c`, the upper one
+/// reaching `top` (see [`top_edge`]).
+fn two_bands<D: Distribution + ?Sized>(dist: &D, lambda: f64, c: f64, top: f64) -> [Band; 2] {
+    [
+        Band::of(dist, lambda, 1.0, 0.0, c),
+        Band::of(dist, lambda, 1.0, c, top),
+    ]
 }
 
 /// SITA-U-opt: the 2-host cutoff minimising mean slowdown at total
@@ -381,6 +404,10 @@ pub fn sita_u_opt_cutoff<D: Distribution + ?Sized>(
     lambda: f64,
 ) -> Result<f64, CutoffError> {
     let (c_lo, c_hi) = feasible_interval(dist, lambda)?;
+    // mean queueing slowdown — the +1 of the response convention does not
+    // move the argmin — with `SitaAnalysis::analyze`'s bits
+    let top = top_edge(dist);
+    let objective = |c: f64| stable_queueing_slowdown(&two_bands(dist, lambda, c, top));
     let c_lo = c_lo.max(1e-300);
     let (llo, lhi) = (c_lo.ln(), c_hi.ln());
     const GRID: usize = 160;
@@ -388,7 +415,7 @@ pub fn sita_u_opt_cutoff<D: Distribution + ?Sized>(
     let mut best_v = f64::INFINITY;
     for i in 0..=GRID {
         let c = (llo + (lhi - llo) * i as f64 / GRID as f64).exp();
-        let v = objective(dist, lambda, c);
+        let v = objective(c);
         if v < best_v {
             best_v = v;
             best_i = i;
@@ -401,12 +428,7 @@ pub fn sita_u_opt_cutoff<D: Distribution + ?Sized>(
     }
     let bracket_lo = (llo + (lhi - llo) * best_i.saturating_sub(1) as f64 / GRID as f64).exp();
     let bracket_hi = (llo + (lhi - llo) * (best_i + 1).min(GRID) as f64 / GRID as f64).exp();
-    let c = numeric::golden_section_min(
-        |c| objective(dist, lambda, c),
-        bracket_lo,
-        bracket_hi,
-        1e-9 * bracket_hi,
-    );
+    let c = numeric::golden_section_min(objective, bracket_lo, bracket_hi, 1e-9 * bracket_hi);
     Ok(c)
 }
 
@@ -421,13 +443,14 @@ pub fn sita_u_fair_cutoff<D: Distribution + ?Sized>(
     lambda: f64,
 ) -> Result<f64, CutoffError> {
     let (c_lo, c_hi) = feasible_interval(dist, lambda)?;
+    let top = top_edge(dist);
     let gap = |c: f64| {
-        let a = SitaAnalysis::analyze(dist, lambda, &[c]);
-        if !a.is_stable() {
+        let [short, long] = two_bands(dist, lambda, c, top);
+        if !all_stable(&[short, long]) {
             return f64::NAN;
         }
         // hosts with zero mass report 0 slowdown; treat as perfectly fair
-        a.hosts[0].mean_queueing_slowdown - a.hosts[1].mean_queueing_slowdown
+        short.mean_queueing_slowdown - long.mean_queueing_slowdown
     };
     // shrink slightly inside the interval to avoid the unstable endpoints
     let span = c_hi - c_lo;
@@ -512,20 +535,20 @@ fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
     lambda: f64,
     hosts: usize,
 ) -> Result<Vec<f64>, CutoffError> {
-    let total_m1 = dist.raw_moment(1);
-    let offered = lambda * total_m1;
+    let offered = lambda * dist.raw_moment(1);
     if offered >= hosts as f64 {
         return Err(CutoffError::Infeasible { offered });
     }
     let mut cutoffs = sita_e_cutoffs(dist, hosts)?;
     let (sup_lo, sup_hi) = dist.support();
     let sup_hi = if sup_hi.is_finite() { sup_hi } else { dist.quantile(1.0 - 1e-12) };
-    let band = |a: f64, b: f64| SitaHost::of_band(dist, lambda, a, b, total_m1);
+    let band = |a: f64, b: f64| Band::of(dist, lambda, 1.0, a, b);
     // The hosts of the current cutoffs. Moving cutoff `i` changes only
     // bands `i` and `i + 1`, so a trial re-analyses those two and reuses
     // the rest: the objective is bit-identical to `analyze` on the trial
     // cutoffs (same bands, summed in the same order).
-    let mut bank = SitaAnalysis::analyze(dist, lambda, &cutoffs).hosts;
+    let mut bank: Vec<Band> =
+        edges(dist, &cutoffs).windows(2).map(|w| band(w[0], w[1])).collect();
     let mut best = stable_queueing_slowdown(&bank);
     for _sweep in 0..12 {
         let before = best;
@@ -629,22 +652,14 @@ fn sita_u_fair_cutoffs_multi_impl<D: Distribution + ?Sized>(
     let (_, sup_hi) = dist.support();
     let sup_hi = if sup_hi.is_finite() { sup_hi } else { dist.quantile(1.0 - 1e-12) };
 
-    // Queueing slowdown of a host serving the size band (a, b].
+    // Queueing slowdown of a host serving the size band (a, b]: 0 when
+    // it receives no jobs, +∞ when it is unstable.
     let band_slowdown = |a: f64, b: f64| -> f64 {
-        let p = dist.prob_in(a, b);
-        if p <= 0.0 {
-            return 0.0;
-        }
-        match crate::mg1::ServiceMoments::of_interval(dist, a, b) {
-            Some(service) => {
-                let q = crate::mg1::Mg1::new(lambda * p, service);
-                if q.is_stable() {
-                    q.mean_queueing_slowdown()
-                } else {
-                    f64::INFINITY
-                }
-            }
-            None => 0.0,
+        let band = Band::of(dist, lambda, 1.0, a, b);
+        if band.rho < 1.0 {
+            band.mean_queueing_slowdown
+        } else {
+            f64::INFINITY
         }
     };
 
@@ -735,6 +750,7 @@ fn dedup_cutoffs(mut cutoffs: Vec<f64>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sita::SitaAnalysis;
     use dses_dist::prelude::*;
 
     /// A C90-like body–tail workload (the regime the paper studies).
@@ -905,15 +921,20 @@ mod tests {
     #[test]
     fn truncated_moments_caches_solver_workloads() {
         // a full 2-host solve through the cache returns the same cutoff
-        // as the raw distribution, and actually hits the memo tables
+        // as the raw distribution, and a repeat solve is answered from
+        // the memo tables alone (a single opt solve repeats no query)
         let d = c90ish();
         let lambda = 1.2 / d.mean();
         let raw = sita_u_opt_cutoff(&d, lambda).unwrap();
         let cached = TruncatedMoments::new(&d);
         let memoized = sita_u_opt_cutoff(&cached, lambda).unwrap();
         assert_eq!(raw.to_bits(), memoized.to_bits());
-        let (hits, _) = cached.stats();
-        assert!(hits > 0, "solver should reuse cached moments");
+        let (hits, misses) = cached.stats();
+        let warm = sita_u_opt_cutoff(&cached, lambda).unwrap();
+        assert_eq!(raw.to_bits(), warm.to_bits());
+        let (warm_hits, warm_misses) = cached.stats();
+        assert_eq!(warm_misses, misses, "a warm solve misses nothing");
+        assert!(warm_hits > hits, "solver should reuse cached moments");
 
         let raw_fair = sita_u_fair_cutoff(&d, lambda).unwrap();
         let cached_fair = TruncatedMoments::new(&d);
@@ -957,6 +978,41 @@ mod tests {
         .unwrap();
         assert!(!mixed.closed_form_moments());
         assert!(c90ish().closed_form_moments());
+    }
+
+    #[test]
+    fn a_size_carrying_most_of_the_load_stops_sita_e_with_a_typed_error() {
+        // every 10th job runs into a 12-hour wall-clock cap: that one size
+        // carries ~73% of the load, more than any host's equal share
+        let sizes: Vec<f64> = (0..1_000)
+            .map(|i| if i % 10 == 9 { 43_200.0 } else { 60.0 + (i * 37 % 3_541) as f64 })
+            .collect();
+        let d = Empirical::from_values(&sizes).unwrap();
+        let share = d.partial_moment(1, 43_199.0, 43_200.0) / d.mean();
+        assert!(share > 0.7, "share {share}");
+        // two hosts take one cutoff, which cannot collide
+        assert_eq!(sita_e_cutoffs(&d, 2).unwrap().len(), 1);
+        for hosts in [4, 16] {
+            let lambda = 0.7 * hosts as f64 / d.mean();
+            for (rule, got) in [
+                ("EqualLoad", sita_e_cutoffs(&d, hosts)),
+                ("OptSlowdown", sita_u_opt_cutoffs_multi(&d, lambda, hosts)),
+            ] {
+                match got {
+                    Err(CutoffError::LoadAtom { size, load_share }) => {
+                        assert!((size - 43_200.0).abs() < 1e-3, "{rule} h={hosts}: {size}");
+                        assert_eq!(load_share, share, "{rule} h={hosts}");
+                    }
+                    other => panic!("{rule} h={hosts}: {other:?}"),
+                }
+            }
+            // water-filling needs no equal-load start
+            let fair = sita_u_fair_cutoffs_multi(&d, lambda, hosts).unwrap();
+            assert_eq!(fair.len(), hosts - 1);
+            assert!(fair.windows(2).all(|w| w[0] < w[1]), "Fair h={hosts}: {fair:?}");
+        }
+        let msg = sita_e_cutoffs(&d, 4).unwrap_err().to_string();
+        assert!(msg.contains(&format!("size 43200.000 carry {:.1}%", 100.0 * share)), "{msg}");
     }
 
     #[test]

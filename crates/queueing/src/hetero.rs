@@ -16,7 +16,7 @@
 //! [`hetero_opt_cutoff`] and explored in the `ablation_hetero` exhibit.
 
 use crate::cutoff::CutoffError;
-use crate::mg1::{Mg1, ServiceMoments};
+use crate::sita::{edges, Band};
 use dses_dist::{numeric, Distribution};
 
 /// Analysis of one heterogeneous SITA host.
@@ -67,24 +67,19 @@ pub fn analyze_hetero<D: Distribution + ?Sized>(
         speeds.iter().all(|&s| s > 0.0 && s.is_finite()),
         "speeds must be positive and finite"
     );
-    assert!(lambda > 0.0, "lambda must be positive");
-    let (_, sup_hi) = dist.support();
-    let sup_hi = if sup_hi.is_finite() { sup_hi } else { f64::INFINITY };
+    assert!(lambda > 0.0 && lambda.is_finite(), "lambda must be positive");
     let total_m1 = dist.raw_moment(1);
-    let mut edges = Vec::with_capacity(cutoffs.len() + 2);
-    edges.push(0.0);
-    edges.extend_from_slice(cutoffs);
-    edges.push(sup_hi);
     let mut hosts = Vec::with_capacity(speeds.len());
     let mut mean_slowdown = 0.0;
     let mut mean_waiting = 0.0;
-    for (w, &speed) in edges.windows(2).zip(speeds) {
-        let (a, b) = (w[0], w[1]);
-        let p = dist.prob_in(a, b);
-        // dses-lint: allow(float-totality) -- intentional exact-underflow guard
-        if !(p > 1e-300) || lambda * p == 0.0 {
+    for (w, &speed) in edges(dist, cutoffs).windows(2).zip(speeds) {
+        // the band's time moments scaled by the speed, its inverse moment
+        // kept at the reference size
+        let band = Band::of(dist, lambda, speed, w[0], w[1]);
+        let p = band.job_fraction;
+        if !(p > 0.0) {
             hosts.push(HeteroHost {
-                interval: (a, b),
+                interval: band.interval,
                 speed,
                 job_fraction: 0.0,
                 rho: 0.0,
@@ -94,30 +89,18 @@ pub fn analyze_hetero<D: Distribution + ?Sized>(
             });
             continue;
         }
-        // dses-lint: allow(panic-hygiene) -- guarded: the vanishing-mass branch above `continue`s
-        let base = ServiceMoments::of_interval(dist, a, b).expect("positive mass");
-        // scale the *time* moments; keep the reference inverse moments
-        let scaled = ServiceMoments {
-            m1: base.m1 / speed,
-            m2: base.m2 / (speed * speed),
-            m3: base.m3 / (speed * speed * speed),
-            inv1: base.inv1,
-            inv2: base.inv2,
-        };
-        let q = Mg1::new(lambda * p, scaled);
-        let waiting = q.mean_waiting();
-        let slowdown = waiting * base.inv1 + 1.0 / speed;
+        let slowdown = band.mean_queueing_slowdown + 1.0 / speed;
         hosts.push(HeteroHost {
-            interval: (a, b),
+            interval: band.interval,
             speed,
             job_fraction: p,
-            rho: q.rho(),
-            load_fraction: dist.partial_moment(1, a, b) / total_m1,
-            mean_waiting: waiting,
+            rho: band.rho,
+            load_fraction: band.work / total_m1,
+            mean_waiting: band.mean_waiting,
             mean_slowdown: slowdown,
         });
         mean_slowdown += p * slowdown;
-        mean_waiting += p * waiting;
+        mean_waiting += p * band.mean_waiting;
     }
     HeteroSita {
         hosts,

@@ -131,11 +131,7 @@ impl Mg1 {
     /// Mean waiting time `E[W]` (Pollaczek–Khinchine). `+∞` if unstable.
     #[must_use]
     pub fn mean_waiting(&self) -> f64 {
-        let rho = self.rho();
-        if rho >= 1.0 {
-            return f64::INFINITY;
-        }
-        self.lambda * self.service.m2 / (2.0 * (1.0 - rho))
+        pk_mean_waiting(self.lambda, self.service.m1, self.service.m2)
     }
 
     /// Second moment of waiting time `E[W²]` (Takács). `+∞` if unstable.
@@ -201,6 +197,17 @@ impl Mg1 {
         let m1 = self.mean_queueing_slowdown();
         self.queueing_slowdown_moment2() - m1 * m1
     }
+}
+
+/// The Pollaczek–Khinchine `E[W] = λ·E[X²] / (2(1−ρ))` at `ρ = λ·E[X]`,
+/// `+∞` if unstable: [`Mg1::mean_waiting`] on the moments `m1 = E[X]`
+/// and `m2 = E[X²]`, for callers that hold no [`ServiceMoments`].
+pub(crate) fn pk_mean_waiting(lambda: f64, m1: f64, m2: f64) -> f64 {
+    let rho = lambda * m1;
+    if rho >= 1.0 {
+        return f64::INFINITY;
+    }
+    lambda * m2 / (2.0 * (1.0 - rho))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! slowdown and response time for each host and hence also the overall
 //! slowdown and response time", §4.1).
 
-use crate::mg1::{Mg1, ServiceMoments};
+use crate::mg1::{pk_mean_waiting, Mg1, ServiceMoments};
 use dses_dist::Distribution;
 
 /// Analysis of a single SITA host.
@@ -45,30 +45,34 @@ pub struct SitaHost {
     pub service: Option<ServiceMoments>,
 }
 
+/// Whether the band of mass `p` receives no jobs at total rate `lambda`:
+/// subnormal-probability bands count as empty, since the host gets
+/// effectively no jobs and `λ·p` would underflow to zero anyway.
+fn is_empty_band(lambda: f64, p: f64) -> bool {
+    // dses-lint: allow(float-totality) -- intentional exact-underflow guard
+    !(p > 1e-300) || lambda * p == 0.0
+}
+
 impl SitaHost {
     /// Analyse the host serving the size band `(a, b]` when jobs arrive at
     /// total rate `lambda` and `total_m1 = E[X]` — one host of
-    /// [`SitaAnalysis::analyze`], which builds every host here. A solver
-    /// that moves one cutoff re-analyses only the two bands it bounds.
+    /// [`SitaAnalysis::analyze`], which builds every host here.
     ///
     /// The band's mass and work plus its conditional service moments come
-    /// from one `prob_in` and one [`Distribution::partial_moments`] call;
-    /// an empty band (subnormal mass) takes neither sweep nor work and
-    /// receives no jobs.
+    /// from one `prob_in` and one [`Distribution::partial_moments`] call
+    /// for all five `ServiceMoments` orders; an empty band (subnormal mass)
+    /// takes neither sweep nor work and receives no jobs. The cutoff
+    /// solvers read only a [`Band`] of each host.
     #[must_use]
-    pub(crate) fn of_band<D: Distribution + ?Sized>(
+    fn of_band<D: Distribution + ?Sized>(
         dist: &D,
         lambda: f64,
         a: f64,
         b: f64,
         total_m1: f64,
     ) -> Self {
-        assert!(lambda > 0.0 && lambda.is_finite(), "lambda must be positive");
         let p = dist.prob_in(a, b);
-        // treat subnormal-probability bands as empty: the host gets
-        // effectively no jobs, and λ·p would underflow to zero anyway
-        // dses-lint: allow(float-totality) -- intentional exact-underflow guard
-        if !(p > 1e-300) || lambda * p == 0.0 {
+        if is_empty_band(lambda, p) {
             return Self {
                 interval: (a, b),
                 job_fraction: 0.0,
@@ -99,6 +103,101 @@ impl SitaHost {
             mean_response: q.mean_response(),
             service: Some(service),
         }
+    }
+}
+
+/// A SITA host as the cutoff objectives read it: the band's mass and
+/// work, and the host's utilisation, `E[W]` and `E[W/X]`.
+///
+/// Those need only the band's partial moments of orders 1, 2 and −1 —
+/// `ρ`, the Pollaczek–Khinchine `E[W]` and `E[W]·E[X⁻¹]` — so [`Band::of`]
+/// asks for those three, not the five of a [`SitaHost`], whose variance
+/// and `E[X³]` no objective reads. For an `Empirical` that drops the
+/// O(band) scan behind order −2. Every field has the bits of the
+/// [`SitaHost`] field of the same name: each order of
+/// [`Distribution::partial_moments`] is bit-identical however the orders
+/// are batched, and the conditioning and queue arithmetic are
+/// `ServiceMoments::of_band`'s and [`Mg1`]'s, in their order. So an
+/// objective folded over bands equals the one read off
+/// [`SitaAnalysis::analyze`] on the same cutoffs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Band {
+    /// size interval `(lo, hi]`
+    pub(crate) interval: (f64, f64),
+    /// fraction of all jobs routed here (0 for an empty band)
+    pub(crate) job_fraction: f64,
+    /// unnormalised work `E[X·1{lo < X ≤ hi}]`
+    pub(crate) work: f64,
+    /// utilisation
+    pub(crate) rho: f64,
+    /// mean waiting time
+    pub(crate) mean_waiting: f64,
+    /// mean queueing slowdown `E[W]·E[X⁻¹ | band]`
+    pub(crate) mean_queueing_slowdown: f64,
+}
+
+impl Band {
+    /// The band `(a, b]` served by a host of the given `speed` (1 for the
+    /// paper's identical hosts; `analyze_hetero` scales the service-time
+    /// moments by it, and the slowdown stays against the reference size)
+    /// when jobs arrive at total rate `lambda`: one `prob_in` and one
+    /// [`Distribution::partial_moments`] call of orders 1, 2 and −1. An
+    /// empty band takes no moments, and every field but its interval is 0.
+    pub(crate) fn of<D: Distribution + ?Sized>(
+        dist: &D,
+        lambda: f64,
+        speed: f64,
+        a: f64,
+        b: f64,
+    ) -> Self {
+        let p = dist.prob_in(a, b);
+        if is_empty_band(lambda, p) {
+            return Self {
+                interval: (a, b),
+                job_fraction: 0.0,
+                work: 0.0,
+                rho: 0.0,
+                mean_waiting: 0.0,
+                mean_queueing_slowdown: 0.0,
+            };
+        }
+        let mut m = [0.0; 3];
+        dist.partial_moments(&[1, 2, -1], a, b, &mut m);
+        let [work, m2, inv1] = m;
+        // `ServiceMoments::of_band`'s conditioning, the speed scaling, then
+        // `Mg1::rho`, `Mg1::mean_waiting` and `Mg1::mean_queueing_slowdown`
+        let host_lambda = lambda * p;
+        let (m1, m2) = (work / p / speed, m2 / p / (speed * speed));
+        let mean_waiting = pk_mean_waiting(host_lambda, m1, m2);
+        Self {
+            interval: (a, b),
+            job_fraction: p,
+            work,
+            rho: host_lambda * m1,
+            mean_waiting,
+            mean_queueing_slowdown: mean_waiting * (inv1 / p),
+        }
+    }
+}
+
+/// The band edges of the SITA system on `cutoffs`: 0, the cutoffs, and
+/// the top of the support (`+∞` when it is not finite).
+pub(crate) fn edges<D: Distribution + ?Sized>(dist: &D, cutoffs: &[f64]) -> Vec<f64> {
+    let mut edges = Vec::with_capacity(cutoffs.len() + 2);
+    edges.push(0.0);
+    edges.extend_from_slice(cutoffs);
+    edges.push(top_edge(dist));
+    edges
+}
+
+/// The upper edge of the last SITA band: the top of the support, or `+∞`
+/// when it is not finite.
+pub(crate) fn top_edge<D: Distribution + ?Sized>(dist: &D) -> f64 {
+    let (_, sup_hi) = dist.support();
+    if sup_hi.is_finite() {
+        sup_hi
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -149,13 +248,8 @@ impl SitaAnalysis {
             cutoffs.windows(2).all(|w| w[0] < w[1]),
             "cutoffs must be strictly increasing"
         );
-        let (_, sup_hi) = dist.support();
         let total_m1 = dist.raw_moment(1);
-        let mut edges = Vec::with_capacity(cutoffs.len() + 2);
-        edges.push(0.0);
-        edges.extend_from_slice(cutoffs);
-        edges.push(if sup_hi.is_finite() { sup_hi } else { f64::INFINITY });
-        let hosts: Vec<SitaHost> = edges
+        let hosts: Vec<SitaHost> = edges(dist, cutoffs)
             .windows(2)
             .map(|w| SitaHost::of_band(dist, lambda, w[0], w[1], total_m1))
             .collect();
@@ -215,28 +309,51 @@ impl SitaAnalysis {
     }
 }
 
+/// What the per-job folds read of a host — its job fraction, utilisation
+/// and mean queueing slowdown — so [`SitaHost`] and [`Band`] fold through
+/// the same code.
+pub(crate) trait HostTerms {
+    /// `(job_fraction, rho, mean_queueing_slowdown)`
+    fn terms(&self) -> (f64, f64, f64);
+}
+
+impl HostTerms for SitaHost {
+    fn terms(&self) -> (f64, f64, f64) {
+        (self.job_fraction, self.rho, self.mean_queueing_slowdown)
+    }
+}
+
+impl HostTerms for Band {
+    fn terms(&self) -> (f64, f64, f64) {
+        (self.job_fraction, self.rho, self.mean_queueing_slowdown)
+    }
+}
+
 /// Whether every host that receives jobs is stable.
-fn all_stable<'h>(hosts: impl IntoIterator<Item = &'h SitaHost>) -> bool {
-    hosts
-        .into_iter()
-        .all(|h| h.job_fraction <= 0.0 || h.rho < 1.0)
+pub(crate) fn all_stable<'h, H: HostTerms + 'h>(hosts: impl IntoIterator<Item = &'h H>) -> bool {
+    hosts.into_iter().all(|h| {
+        let (p, rho, _) = h.terms();
+        p <= 0.0 || rho < 1.0
+    })
 }
 
 /// The per-job mean queueing slowdown `Σ pᵢ·E[Wᵢ/X]`, summed in host
 /// order.
-fn mixed_queueing_slowdown<'h>(hosts: impl IntoIterator<Item = &'h SitaHost>) -> f64 {
-    hosts
-        .into_iter()
-        .fold(0.0, |acc, h| acc + h.job_fraction * h.mean_queueing_slowdown)
+fn mixed_queueing_slowdown<'h, H: HostTerms + 'h>(hosts: impl IntoIterator<Item = &'h H>) -> f64 {
+    hosts.into_iter().fold(0.0, |acc, h| {
+        let (p, _, slowdown) = h.terms();
+        acc + p * slowdown
+    })
 }
 
 /// SITA-U-opt's objective over a bank of hosts in cutoff order: the
 /// per-job mean queueing slowdown, or `+∞` unless every host that receives
 /// jobs is stable. Bit-identical to `analyze` over the same bands, so a
-/// solver may assemble the bank from hosts it kept.
-pub(crate) fn stable_queueing_slowdown<'h, I>(hosts: I) -> f64
+/// solver may assemble the bank from [`Band`]s it kept.
+pub(crate) fn stable_queueing_slowdown<'h, H, I>(hosts: I) -> f64
 where
-    I: IntoIterator<Item = &'h SitaHost>,
+    H: HostTerms + 'h,
+    I: IntoIterator<Item = &'h H>,
     I::IntoIter: Clone,
 {
     let hosts = hosts.into_iter();

@@ -247,7 +247,7 @@ pub fn sita_slowdown_ccdf<D: Distribution + ?Sized>(
 ///
 /// Each bisection step only asks which side of `1 − q` the tail lies
 /// on, so it stops inverting as soon as the terms computed so far decide
-/// that (see [`SlowdownTail::exceeds`]); the answer is the same bits the
+/// that (see `SlowdownTail::exceeds`); the answer is the same bits the
 /// full evaluation gives, at any worker count.
 #[must_use]
 pub fn sita_slowdown_quantile<D: Distribution + ?Sized>(

@@ -18,7 +18,7 @@
 //!
 //! Like the fast engine, all per-run state (host state machines, the
 //! departure heap, the central waiting room) lives in an
-//! [`EventWorkspace`] inside a [`SimWorkspace`]: `run_dispatch_into` /
+//! `EventWorkspace` inside a [`SimWorkspace`]: `run_dispatch_into` /
 //! `run_central_queue_into` borrow one explicitly and reset it without
 //! freeing; the plain entry points use the thread-local workspace.
 
@@ -225,8 +225,8 @@ impl EventEngine {
     /// (allocation-free in steady state, like
     /// [`crate::fast::simulate_dispatch_into`]).
     ///
-    /// Three divides per job: the Lindley update in [`Host::accept`],
-    /// the completion time in [`Host::start_service`], and the
+    /// Three divides per job: the Lindley update in `Host::accept`,
+    /// the completion time in `Host::start_service`, and the
     /// collector's slowdown reciprocal — the oracle engine pays for
     /// clarity what the fast kernels hoist.
     // dses-lint: divides(3)

@@ -1,19 +1,23 @@
 //! The analytic layer computes each band quantity once — one quantile
 //! sweep per band, an incremental multi-host descent, slowdown-tail
-//! tables built once per solve — and every reuse is bit-identical to
-//! recomputing.
+//! tables built once per solve — and only the band quantities a cutoff
+//! objective reads (three moments, not five), and every reuse is
+//! bit-identical to recomputing.
 //!
 //! The pinned bit patterns were recorded with the per-order quadrature,
-//! the full re-analysis per descent trial, and the per-evaluation tail
-//! tables that these reuses replaced.
+//! the full re-analysis per descent trial, the per-evaluation tail
+//! tables and the five-moment objective bands that these replaced.
 
 use dses_dist::prelude::*;
 use dses_dist::quantile_space_partial_moments;
-use dses_queueing::cutoff::{sita_u_opt_cutoffs_multi, TruncatedMoments};
+use dses_queueing::cutoff::{
+    sita_e_cutoffs, sita_u_fair_cutoff, sita_u_fair_cutoffs_multi, sita_u_opt_cutoff,
+    sita_u_opt_cutoffs_multi, TruncatedMoments,
+};
 use dses_queueing::transform::{sita_slowdown_ccdf, sita_slowdown_quantile};
-use dses_queueing::{ServiceMoments, SitaAnalysis};
+use dses_queueing::{analyze_hetero, hetero_opt_cutoff, ServiceMoments, SitaAnalysis};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The calibrated body–tail C90 stand-in of the queueing crate's tests.
 fn c90ish() -> Mixture {
@@ -67,8 +71,8 @@ fn multi_host_opt_cutoffs_keep_their_pinned_bits() {
 
 #[test]
 fn multi_host_opt_cutoffs_on_a_trace_sample_keep_their_pinned_bits() {
-    // Empirical moments of order −2 are an O(band) scan, the case the
-    // incremental descent helps most
+    // the descent on a step CDF, whose band moments are prefix-sum
+    // lookups
     let d = c90ish();
     let mut rng = Rng64::seed_from(1997);
     let sample: Vec<f64> = (0..5_000).map(|_| d.sample(&mut rng)).collect();
@@ -85,6 +89,291 @@ fn multi_host_opt_cutoffs_on_a_trace_sample_keep_their_pinned_bits() {
         0x4122c5b04cc5935a,
     ];
     assert_eq!(bits(&got), want);
+}
+
+/// SITA-U-opt and SITA-U-fair cutoffs at `hosts`, at system load 0.7:
+/// the 2-host solvers at 2 hosts, the multi-host ones beyond.
+fn opt_and_fair<D: Distribution>(d: &D, hosts: usize) -> (Vec<f64>, Vec<f64>) {
+    let lambda = 0.7 * hosts as f64 / d.mean();
+    if hosts == 2 {
+        (
+            vec![sita_u_opt_cutoff(d, lambda).unwrap()],
+            vec![sita_u_fair_cutoff(d, lambda).unwrap()],
+        )
+    } else {
+        (
+            sita_u_opt_cutoffs_multi(d, lambda, hosts).unwrap(),
+            sita_u_fair_cutoffs_multi(d, lambda, hosts).unwrap(),
+        )
+    }
+}
+
+/// `(hosts, opt, fair)` cutoff bit patterns.
+type CutoffPins = [(usize, &'static [u64], &'static [u64]); 3];
+
+fn assert_pins<D: Distribution>(name: &str, d: &D, pins: &CutoffPins) {
+    for &(hosts, opt, fair) in pins {
+        let (got_opt, got_fair) = opt_and_fair(d, hosts);
+        assert_eq!(bits(&got_opt), opt, "{name} opt h={hosts}");
+        assert_eq!(bits(&got_fair), fair, "{name} fair h={hosts}");
+    }
+}
+
+#[test]
+fn opt_and_fair_cutoffs_on_c90_keep_their_pinned_bits() {
+    const PINS: CutoffPins = [
+        (
+            2,
+            &[0x40dcca7d670f0f36],
+            &[0x40e137d9b518b10d],
+        ),
+        (
+            4,
+            &[0x40a1a926d1b76a07, 0x40e0d95f43307f2a, 0x40ffb6416d708573],
+            &[0x40b85cbb8fd12712, 0x40e9818255384e1e, 0x41049607fd5db0c5],
+        ),
+        (
+            16,
+            &[
+                0x407aca2b0e3b5d3c,
+                0x409fedbf2046e92b,
+                0x40b783262084cf68,
+                0x40c8d61aab649740,
+                0x40d58e3b3fc9b5e2,
+                0x40e08f63d3ebaf2a,
+                0x40e776129f32f1a4,
+                0x40ef64be8c48320e,
+                0x40f3cec8fbd4b2f6,
+                0x40f874da7d9bc8e6,
+                0x40ff0f6a58e25e3b,
+                0x41048bd05852f61f,
+                0x410cefcd68c6261e,
+                0x41169b7531959c82,
+                0x4125872b9e357ccf,
+            ],
+            &[
+                0x408f356ec4a1e01e,
+                0x40b02afb28e9aefd,
+                0x40c2e762f9807a30,
+                0x40d1214950598abe,
+                0x40db030d00a23f86,
+                0x40e3863f83840ad7,
+                0x40ea99e084819ffc,
+                0x40f15c2df04699aa,
+                0x40f563d8ea944d2b,
+                0x40fab082ba854224,
+                0x41013731d79b54b5,
+                0x41073bf0fbbe90ae,
+                0x4110b88b7be225e4,
+                0x411a930dd9f9c3fa,
+                0x412910644689a64d,
+            ],
+        ),
+    ];
+    assert_pins("c90ish", &c90ish(), &PINS);
+}
+
+#[test]
+fn opt_and_fair_cutoffs_on_a_20k_trace_sample_keep_their_pinned_bits() {
+    // the objectives read orders 1, 2 and −1 only, all prefix-sum lookups
+    let d = c90ish();
+    let mut rng = Rng64::seed_from(1997);
+    let sample: Vec<f64> = (0..20_000).map(|_| d.sample(&mut rng)).collect();
+    const PINS: CutoffPins = [
+        (
+            2,
+            &[0x40de0f85f94769da],
+            &[0x40e1c194556ea02f],
+        ),
+        (
+            4,
+            &[0x40a24b74c1d6ad2b, 0x40e1b2df61931fbe, 0x41024ed14784d592],
+            &[0x40b83397eb4beee2, 0x40e9e2b4478a41e2, 0x4107080faf94f481],
+        ),
+        (
+            16,
+            &[
+                0x407bac3752b8a416,
+                0x40a0b1380580fe26,
+                0x40b81db9a3b83466,
+                0x40c996c2f86d9070,
+                0x40d6a27ed3be231e,
+                0x40e15d39d78d6d7c,
+                0x40e8414ea6a477ee,
+                0x40f0cc015689a0e4,
+                0x40f5d97a6422b23e,
+                0x40fbc2a9ffe8fac7,
+                0x4102bdabd96e85dc,
+                0x4108c36c43326f80,
+                0x41118b53629d7138,
+                0x41226921d9916758,
+                0x412d090ca4cb2265,
+            ],
+            &[
+                0x408f080422074974,
+                0x40b01c2fed96f124,
+                0x40c2a359b7a54ec5,
+                0x40d11ba2f26ea311,
+                0x40db73225363d4d0,
+                0x40e3a247ef88eee2,
+                0x40ea6f4f8e3666d8,
+                0x40f1b804aaa9e8a0,
+                0x40f7085a20faeafe,
+                0x40fc088eb856442a,
+                0x410315b1442fbbab,
+                0x4109f98065e60aea,
+                0x41117168d3783322,
+                0x411fdb61c1fcfd1a,
+                0x412cf57fd61ea080,
+            ],
+        ),
+    ];
+    assert_pins("Empirical", &Empirical::from_values(&sample).unwrap(), &PINS);
+}
+
+#[test]
+fn two_host_cutoffs_of_a_cdf_only_distribution_keep_their_pinned_bits() {
+    // every band takes the quadrature sweep, now over three orders; the
+    // multi-host solves cost seconds per host count in a debug build
+    let (opt, fair) = opt_and_fair(&CountingUniform::default(), 2);
+    assert_eq!(bits(&opt), [0x40018ec0c06c7f6f]);
+    assert_eq!(bits(&fair), [0x4001cc6f33989d5c]);
+}
+
+#[test]
+fn hetero_analysis_keeps_its_pinned_bits() {
+    let d = c90ish();
+    let lambda = 1.2 / d.mean();
+    // at these speeds `m2 / (p·s²)` and `(m2 / p) / s²` round apart, so
+    // the pins also fix the order of the speed scaling
+    let pinned: [([f64; 2], &[u64], u64); 2] = [
+        (
+            [1.3, 0.9],
+            &[
+                0x4025659a2b942dd5,
+                0x40f001b9ee25c2f6,
+                0x3feefbd0ceb8187f,
+                0x3fd1fc3ca15f0c39,
+                0x3fd37bec597c4d3e,
+                0x409932175c5530b4,
+                0x4023d25c36165776,
+                0x3fa042f3147e7810,
+                0x3fedad626f02772a,
+                0x3fe64209d341d960,
+                0x413ebfa06739c8a9,
+                0x40415aa56082d523,
+            ],
+            0x40d9ecd4ab14766f,
+        ),
+        (
+            [0.6, 1.7],
+            &[
+                0x405383afd0990716,
+                0x40cf4fae1fa99d95,
+                0x3feefbd0ceb8187f,
+                0x3fe37bec597c4d3e,
+                0x3fd37bec597c4d3e,
+                0x40cb2dab1cbed52b,
+                0x405423812692756d,
+                0x3fa042f3147e7810,
+                0x3fdf6c4a1b2fc978,
+                0x3fe64209d341d960,
+                0x40f3a9b1e0600e48,
+                0x3ffee56c8695c6e0,
+            ],
+            0x40abd6d94cb2b593,
+        ),
+    ];
+    for (speeds, want, opt) in pinned {
+        let a = analyze_hetero(&d, lambda, &[30_000.0], &speeds);
+        let mut got = vec![a.mean_slowdown, a.mean_waiting];
+        for h in &a.hosts {
+            got.extend([h.job_fraction, h.rho, h.load_fraction, h.mean_waiting, h.mean_slowdown]);
+        }
+        assert_eq!(bits(&got), want, "speeds {speeds:?}");
+        let c = hetero_opt_cutoff(&d, lambda, speeds).unwrap();
+        assert_eq!(c.to_bits(), opt, "speeds {speeds:?}");
+    }
+}
+
+/// Forwards everything to `inner` and records the orders each partial
+/// moment call asks for.
+#[derive(Debug)]
+struct Recording<D> {
+    inner: D,
+    asked: Mutex<Vec<Vec<i32>>>,
+}
+
+impl<D> Recording<D> {
+    fn new(inner: D) -> Self {
+        Self { inner, asked: Mutex::new(Vec::new()) }
+    }
+
+    /// The order lists asked for since the last call.
+    fn take(&self) -> Vec<Vec<i32>> {
+        std::mem::take(&mut *self.asked.lock().unwrap())
+    }
+}
+
+impl<D: Distribution> Distribution for Recording<D> {
+    fn sample(&self, rng: &mut Rng64) -> f64 {
+        self.inner.sample(rng)
+    }
+    fn support(&self) -> (f64, f64) {
+        self.inner.support()
+    }
+    fn cdf(&self, x: f64) -> f64 {
+        self.inner.cdf(x)
+    }
+    fn quantile(&self, p: f64) -> f64 {
+        self.inner.quantile(p)
+    }
+    fn raw_moment(&self, k: i32) -> f64 {
+        self.inner.raw_moment(k)
+    }
+    fn prob_in(&self, a: f64, b: f64) -> f64 {
+        self.inner.prob_in(a, b)
+    }
+    fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
+        self.asked.lock().unwrap().push(vec![k]);
+        self.inner.partial_moment(k, a, b)
+    }
+    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
+        self.asked.lock().unwrap().push(ks.to_vec());
+        self.inner.partial_moments(ks, a, b, out);
+    }
+    fn closed_form_moments(&self) -> bool {
+        self.inner.closed_form_moments()
+    }
+}
+
+#[test]
+fn cutoff_solves_ask_no_band_for_order_3_or_minus_2() {
+    let d = Recording::new(c90ish());
+    let lambda = 1.4 / d.mean();
+    let mut cutoffs = Vec::new();
+    for hosts in [2, 4] {
+        let (opt, fair) = opt_and_fair(&d, hosts);
+        cutoffs.push(opt);
+        cutoffs.push(fair);
+        let _ = sita_e_cutoffs(&d, hosts).unwrap();
+    }
+    let _ = hetero_opt_cutoff(&d, lambda, [0.5, 1.5]).unwrap();
+    let _ = analyze_hetero(&d, lambda, &[30_000.0], &[0.5, 1.5]);
+    let asked = d.take();
+    assert!(asked.contains(&vec![1, 2, -1]), "the lean band");
+    for ks in &asked {
+        assert!(!ks.contains(&3) && !ks.contains(&-2), "a solve asked for {ks:?}");
+    }
+    // the analysis of the solved cutoffs still reports every moment
+    for c in &cutoffs {
+        let lambda = 0.7 * (c.len() + 1) as f64 / d.mean();
+        let a = SitaAnalysis::analyze(&d, lambda, c);
+        assert!(a.slowdown_variance.is_finite());
+        let asked = d.take();
+        assert_eq!(asked.len(), c.len() + 1, "one call per band");
+        assert!(asked.iter().all(|ks| ks == &[1, 2, 3, -1, -2]), "{asked:?}");
+    }
 }
 
 #[test]
