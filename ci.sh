@@ -5,6 +5,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+
+# Exhibits gate: every paper exhibit and ablation, regenerated (fully
+# deterministic, seed 1997), must reproduce the committed capture byte
+# for byte (~11-15 s on 2 vCPUs).
+./target/release/all_exhibits | cmp - exhibits_output.txt
+
 cargo test -q
 
 # The repo benchmark (`perfbench/`, its own cargo workspace) builds
@@ -15,7 +21,7 @@ cargo test -q
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Digest gates: one iteration of each benchmark workload, checked against
-# `perfbench/references.txt`. `paper_h2` (~2 s) and `wide_full` (~3 s)
+# `perfbench/references.txt`. `paper_h2` (~1.5 s) and `wide_full` (~2.7 s)
 # simulate — the C90 sweep grid and replications at 2 hosts, the full
 # collector at 8 and 64 hosts — so a change that moves one trace or kernel
 # bit fails here. `analytic` (~6 s on 2 vCPUs, most of it the Erlang-4

@@ -188,13 +188,11 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     }
 
     fn metrics_config(&self, split_cutoff: Option<f64>, reads: Demand) -> MetricsConfig {
-        let (lo, hi) = self.dist.support();
-        let hi = if hi.is_finite() { hi * 1.01 } else { 1.0e9 };
         MetricsConfig {
             warmup_jobs: self.warmup_jobs,
             collect_records: false,
             fairness_bins: self.fairness_bins,
-            fairness_range: (lo.max(1e-3), hi),
+            fairness_range: fairness_range(self.dist.support()),
             split_cutoff,
             slowdown_percentiles: self.percentiles,
             slo_slowdown: self.slo_slowdown,
@@ -340,6 +338,26 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
         let lambda = rho * self.hosts as f64 / self.dist.mean();
         analyze_policy(policy, &self.dist, lambda, self.hosts)
     }
+}
+
+/// The fairness profile's size range for a size distribution with
+/// support `(lo, hi)`: `[max(lo, 10⁻³), 1.01·hi)`, with 10⁹ standing in
+/// for an unbounded `hi`. A support that ends below 10⁻³ or starts above
+/// 10⁹ leaves that range empty; the range then spans the support itself,
+/// from `lo` (10⁻⁶ of the top when `lo` is 0) to `1.01·hi` (10⁶·`lo`
+/// when unbounded), at least one ulp wide.
+fn fairness_range((lo, hi): (f64, f64)) -> (f64, f64) {
+    let top = if hi.is_finite() { hi * 1.01 } else { 1.0e9 };
+    if lo.max(1e-3) < top {
+        return (lo.max(1e-3), top);
+    }
+    let top = if hi.is_finite() {
+        top
+    } else {
+        (lo * 1.0e6).min(f64::MAX)
+    };
+    let bottom = if lo > 0.0 { lo } else { top * 1.0e-6 };
+    (bottom, top.max(bottom.next_up()))
 }
 
 /// Replicated estimate: mean over independent seeds with a 95 %

@@ -65,6 +65,14 @@ impl P2Quantile {
         self.count
     }
 
+    /// The five markers: their heights (estimates of the 0, q/2, q,
+    /// (1+q)/2 and 1 quantiles) and their positions (1-based ranks).
+    /// Meaningful from the fifth observation on.
+    #[must_use]
+    pub fn markers(&self) -> ([f64; 5], [f64; 5]) {
+        (self.heights, self.positions)
+    }
+
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         debug_assert!(!x.is_nan(), "P2 estimator fed NaN");
@@ -78,22 +86,18 @@ impl P2Quantile {
             return;
         }
         self.count += 1;
-        // find the cell k with heights[k] <= x < heights[k+1]
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            while k < 3 && x >= self.heights[k + 1] {
-                k += 1;
-            }
-            k
-        };
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
+        // The cell k with heights[k] <= x < heights[k+1], found without
+        // branches: the heights stay sorted, so k counts the interior
+        // markers at or below x (0 below the minimum, 3 at or above the
+        // maximum, where x becomes the new end marker).
+        let h = &mut self.heights;
+        let k = usize::from(x >= h[1]) + usize::from(x >= h[2]) + usize::from(x >= h[3]);
+        h[0] = if x < h[0] { x } else { h[0] };
+        h[4] = if x >= h[4] { x } else { h[4] };
+        // markers right of the cell shift up one rank; adding 0.0 to an
+        // integral position leaves it exact
+        for (i, p) in self.positions.iter_mut().enumerate() {
+            *p += f64::from(u8::from(i > k));
         }
         for (d, inc) in self.desired.iter_mut().zip(self.increments) {
             *d += inc;

@@ -690,26 +690,15 @@ impl Collector {
         }
         if TAIL {
             if let Some(f) = &mut self.fairness {
-                // dses-lint: allow(divide-budget) -- name-resolution collision: `f` is the fairness LogHistogram, not the Collector; its binning divide is waived at its own site
-                f.record(rec.size, s);
+                push_own_count(&self.inv_n, f.bin_mut(rec.size), s);
             }
             if let Some(cutoff) = self.eff_split {
-                // The class streams advance one at a time (a job is short
-                // or long, never both), so the lockstep `inv_n` above is
-                // the wrong count — but the same table serves: index it
-                // by the chosen stream's own count. Same bits as the
-                // divide `OnlineMoments::push` would issue.
                 let m = if rec.size <= cutoff {
                     &mut self.short_slowdown
                 } else {
                     &mut self.long_slowdown
                 };
-                let k = m.count() as usize;
-                let inv = match self.inv_n.get(k) {
-                    Some(&v) => v,
-                    None => 1.0 / (k + 1) as f64,
-                };
-                m.push_with_inv(s, inv);
+                push_own_count(&self.inv_n, m, s);
             }
             if let Some(p) = &mut self.percentiles {
                 p.push(s);
@@ -909,6 +898,21 @@ impl Collector {
             (None, dst) => *dst = None,
         }
     }
+}
+
+/// Push `x` into a stream that advances on its own — a fairness bin or a
+/// class stream (a job lands in one bin, and is short or long, never
+/// both), where the collector's lockstep count is the wrong one. The
+/// same `inv_n` table serves, indexed by the stream's own count: the
+/// bits the divide in [`OnlineMoments::push`] would produce.
+#[inline(always)]
+fn push_own_count(inv_n: &[f64], m: &mut OnlineMoments, x: f64) {
+    let k = m.count() as usize;
+    let inv = match inv_n.get(k) {
+        Some(&v) => v,
+        None => 1.0 / (k + 1) as f64,
+    };
+    m.push_with_inv(x, inv);
 }
 
 /// Batch-means confidence half-width for the mean of `values` at roughly

@@ -1,5 +1,6 @@
 //! Zero-allocation gates for every kernel class, the collector's finish
-//! path and the block-batched tier.
+//! path, the full collector's tail (fairness bins, percentiles, SLO,
+//! class split) and the block-batched tier.
 //!
 //! `Collector::finish_into` hands its per-host tallies and record
 //! buffer to the output by pointer swap, so a warmed workspace run —
@@ -17,6 +18,7 @@
 //! pollute the global allocation counter.
 
 use dses_core::spec::{BuiltPolicy, PolicySpec};
+use dses_dist::Distribution;
 use dses_sim::{
     simulate_dispatch_into, Demand, Dispatcher, MetricsConfig, SimResult, SimWorkspace,
 };
@@ -66,9 +68,24 @@ fn steady_state_collector_tiers_do_not_allocate() {
     let mut ws = SimWorkspace::new();
     let mut out = SimResult::empty();
 
+    // The full collector's tail as `Experiment` configures it for C90:
+    // 12 fairness bins over its size range, the P² percentiles, an SLO
+    // and a class split. Its histogram (edges and bins) and estimators
+    // are built on the warm-up run and reused by every later run.
+    let c90 = dses_workload::psc_c90().size_dist;
+    let (lo, hi) = c90.support();
+    let tail = MetricsConfig {
+        fairness_bins: 12,
+        fairness_range: (lo.max(1e-3), hi * 1.01),
+        slowdown_percentiles: true,
+        slo_slowdown: Some(10.0),
+        split_cutoff: Some(c90.mean()),
+        ..MetricsConfig::streaming()
+    };
     // Every demand tier, including the h=1024 per-host hand-off that
     // finish_into must complete by swap rather than clone.
     let tiers = [
+        ("full+tail", tail),
         ("full", MetricsConfig::streaming()),
         (
             "means",
