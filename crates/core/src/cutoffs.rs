@@ -18,7 +18,7 @@ use crate::rule_of_thumb::rule_of_thumb_cutoff;
 use dses_dist::{Distribution, Empirical};
 use dses_queueing::cutoff::{
     check_rate, sita_e_cutoffs, sita_u_fair_cutoff, sita_u_fair_cutoffs_multi, sita_u_opt_cutoff,
-    sita_u_opt_cutoffs_multi, CutoffError, TruncatedMoments,
+    sita_u_opt_cutoffs_multi, CutoffError,
 };
 use dses_sim::{simulate_dispatch, MetricsConfig};
 use dses_workload::Trace;
@@ -70,30 +70,14 @@ pub fn resolve_cutoff<D: Distribution + ?Sized>(
         CutoffMethod::EqualLoad => sita_e_cutoffs(dist, hosts),
         CutoffMethod::OptSlowdown => {
             if hosts == 2 {
-                // Grid scan + golden refinement replay the same band
-                // queries. For quadrature-fallback distributions the
-                // memoizing view answers repeats from cache; closed-form
-                // moments are cheaper recomputed than memoized. Both
-                // paths are bit-identical — see `TruncatedMoments`.
-                if dist.closed_form_moments() {
-                    Ok(vec![sita_u_opt_cutoff(dist, lambda)?])
-                } else {
-                    let cached = TruncatedMoments::new(dist);
-                    Ok(vec![sita_u_opt_cutoff(&cached, lambda)?])
-                }
+                Ok(vec![sita_u_opt_cutoff(dist, lambda)?])
             } else {
-                // the multi-host solver decides memoization internally
                 sita_u_opt_cutoffs_multi(dist, lambda, hosts)
             }
         }
         CutoffMethod::Fair => {
             if hosts == 2 {
-                if dist.closed_form_moments() {
-                    Ok(vec![sita_u_fair_cutoff(dist, lambda)?])
-                } else {
-                    let cached = TruncatedMoments::new(dist);
-                    Ok(vec![sita_u_fair_cutoff(&cached, lambda)?])
-                }
+                Ok(vec![sita_u_fair_cutoff(dist, lambda)?])
             } else {
                 sita_u_fair_cutoffs_multi(dist, lambda, hosts)
             }
@@ -281,6 +265,64 @@ mod tests {
                         matches!(&got, Err(CutoffError::SolveFailed(m)) if m.contains(&named)),
                         "{method:?} h={hosts}: {got:?}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sita_u_on_a_support_from_zero_is_an_error_or_finite_never_a_panic() {
+        use crate::{Experiment, PolicySpec};
+        use dses_dist::{Exponential, HyperExponential, LogNormal, Uniform, Weibull};
+        use dses_queueing::{analyze_policy, AnalyticPolicy, SitaAnalysis};
+        use std::sync::Arc;
+        // every support starts at 0; where the density is positive there,
+        // E[X⁻¹] = ∞ on the lowest band and no cutoff set has a finite
+        // mean slowdown, so the solve must fail rather than return one
+        let dists: [(&str, Arc<dyn Distribution>, bool); 5] = [
+            ("Exponential", Arc::new(Exponential::with_mean(1000.0).unwrap()), false),
+            ("HyperExp", Arc::new(HyperExponential::fit_mean_scv(1000.0, 4.0).unwrap()), false),
+            ("Uniform(0, 2000)", Arc::new(Uniform::new(0.0, 2000.0).unwrap()), false),
+            ("LogNormal", Arc::new(LogNormal::new(6.0, 1.0).unwrap()), true),
+            ("Weibull", Arc::new(Weibull::new(3.0, 1000.0).unwrap()), true),
+        ];
+        let rho = 0.7;
+        for (name, d, solvable) in &dists {
+            for hosts in [3, 4] {
+                let lambda = rho * hosts as f64 / d.mean();
+                for (method, policy, spec) in [
+                    (CutoffMethod::OptSlowdown, AnalyticPolicy::SitaUOpt, PolicySpec::SitaUOpt),
+                    (CutoffMethod::Fair, AnalyticPolicy::SitaUFair, PolicySpec::SitaUFair),
+                ] {
+                    let case = format!("{name} h={hosts} {method:?}");
+                    let finite = |cutoffs: &[f64]| {
+                        assert_eq!(cutoffs.len(), hosts - 1, "{case}");
+                        assert!(cutoffs.iter().all(|c| c.is_finite()), "{case}: {cutoffs:?}");
+                        assert!(cutoffs.windows(2).all(|w| w[0] < w[1]), "{case}: {cutoffs:?}");
+                        let s = SitaAnalysis::analyze(d, lambda, cutoffs).mean_slowdown;
+                        assert!(s.is_finite(), "{case}: mean slowdown {s} at {cutoffs:?}");
+                    };
+                    let solved = resolve_cutoff(d, lambda, hosts, method);
+                    let analysed = analyze_policy(policy, d, lambda, hosts);
+                    let run = Experiment::new(Arc::clone(d))
+                        .hosts(hosts)
+                        .jobs(2_000)
+                        .seed(1)
+                        .try_run(&spec, rho);
+                    if *solvable {
+                        finite(&solved.unwrap());
+                        let a = analysed.unwrap();
+                        finite(a.cutoffs.as_deref().expect("SITA reports its cutoffs"));
+                        assert!(a.mean_slowdown.is_finite(), "{case}");
+                        assert!(run.unwrap().slowdown.mean.is_finite(), "{case}");
+                    } else {
+                        assert!(
+                            matches!(solved, Err(CutoffError::SolveFailed(_))),
+                            "{case}: {solved:?}"
+                        );
+                        assert!(matches!(analysed, Err(CutoffError::SolveFailed(_))), "{case}");
+                        assert!(matches!(run, Err(CutoffError::SolveFailed(_))), "{case}");
+                    }
                 }
             }
         }

@@ -152,6 +152,30 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_moments_follow_the_weakest_component() {
+        // Erlang's partial moments take the quadrature default
+        let erlang = || Box::new(crate::distributions::Erlang::new(2, 1.0).unwrap());
+        assert!(!erlang().closed_form_moments());
+        let mixed = Mixture::new(vec![
+            (0.5, erlang() as Box<dyn Distribution>),
+            (0.5, Box::new(Exponential::with_mean(1.0).unwrap())),
+        ])
+        .unwrap();
+        assert!(!mixed.closed_form_moments());
+        // the calibrated C90 body–tail mixture
+        let c90 = crate::fit::fit_body_tail(crate::fit::BodyTailTargets {
+            mean: 4562.0,
+            scv: 43.0,
+            min: 60.0,
+            max: 2.22e6,
+            tail_jobs: 0.013,
+            tail_load: 0.5,
+        })
+        .unwrap();
+        assert!(c90.closed_form_moments());
+    }
+
+    #[test]
     fn moments_are_weighted_sums() {
         let m = body_tail();
         let want_mean = 0.9 * 5.5 + 0.1 * 505.0;

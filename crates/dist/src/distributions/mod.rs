@@ -30,3 +30,38 @@ pub use pareto::Pareto;
 pub use scaled::Scaled;
 pub use uniform::Uniform;
 pub use weibull::Weibull;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Distribution;
+
+    #[test]
+    fn an_unbounded_support_has_all_its_mass_below_infinity() {
+        // a SITA analysis reads the top band (c, +∞] through these two;
+        // Erlang is the one exception left: its cdf(+∞) is NaN, because
+        // the incomplete gamma behind it iterates on +∞
+        let mixture = Mixture::new(vec![
+            (0.5, Box::new(Exponential::with_mean(10.0).unwrap()) as Box<dyn Distribution>),
+            (0.5, Box::new(LogNormal::new(6.0, 1.0).unwrap())),
+        ])
+        .unwrap();
+        let unbounded: Vec<(&str, Box<dyn Distribution>)> = vec![
+            ("Exponential", Box::new(Exponential::with_mean(1000.0).unwrap())),
+            ("HyperExponential", Box::new(HyperExponential::fit_mean_scv(1000.0, 4.0).unwrap())),
+            ("LogNormal", Box::new(LogNormal::new(6.0, 1.0).unwrap())),
+            ("Pareto", Box::new(Pareto::new(1.0, 1.5).unwrap())),
+            ("Weibull", Box::new(Weibull::new(3.0, 1000.0).unwrap())),
+            ("Scaled", Box::new(Scaled::new(LogNormal::new(6.0, 1.0).unwrap(), 3.0).unwrap())),
+            ("Mixture", Box::new(mixture)),
+        ];
+        for (name, d) in &unbounded {
+            assert_eq!(d.support().1, f64::INFINITY, "{name}");
+            assert_eq!(d.cdf(f64::INFINITY), 1.0, "{name}");
+            for p in [0.1, 0.5, 0.99] {
+                let x = d.quantile(p);
+                assert_eq!(d.prob_in(x, f64::INFINITY), 1.0 - d.cdf(x), "{name} above {x}");
+            }
+        }
+    }
+}

@@ -331,7 +331,7 @@ mod tests {
     fn derived_seeds_are_stable_and_decorrelated() {
         assert_eq!(derive_seed(42, 0), derive_seed(42, 0));
         // neighbouring indices and neighbouring masters must all differ
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for master in 0..8u64 {
             for index in 0..64u64 {
                 assert!(seen.insert(derive_seed(master, index)));

@@ -140,9 +140,16 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Standard normal CDF `Φ(z)`.
+/// Standard normal CDF `Φ(z)`; exactly 0 and 1 at `z = ∓∞`, where the
+/// incomplete gamma behind `erfc` has no finite argument to work on.
 pub fn std_normal_cdf(z: f64) -> f64 {
-    0.5 * erfc(-z / std::f64::consts::SQRT_2)
+    if z == f64::INFINITY {
+        1.0
+    } else if z == f64::NEG_INFINITY {
+        0.0
+    } else {
+        0.5 * erfc(-z / std::f64::consts::SQRT_2)
+    }
 }
 
 /// Standard normal quantile `Φ⁻¹(p)` (Acklam's rational approximation,

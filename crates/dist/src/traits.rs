@@ -210,12 +210,8 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
     /// via special functions), rather than falling back to the
     /// quantile-space quadrature defaults above.
     ///
-    /// Moment-hungry consumers (the cutoff solvers in `dses-queueing`)
-    /// use this to decide whether memoizing repeated queries pays for
-    /// itself: a closed-form moment is cheaper than a hash-map probe
-    /// under a mutex, while one quadrature evaluation costs hundreds of
-    /// quantile calls. The answer must not affect results — only which
-    /// path computes them.
+    /// Descriptive only: no solver in the workspace branches on it, and
+    /// the answer must never affect a result.
     ///
     /// Default `false` (this trait's own defaults are quadrature).
     /// Implementors overriding both moment methods should return `true`;

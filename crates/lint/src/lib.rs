@@ -14,7 +14,7 @@
 //!
 //! It is a deliberately small static-analysis pass: a raw-token lexer
 //! ([`lexer`]), a rule engine ([`rules`]), a hand-rolled `lint.toml`
-//! config ([`config`]), text/JSON/GitHub reporting ([`report`]), and a
+//! config ([`config`]), the text report ([`report`]), and a
 //! workspace walker ([`driver`]). No dependencies, no `syn`, no full
 //! parse — every per-file rule needs only tokens, comments, and bracket
 //! matching, which keeps the tool trivially auditable and fast enough

@@ -4,7 +4,6 @@
 //! dses-lint --workspace            # lint every crate, exit 1 on findings
 //! dses-lint --workspace --semantic # also run the workspace-wide analyses
 //! dses-lint --workspace --semantic --dataflow --mirrors # full four-tier run
-//! dses-lint --workspace --json     # machine-readable output
 //! dses-lint crates/sim/src/fast.rs # lint specific files
 //! dses-lint --list-rules           # print the rule catalogue
 //! ```
@@ -14,19 +13,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Github,
-}
-
 struct Args {
     workspace: bool,
     semantic: bool,
     dataflow: bool,
     mirrors: bool,
-    format: Format,
     verbose: bool,
     list_rules: bool,
     root: Option<PathBuf>,
@@ -39,7 +30,6 @@ fn parse_args() -> Result<Args, String> {
         semantic: false,
         dataflow: false,
         mirrors: false,
-        format: Format::Text,
         verbose: false,
         list_rules: false,
         root: None,
@@ -52,16 +42,6 @@ fn parse_args() -> Result<Args, String> {
             "--semantic" => args.semantic = true,
             "--dataflow" => args.dataflow = true,
             "--mirrors" => args.mirrors = true,
-            "--json" => args.format = Format::Json,
-            "--format" => {
-                let v = iter.next().ok_or("--format needs a value (text|json|github)")?;
-                args.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "github" => Format::Github,
-                    other => return Err(format!("unknown format `{other}` (text|json|github)")),
-                };
-            }
             "--verbose" | "-v" => args.verbose = true,
             "--list-rules" => args.list_rules = true,
             "--root" => {
@@ -95,8 +75,8 @@ const HELP: &str = "\
 dses-lint — enforce determinism, no-alloc, and panic-hygiene invariants
 
 USAGE:
-    dses-lint --workspace [--semantic] [--dataflow] [--mirrors] [--format text|json|github] [--verbose] [--root <dir>]
-    dses-lint [--json] <file>...
+    dses-lint --workspace [--semantic] [--dataflow] [--mirrors] [--verbose] [--root <dir>]
+    dses-lint <file>...
     dses-lint --list-rules
 
 FLAGS:
@@ -112,9 +92,6 @@ FLAGS:
                    float-op skeleton (mirror-divergence,
                    mirror-mixed-precision, mirror-orphan,
                    mirror-stale-hoist)
-    --format <f>   output format: text (default), json, or github
-                   (::error/::warning workflow annotations)
-    --json         shorthand for --format json
     --verbose      also print honoured waivers
     --root <dir>   workspace root (default: walk up from the cwd)
     --list-rules   print the rule catalogue and exit
@@ -164,11 +141,7 @@ fn run() -> Result<bool, String> {
             .collect();
         dses_lint::driver::lint_files(&root, &files, &cfg)?
     };
-    match args.format {
-        Format::Json => print!("{}", report.render_json()),
-        Format::Github => print!("{}", report.render_github()),
-        Format::Text => print!("{}", report.render_text(args.verbose)),
-    }
+    print!("{}", report.render_text(args.verbose));
     Ok(report.clean())
 }
 

@@ -1,4 +1,4 @@
-//! Findings and their rendering — human text and machine `--json`.
+//! Findings and their text rendering.
 
 use std::fmt::Write as _;
 
@@ -33,8 +33,7 @@ pub struct Finding {
 /// Everything one lint run produced.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All findings, waived ones included (so `--json` consumers can see
-    /// the full waiver surface).
+    /// All findings, waived ones included (`--verbose` prints them).
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
@@ -91,102 +90,6 @@ impl Report {
         );
         out
     }
-
-    /// GitHub Actions workflow annotations: one
-    /// `::error file=…,line=…::message` per unwaived finding (warnings
-    /// use `::warning`), followed by the text summary line as a
-    /// `::notice`. Message data is escaped per the workflow-command
-    /// rules: `%` → `%25`, `\r` → `%0D`, `\n` → `%0A`.
-    #[must_use]
-    pub fn render_github(&self) -> String {
-        let mut out = String::new();
-        for f in &self.findings {
-            if f.waived {
-                continue;
-            }
-            let cmd = match f.severity {
-                Severity::Deny => "error",
-                Severity::Warn => "warning",
-            };
-            let _ = writeln!(
-                out,
-                "::{cmd} file={},line={},title=dses-lint {}::{}",
-                f.file,
-                f.line,
-                f.rule,
-                gh_escape(&f.message)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "::notice::dses-lint: {} file(s), {} error(s), {} warning(s)",
-            self.files_scanned,
-            self.unwaived().count(),
-            self.findings
-                .iter()
-                .filter(|f| !f.waived && f.severity == Severity::Warn)
-                .count()
-        );
-        out
-    }
-
-    /// Machine-readable rendering: a single JSON object. Hand-rolled —
-    /// the only escaping needed is for path/message strings.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let sep = if i + 1 == self.findings.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"tier\": {}, \"severity\": {}, \"waived\": {}, \"message\": {}}}{sep}",
-                json_str(&f.file),
-                f.line,
-                json_str(f.rule),
-                json_str(crate::rules::tier_of(f.rule)),
-                json_str(match f.severity {
-                    Severity::Deny => "deny",
-                    Severity::Warn => "warn",
-                }),
-                f.waived,
-                json_str(&f.message),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  ],\n  \"files_scanned\": {},\n  \"errors\": {},\n  \"clean\": {}\n}}",
-            self.files_scanned,
-            self.unwaived().count(),
-            self.clean()
-        );
-        out
-    }
-}
-
-/// Escape message data for a GitHub workflow command.
-fn gh_escape(s: &str) -> String {
-    s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -219,44 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_counts() {
-        let mut r = Report {
-            files_scanned: 2,
-            ..Report::default()
-        };
-        r.findings.push(finding("determinism", 3, false));
-        let json = r.render_json();
-        assert!(json.contains("\\\"message\\\""));
-        assert!(json.contains("\"errors\": 1"));
-        assert!(json.contains("\"clean\": false"));
-    }
-
-    #[test]
     fn text_hides_waived_unless_verbose() {
         let mut r = Report::default();
         r.findings.push(finding("determinism", 3, true));
         assert!(!r.render_text(false).contains("waived["));
         assert!(r.render_text(true).contains("waived[determinism]"));
-    }
-
-    #[test]
-    fn github_annotations_escape_and_skip_waived() {
-        let mut r = Report {
-            files_scanned: 1,
-            ..Report::default()
-        };
-        r.findings.push(Finding {
-            message: "path a → b\nwith 100% detail".into(),
-            ..finding("no-alloc-transitive", 7, false)
-        });
-        r.findings.push(finding("determinism", 3, true));
-        let gh = r.render_github();
-        assert!(gh.contains(
-            "::error file=crates/x/src/lib.rs,line=7,title=dses-lint no-alloc-transitive::"
-        ));
-        assert!(gh.contains("path a → b%0Awith 100%25 detail"));
-        assert!(!gh.contains("line=3"), "waived findings are not annotated");
-        assert!(gh.contains("::notice::dses-lint: 1 file(s), 1 error(s)"));
     }
 
     #[test]

@@ -127,8 +127,8 @@ pub const MIRROR_RULES: &[&str] = &[
     "mirror-stale-hoist",
 ];
 
-/// Which tier enforces `rule` — provenance for `--json` output and the
-/// cross-tier unused-waiver accounting.
+/// Which tier enforces `rule` — for the cross-tier unused-waiver
+/// accounting.
 #[must_use]
 pub fn tier_of(rule: &str) -> &'static str {
     if SEMANTIC_RULES.contains(&rule) {

@@ -114,13 +114,13 @@ fn good_workspace_is_clean_under_the_dataflow_tier() {
 }
 
 /// The dataflow tier routes through the same report pipeline as every
-/// other tier: the binary gates the bad fixture with exit 1, and
-/// `--format github` renders each dataflow rule as a workflow
-/// annotation with file/line coordinates.
+/// other tier: the binary gates the bad fixture with exit 1, and the
+/// text report names each dataflow rule as an error with file/line
+/// coordinates.
 #[test]
-fn binary_gates_the_bad_fixture_and_renders_github_annotations() {
+fn binary_gates_the_bad_fixture_with_located_errors() {
     let out = Command::new(env!("CARGO_BIN_EXE_dses-lint"))
-        .args(["--workspace", "--dataflow", "--format", "github", "--root"])
+        .args(["--workspace", "--dataflow", "--root"])
         .arg(fixture_root("bad"))
         .output()
         .expect("spawn dses-lint");
@@ -128,12 +128,9 @@ fn binary_gates_the_bad_fixture_and_renders_github_annotations() {
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in dses_lint::rules::DATAFLOW_RULES {
         assert!(
-            text.contains(&format!("title=dses-lint {rule}")),
-            "missing github annotation for {rule}:\n{text}"
+            text.lines().any(|l| l.starts_with("crates/sim/src/lib.rs:")
+                && l.contains(&format!(": error[{rule}] "))),
+            "missing a located error for {rule}:\n{text}"
         );
     }
-    assert!(
-        text.contains("::error file=crates/sim/src/lib.rs,line="),
-        "annotations should carry file/line coordinates:\n{text}"
-    );
 }

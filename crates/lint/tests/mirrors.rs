@@ -150,13 +150,13 @@ fn good_workspace_is_clean_under_the_mirror_tier() {
 }
 
 /// The mirror tier routes through the same report pipeline as every
-/// other tier: the binary gates the bad fixture with exit 1, and
-/// `--format github` renders each mirror rule as a workflow annotation
-/// with file/line coordinates.
+/// other tier: the binary gates the bad fixture with exit 1, and the
+/// text report names each mirror rule as an error with file/line
+/// coordinates.
 #[test]
-fn binary_gates_the_bad_fixture_and_renders_github_annotations() {
+fn binary_gates_the_bad_fixture_with_located_errors() {
     let out = Command::new(env!("CARGO_BIN_EXE_dses-lint"))
-        .args(["--workspace", "--mirrors", "--format", "github", "--root"])
+        .args(["--workspace", "--mirrors", "--root"])
         .arg(fixture_root("bad"))
         .output()
         .expect("spawn dses-lint");
@@ -164,30 +164,11 @@ fn binary_gates_the_bad_fixture_and_renders_github_annotations() {
     let text = String::from_utf8_lossy(&out.stdout);
     for rule in dses_lint::rules::MIRROR_RULES {
         assert!(
-            text.contains(&format!("title=dses-lint {rule}")),
-            "missing github annotation for {rule}:\n{text}"
+            text.lines().any(|l| l.starts_with("crates/sim/src/lib.rs:")
+                && l.contains(&format!(": error[{rule}] "))),
+            "missing a located error for {rule}:\n{text}"
         );
     }
-    assert!(
-        text.contains("::error file=crates/sim/src/lib.rs,line="),
-        "annotations should carry file/line coordinates:\n{text}"
-    );
-}
-
-/// `--json` findings carry tier provenance so downstream tooling can
-/// split the report without re-deriving the rule→tier map.
-#[test]
-fn json_findings_carry_the_mirrors_tier_tag() {
-    let out = Command::new(env!("CARGO_BIN_EXE_dses-lint"))
-        .args(["--workspace", "--mirrors", "--json", "--root"])
-        .arg(fixture_root("bad"))
-        .output()
-        .expect("spawn dses-lint");
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        json.contains("\"rule\": \"mirror-divergence\", \"tier\": \"mirrors\""),
-        "{json}"
-    );
 }
 
 /// Recursive copy skipping build products and inert fixture trees.

@@ -1,7 +1,7 @@
 //! The linter must pass on the workspace that ships it: every committed
 //! violation is either fixed or carries a documented waiver. Also
-//! exercises the installed binary end-to-end — exit codes and `--json` —
-//! against both the real tree and a synthetic violating one.
+//! exercises the installed binary end-to-end — exit codes and the text
+//! report — against both the real tree and a synthetic violating one.
 
 use std::path::Path;
 use std::process::Command;
@@ -25,15 +25,16 @@ fn workspace_lints_clean() {
         .collect();
     assert!(errors.is_empty(), "workspace has unwaived findings:\n{}", errors.join("\n"));
     assert!(report.files_scanned > 100, "suspiciously few files scanned: {}", report.files_scanned);
-    // the documented waivers (the queueing memo among them) are honoured
+    // the documented waivers (the event engine's heap pops among them)
+    // are honoured
     let waived = report.findings.iter().filter(|f| f.waived).count();
     assert!(waived >= 40, "expected the committed waiver surface, got {waived}");
     assert!(
         report
             .findings
             .iter()
-            .any(|f| f.waived && f.file == "crates/queueing/src/cutoff.rs" && f.rule == "determinism"),
-        "the cutoff memo waiver should be visible in the report"
+            .any(|f| f.waived && f.file == "crates/sim/src/event.rs" && f.rule == "panic-hygiene"),
+        "the event engine's panic-hygiene waivers should be visible in the report"
     );
 }
 
@@ -136,7 +137,8 @@ fn binary_exits_zero_on_the_workspace() {
 }
 
 /// Build a minimal violating workspace under `target/tmp` and assert the
-/// binary gates it: nonzero exit, findings visible in `--json`.
+/// binary gates it: nonzero exit, each finding reported as an error at
+/// its file.
 #[test]
 fn binary_exits_nonzero_on_violations() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-badcase");
@@ -152,16 +154,20 @@ fn binary_exits_nonzero_on_violations() {
     .expect("write");
 
     let out = Command::new(env!("CARGO_BIN_EXE_dses-lint"))
-        .args(["--workspace", "--json", "--root"])
+        .args(["--workspace", "--root"])
         .arg(&dir)
         .output()
         .expect("spawn dses-lint");
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"rule\": \"determinism\""), "{json}");
-    assert!(json.contains("\"rule\": \"float-totality\""), "{json}");
-    assert!(json.contains("\"rule\": \"header-conformance\""), "{json}");
-    assert!(json.contains("\"clean\": false"), "{json}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    for rule in ["determinism", "float-totality", "header-conformance"] {
+        assert!(
+            text.lines().any(|l| l.starts_with("crates/sim/src/lib.rs:")
+                && l.contains(&format!(": error[{rule}] "))),
+            "missing {rule} error at crates/sim/src/lib.rs:\n{text}"
+        );
+    }
+    assert!(!text.contains(" 0 error(s)"), "{text}");
 }
 
 #[test]

@@ -18,12 +18,7 @@
 
 use crate::sita::{all_stable, edges, stable_queueing_slowdown, top_edge, Band};
 use dses_dist::numeric;
-use dses_dist::{Distribution, Rng64};
-// dses-lint: allow(determinism) -- moment memo: keyed by exact bit patterns,
-// entries only read back by key, never iterated, so hash order cannot reach a result
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use dses_dist::Distribution;
 
 /// Error from a cutoff solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,212 +81,6 @@ impl std::fmt::Display for CutoffError {
 }
 
 impl std::error::Error for CutoffError {}
-
-/// A memoizing view of a [`Distribution`] for cutoff solvers.
-///
-/// The solvers in this module hammer a tiny set of expensive queries —
-/// `partial_moment(s)`, `prob_in`, `raw_moment`, `quantile` — at
-/// *repeated* arguments: the searches re-evaluate bands whose edges did
-/// not move (the fair water-filling replays near-identical placements,
-/// and a descent re-analyses the band it just settled), and
-/// `raw_moment(1)` is recomputed on every one of the hundreds of
-/// objective evaluations in a single solve. For
-/// distributions without closed-form moments (e.g. [`dses_dist::Empirical`]
-/// built from a trace, or any [`Distribution`] falling back to the
-/// quantile-space quadrature defaults) each repeat costs hundreds of
-/// quantile evaluations.
-///
-/// `TruncatedMoments` wraps a borrowed distribution and caches those four
-/// queries keyed by their *exact bit patterns* (`f64::to_bits`), so a hit
-/// returns the identical `f64` the underlying distribution produced —
-/// routing a solver through the cache cannot change a single bit of its
-/// answer. The batched `partial_moments` shares the per-order
-/// `partial_moment` table: each order hits or misses on its own, and all
-/// misses of one call go to the inner distribution as one
-/// `partial_moments` call (one quadrature sweep for a band, not one per
-/// order). Every other trait method delegates straight to the inner
-/// distribution (including the ones with provided defaults, so an inner
-/// override is never shadowed by a recomposed default).
-///
-/// Interior mutability is a [`Mutex`] per memo table: the `Distribution`
-/// trait is `Send + Sync` and the experiment grids solve cutoffs from
-/// many threads. Contention is negligible — the tables are consulted at
-/// solver cadence (microseconds between queries), not in simulation hot
-/// loops.
-#[derive(Debug)]
-pub struct TruncatedMoments<'a, D: Distribution + ?Sized> {
-    inner: &'a D,
-    partial: Mutex<MomentMap<(i32, u64, u64)>>,
-    prob: Mutex<MomentMap<(u64, u64)>>,
-    raw: Mutex<MomentMap<i32>>,
-    quantiles: Mutex<MomentMap<u64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// FxHash-style multiply-xor hasher for the memo tables. The keys are
-/// `f64` bit patterns and small integers — already well spread — and the
-/// guarded computations can be as cheap as a closed-form Pareto moment,
-/// so the default SipHash would cost a visible fraction of what the
-/// cache saves.
-#[derive(Default)]
-struct MomentKeyHasher(u64);
-
-impl std::hash::Hasher for MomentKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn write_i32(&mut self, n: i32) {
-        self.write_u64(n as u32 as u64);
-    }
-}
-
-// dses-lint: allow(determinism) -- same invariant as above: lookups only, no iteration
-type MomentMap<K> = HashMap<K, f64, std::hash::BuildHasherDefault<MomentKeyHasher>>;
-
-impl<'a, D: Distribution + ?Sized> TruncatedMoments<'a, D> {
-    /// Wrap `inner` with empty memo tables.
-    #[must_use]
-    pub fn new(inner: &'a D) -> Self {
-        Self {
-            inner,
-            partial: Mutex::new(MomentMap::default()),
-            prob: Mutex::new(MomentMap::default()),
-            raw: Mutex::new(MomentMap::default()),
-            quantiles: Mutex::new(MomentMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// `(hits, misses)` across all four memo tables so far.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-
-    fn memo<K: std::hash::Hash + Eq + Copy>(
-        &self,
-        table: &Mutex<MomentMap<K>>,
-        key: K,
-        compute: impl FnOnce() -> f64,
-    ) -> f64 {
-        // One hash, one lock: `entry` computes under the lock, which is
-        // safe (the inner distribution never re-enters the cache) and
-        // uncontended (each solve owns its own wrapper).
-        // dses-lint: allow(panic-hygiene) -- single-threaded per wrapper; poisoning is unreachable
-        match table.lock().unwrap().entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                *e.get()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                *e.insert(compute())
-            }
-        }
-    }
-}
-
-impl<D: Distribution + ?Sized> Distribution for TruncatedMoments<'_, D> {
-    fn sample(&self, rng: &mut Rng64) -> f64 {
-        self.inner.sample(rng)
-    }
-    fn support(&self) -> (f64, f64) {
-        self.inner.support()
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        self.inner.cdf(x)
-    }
-    fn quantile(&self, p: f64) -> f64 {
-        self.memo(&self.quantiles, p.to_bits(), || self.inner.quantile(p))
-    }
-    fn raw_moment(&self, k: i32) -> f64 {
-        self.memo(&self.raw, k, || self.inner.raw_moment(k))
-    }
-    fn mean(&self) -> f64 {
-        self.raw_moment(1)
-    }
-    fn variance(&self) -> f64 {
-        self.inner.variance()
-    }
-    fn scv(&self) -> f64 {
-        self.inner.scv()
-    }
-    fn prob_in(&self, a: f64, b: f64) -> f64 {
-        self.memo(&self.prob, (a.to_bits(), b.to_bits()), || self.inner.prob_in(a, b))
-    }
-    fn partial_moment(&self, k: i32, a: f64, b: f64) -> f64 {
-        self.memo(&self.partial, (k, a.to_bits(), b.to_bits()), || {
-            self.inner.partial_moment(k, a, b)
-        })
-    }
-    /// Answers each order from the same per-order memo as
-    /// `partial_moment`, and fills every miss of a call with one inner
-    /// `partial_moments` call — a cold band costs the inner distribution
-    /// one quadrature sweep, not one per order.
-    fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
-        assert_eq!(ks.len(), out.len(), "one output slot per order");
-        const CHUNK: usize = 8;
-        let (ab, bb) = (a.to_bits(), b.to_bits());
-        // dses-lint: allow(panic-hygiene) -- single-threaded per wrapper; poisoning is unreachable
-        let mut table = self.partial.lock().unwrap();
-        for (ks, out) in ks.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            // the missed orders and the output slots they fill
-            let (mut orders, mut slots, mut misses) = ([0i32; CHUNK], [0usize; CHUNK], 0);
-            for (j, (&k, o)) in ks.iter().zip(out.iter_mut()).enumerate() {
-                if let Some(&v) = table.get(&(k, ab, bb)) {
-                    *o = v;
-                } else {
-                    orders[misses] = k;
-                    slots[misses] = j;
-                    misses += 1;
-                }
-            }
-            self.hits.fetch_add((ks.len() - misses) as u64, Ordering::Relaxed);
-            self.misses.fetch_add(misses as u64, Ordering::Relaxed);
-            if misses == 0 {
-                continue;
-            }
-            let mut vals = [0.0; CHUNK];
-            self.inner
-                .partial_moments(&orders[..misses], a, b, &mut vals[..misses]);
-            for ((&k, &j), &v) in orders.iter().zip(&slots).zip(&vals).take(misses) {
-                out[j] = v;
-                table.insert((k, ab, bb), v);
-            }
-        }
-    }
-    fn conditional_moment(&self, k: i32, a: f64, b: f64) -> f64 {
-        // recompose from the memoized pieces — identical arithmetic to
-        // the trait default, now cache-backed
-        let p = self.prob_in(a, b);
-        if p <= 0.0 {
-            0.0
-        } else {
-            self.partial_moment(k, a, b) / p
-        }
-    }
-    fn tail_load_fraction(&self, x: f64) -> f64 {
-        let (_, hi) = self.support();
-        let m = self.mean();
-        if m <= 0.0 {
-            return 0.0;
-        }
-        (self.partial_moment(1, x, hi) / m).clamp(0.0, 1.0)
-    }
-    fn closed_form_moments(&self) -> bool {
-        self.inner.closed_form_moments()
-    }
-}
 
 /// Test-support constructor shared across the crate's test modules: the
 /// calibrated body–tail C90 stand-in.
@@ -517,24 +306,6 @@ pub fn sita_u_opt_cutoffs_multi<D: Distribution + ?Sized>(
         )));
     }
     check_rate(lambda)?;
-    // Coordinate descent re-evaluates bands whose edges did not move on
-    // every sweep. For quadrature-fallback distributions the memoizing
-    // view collapses those repeats; when every moment resolves in closed
-    // form the recompute is cheaper than the memo's hash+lock, so skip
-    // the wrapper. Both paths are bit-identical — the memo caches exact
-    // values (`tests::memo_bypass_is_bit_identical`).
-    if dist.closed_form_moments() {
-        sita_u_opt_cutoffs_multi_impl(dist, lambda, hosts)
-    } else {
-        sita_u_opt_cutoffs_multi_impl(&TruncatedMoments::new(dist), lambda, hosts)
-    }
-}
-
-fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
-    dist: &D,
-    lambda: f64,
-    hosts: usize,
-) -> Result<Vec<f64>, CutoffError> {
     let offered = lambda * dist.raw_moment(1);
     if offered >= hosts as f64 {
         return Err(CutoffError::Infeasible { offered });
@@ -553,7 +324,12 @@ fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
     for _sweep in 0..12 {
         let before = best;
         for i in 0..cutoffs.len() {
-            let lo = if i == 0 { sup_lo * (1.0 + 1e-9) } else { cutoffs[i - 1] * (1.0 + 1e-9) };
+            // a support from 0 would put the grid's lower end at ln 0 = −∞
+            let lo = if i == 0 {
+                (sup_lo * (1.0 + 1e-9)).max(1e-300)
+            } else {
+                cutoffs[i - 1] * (1.0 + 1e-9)
+            };
             let hi = if i + 1 == cutoffs.len() {
                 sup_hi * (1.0 - 1e-9)
             } else {
@@ -595,9 +371,16 @@ fn sita_u_opt_cutoffs_multi_impl<D: Distribution + ?Sized>(
             bank[i + 1] = band(best_c, right);
             best = best_v;
         }
-        if before - best < 1e-9 * before.abs().max(1e-9) {
+        // also stops a sweep that left an infinite objective infinite
+        // (∞ − ∞ is NaN), which the next sweep would only repeat
+        if !(before - best >= 1e-9 * before.abs().max(1e-9)) {
             break;
         }
+    }
+    if !best.is_finite() {
+        return Err(CutoffError::SolveFailed(
+            "objective infinite at every cutoff the descent tried".to_string(),
+        ));
     }
     Ok(cutoffs)
 }
@@ -629,25 +412,18 @@ pub fn sita_u_fair_cutoffs_multi<D: Distribution + ?Sized>(
         )));
     }
     check_rate(lambda)?;
-    // Water-filling's outer bisection replays near-identical band edges
-    // across placements; the memoizing view collapses the repeats — but
-    // only pays off when a repeat is expensive. Closed-form moments go
-    // straight to the distribution (bit-identical either way).
-    if dist.closed_form_moments() {
-        sita_u_fair_cutoffs_multi_impl(dist, lambda, hosts)
-    } else {
-        sita_u_fair_cutoffs_multi_impl(&TruncatedMoments::new(dist), lambda, hosts)
-    }
-}
-
-fn sita_u_fair_cutoffs_multi_impl<D: Distribution + ?Sized>(
-    dist: &D,
-    lambda: f64,
-    hosts: usize,
-) -> Result<Vec<f64>, CutoffError> {
     let offered = lambda * dist.raw_moment(1);
     if offered >= hosts as f64 {
         return Err(CutoffError::Infeasible { offered });
+    }
+    // A density positive at 0 makes E[X⁻¹] infinite on every band from 0,
+    // so every placement has an infinite mean slowdown; the search would
+    // still converge, onto a first band that no target can reach.
+    if !dist.partial_moment(-1, 0.0, dist.quantile(0.5)).is_finite() {
+        return Err(CutoffError::SolveFailed(
+            "E[1/X] is infinite near 0, so every cutoff set has an infinite mean slowdown"
+                .to_string(),
+        ));
     }
     let (_, sup_hi) = dist.support();
     let sup_hi = if sup_hi.is_finite() { sup_hi } else { dist.quantile(1.0 - 1e-12) };
@@ -881,103 +657,6 @@ mod tests {
         let fair = sita_u_fair_cutoff(&d, lambda).unwrap();
         let af = SitaAnalysis::analyze(&d, lambda, &[fair]);
         assert!(af.is_stable());
-    }
-
-    #[test]
-    fn truncated_moments_is_bit_identical_to_the_raw_distribution() {
-        let d = c90ish();
-        let cached = TruncatedMoments::new(&d);
-        let probes = [60.0, 500.0, 4562.0, 1.0e5, 2.0e6];
-        // ask everything twice: the second pass answers from the cache
-        for _ in 0..2 {
-            for k in [-1i32, 1, 2] {
-                assert_eq!(cached.raw_moment(k), d.raw_moment(k), "raw k={k}");
-            }
-            for &a in &probes {
-                for &b in &probes {
-                    assert_eq!(cached.prob_in(a, b), d.prob_in(a, b));
-                    assert_eq!(
-                        cached.partial_moment(1, a, b),
-                        d.partial_moment(1, a, b)
-                    );
-                    assert_eq!(
-                        cached.conditional_moment(2, a, b),
-                        d.conditional_moment(2, a, b)
-                    );
-                }
-            }
-            for &p in &[0.01, 0.5, 0.987, 1.0 - 1e-12] {
-                assert_eq!(cached.quantile(p), d.quantile(p));
-            }
-            assert_eq!(cached.mean(), d.mean());
-            assert_eq!(cached.variance(), d.variance());
-            assert_eq!(cached.tail_load_fraction(1.0e5), d.tail_load_fraction(1.0e5));
-        }
-        let (hits, misses) = cached.stats();
-        assert!(hits > 0, "second pass must hit the cache");
-        assert!(misses > 0);
-    }
-
-    #[test]
-    fn truncated_moments_caches_solver_workloads() {
-        // a full 2-host solve through the cache returns the same cutoff
-        // as the raw distribution, and a repeat solve is answered from
-        // the memo tables alone (a single opt solve repeats no query)
-        let d = c90ish();
-        let lambda = 1.2 / d.mean();
-        let raw = sita_u_opt_cutoff(&d, lambda).unwrap();
-        let cached = TruncatedMoments::new(&d);
-        let memoized = sita_u_opt_cutoff(&cached, lambda).unwrap();
-        assert_eq!(raw.to_bits(), memoized.to_bits());
-        let (hits, misses) = cached.stats();
-        let warm = sita_u_opt_cutoff(&cached, lambda).unwrap();
-        assert_eq!(raw.to_bits(), warm.to_bits());
-        let (warm_hits, warm_misses) = cached.stats();
-        assert_eq!(warm_misses, misses, "a warm solve misses nothing");
-        assert!(warm_hits > hits, "solver should reuse cached moments");
-
-        let raw_fair = sita_u_fair_cutoff(&d, lambda).unwrap();
-        let cached_fair = TruncatedMoments::new(&d);
-        let memoized_fair = sita_u_fair_cutoff(&cached_fair, lambda).unwrap();
-        assert_eq!(raw_fair.to_bits(), memoized_fair.to_bits());
-    }
-
-    #[test]
-    fn memo_bypass_is_bit_identical() {
-        // The multi-host solvers route closed-form distributions around
-        // the memo. Force both paths over the same distribution and
-        // assert every cutoff matches to the bit.
-        let d = c90ish();
-        assert!(d.closed_form_moments(), "c90 mixture resolves in closed form");
-        let hosts = 4;
-        let lambda = 0.7 * hosts as f64 / d.mean();
-        // direct path (the public entry point sees closed_form_moments)
-        let direct_opt = sita_u_opt_cutoffs_multi(&d, lambda, hosts).unwrap();
-        let direct_fair = sita_u_fair_cutoffs_multi(&d, lambda, hosts).unwrap();
-        // memoized path, forced by calling the impl through the wrapper
-        let memo = TruncatedMoments::new(&d);
-        let memo_opt = sita_u_opt_cutoffs_multi_impl(&memo, lambda, hosts).unwrap();
-        let memo_fair = sita_u_fair_cutoffs_multi_impl(&memo, lambda, hosts).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&direct_opt), bits(&memo_opt));
-        assert_eq!(bits(&direct_fair), bits(&memo_fair));
-        let (hits, _) = memo.stats();
-        assert!(hits > 0, "memoized path should actually consult the cache");
-    }
-
-    #[test]
-    fn quadrature_fallback_dists_keep_the_memo() {
-        // Erlang has no closed-form partial moment: the memo must stay.
-        let erl = Erlang::new(3, 0.5).unwrap();
-        assert!(!erl.closed_form_moments());
-        // and a mixture inherits the weakest component
-        let mixed = Mixture::new(vec![
-            (0.5, Box::new(Erlang::new(2, 1.0).unwrap()) as Box<dyn Distribution>),
-            (0.5, Box::new(Exponential::with_mean(1.0).unwrap())),
-        ])
-        .unwrap();
-        assert!(!mixed.closed_form_moments());
-        assert!(c90ish().closed_form_moments());
     }
 
     #[test]

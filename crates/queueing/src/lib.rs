@@ -40,9 +40,7 @@ pub mod sita;
 pub mod sjf;
 pub mod transform;
 
-pub use cutoff::{
-    sita_e_cutoffs, sita_u_fair_cutoff, sita_u_opt_cutoff, CutoffError, TruncatedMoments,
-};
+pub use cutoff::{sita_e_cutoffs, sita_u_fair_cutoff, sita_u_opt_cutoff, CutoffError};
 pub use hetero::{analyze_hetero, hetero_opt_cutoff, HeteroSita};
 pub use mg1::{Mg1, ServiceMoments};
 pub use mgh::mgh_metrics;

@@ -114,16 +114,6 @@ impl QuadTable {
     }
 }
 
-/// Complex-argument service transform `E[e^{−(a+bi)X}]`, returned as
-/// `(re, im)` — required by the Euler inversion, which evaluates `W*`
-/// along a vertical line in the complex plane.
-fn laplace_transform_complex<D: Distribution + ?Sized>(dist: &D, a: f64, b: f64) -> (f64, f64) {
-    let table = QuadTable::build(dist);
-    let mut damped = Vec::new();
-    table.damp(a, &mut damped);
-    table.transform(&damped, b)
-}
-
 /// Complex division helper: `(a + bi) / (c + di)`.
 fn cdiv(a: f64, b: f64, c: f64, d: f64) -> (f64, f64) {
     let den = c * c + d * d;
@@ -616,12 +606,6 @@ pub fn mg1_slowdown_ccdf<D: Distribution + ?Sized>(dist: &D, lambda: f64, s: f64
         acc += 1.0 - waiting_cdf_with_table(&table, rho, lambda, (s - 1.0) * x, &mut damped);
     }
     (acc / POINTS as f64).clamp(0.0, 1.0)
-}
-
-/// Debug hook (exposed for the workspace probe binaries).
-#[doc(hidden)]
-pub fn debug_ltc<D: Distribution + ?Sized>(dist: &D, a: f64, b: f64) -> (f64, f64) {
-    laplace_transform_complex(dist, a, b)
 }
 
 #[cfg(test)]

@@ -118,10 +118,9 @@ pub(crate) struct EventWorkspace {
     views: Vec<HostView>,
     /// central waiting room, FCFS order
     fcfs: VecDeque<Job>,
-    /// SJF: min-heap on (size, arrival sequence) — FCFS among equals
+    /// SJF: min-heap on (size, job id) — FCFS among equals, since the id
+    /// is the job's trace index, from which the popped job is rebuilt
     sjf: BinaryHeap<Reverse<(OrdF64, u64)>>,
-    // dses-lint: allow(determinism) -- keyed by job id, never iterated
-    sjf_jobs: std::collections::HashMap<u64, Job>,
 }
 
 impl EventWorkspace {
@@ -132,8 +131,6 @@ impl EventWorkspace {
             views: Vec::new(),
             fcfs: VecDeque::new(),
             sjf: BinaryHeap::new(),
-            // dses-lint: allow(determinism) -- keyed by job id, never iterated
-            sjf_jobs: std::collections::HashMap::new(),
         }
     }
 
@@ -166,7 +163,6 @@ impl EventWorkspace {
         self.fcfs.reserve(backlog.saturating_sub(self.fcfs.capacity()));
         self.sjf.clear();
         self.sjf.reserve(backlog.saturating_sub(self.sjf.capacity()));
-        self.sjf_jobs.clear();
     }
 }
 
@@ -341,32 +337,24 @@ impl EventEngine {
         let departures = &mut event.departures;
         let fcfs = &mut event.fcfs;
         let sjf = &mut event.sjf;
-        let sjf_jobs = &mut event.sjf_jobs;
         let push_central = |job: Job,
                             fcfs: &mut VecDeque<Job>,
-                            sjf: &mut BinaryHeap<Reverse<(OrdF64, u64)>>,
-                            // dses-lint: allow(determinism) -- keyed lookups only
-                            sjf_jobs: &mut std::collections::HashMap<u64, Job>| {
+                            sjf: &mut BinaryHeap<Reverse<(OrdF64, u64)>>| {
             match discipline {
                 QueueDiscipline::Fcfs => fcfs.push_back(job),
-                QueueDiscipline::Sjf => {
-                    sjf.push(Reverse((OrdF64(job.size), job.id)));
-                    sjf_jobs.insert(job.id, job);
+                QueueDiscipline::Sjf => sjf.push(Reverse((OrdF64(job.size), job.id))),
+            }
+        };
+        let pop_central =
+            |fcfs: &mut VecDeque<Job>, sjf: &mut BinaryHeap<Reverse<(OrdF64, u64)>>| {
+                match discipline {
+                    QueueDiscipline::Fcfs => fcfs.pop_front(),
+                    QueueDiscipline::Sjf => {
+                        let Reverse((_, id)) = sjf.pop()?;
+                        Some(trace.job(id as usize))
+                    }
                 }
-            }
-        };
-        let pop_central = |fcfs: &mut VecDeque<Job>,
-                           sjf: &mut BinaryHeap<Reverse<(OrdF64, u64)>>,
-                           // dses-lint: allow(determinism) -- keyed lookups only
-                           sjf_jobs: &mut std::collections::HashMap<u64, Job>| {
-            match discipline {
-                QueueDiscipline::Fcfs => fcfs.pop_front(),
-                QueueDiscipline::Sjf => sjf
-                    .pop()
-                    // dses-lint: allow(panic-hygiene) -- every heap id was inserted by push_central
-                    .map(|Reverse((_, id))| sjf_jobs.remove(&id).expect("job stored")),
-            }
-        };
+            };
         let arrivals = trace.arrivals();
         let mut next = 0usize;
         loop {
@@ -388,7 +376,7 @@ impl EventEngine {
                         completion,
                         host: h,
                     });
-                    if let Some(nextjob) = pop_central(fcfs, sjf, sjf_jobs) {
+                    if let Some(nextjob) = pop_central(fcfs, sjf) {
                         let c = hosts[h].start_service(nextjob, now);
                         departures.push(Reverse((OrdF64(c), h)));
                     }
@@ -401,7 +389,7 @@ impl EventEngine {
                             let c = hosts[h].start_service(job, now);
                             departures.push(Reverse((OrdF64(c), h)));
                         }
-                        None => push_central(job, fcfs, sjf, sjf_jobs),
+                        None => push_central(job, fcfs, sjf),
                     }
                 }
                 (None, Some(_)) => unreachable!("covered by the departure arm"),
@@ -540,6 +528,54 @@ mod tests {
             let total: f64 = r.per_host.iter().map(|h| h.work).sum();
             assert!((total - 14.0).abs() < 1e-12, "{disc:?}");
         }
+    }
+
+    /// FNV-1a over every record's id, start, completion and host, in
+    /// record order.
+    fn schedule_digest(r: &SimResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let records = r.records.as_ref().expect("records requested");
+        for rec in records {
+            for w in [rec.id, rec.start.to_bits(), rec.completion.to_bits(), rec.host as u64] {
+                for b in w.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn central_sjf_schedules_keep_their_pinned_bits() {
+        // tie-dense: four simultaneous arrivals per time unit, three sizes,
+        // overloaded at h = 1 and 2 so the waiting room stays full of
+        // equal-size jobs; and a short C90 trace at load 0.7
+        let ties = trace(
+            &(0..2_000)
+                .map(|i| ((i / 4) as f64, [1.0, 0.5, 1.5, 1.0, 0.5][i * 7 % 5]))
+                .collect::<Vec<_>>(),
+        );
+        let pinned: [(&str, usize, u64); 6] = [
+            ("ties", 1, 0x802a_0c4e_921b_0681),
+            ("ties", 2, 0x5cfd_9cd0_cf65_7075),
+            ("ties", 4, 0xd1fc_23f1_c7f3_bb1b),
+            ("c90", 1, 0x5fc0_2741_9e25_eca0),
+            ("c90", 2, 0x004a_fcab_51b1_ee3f),
+            ("c90", 4, 0xe137_a0b3_601d_63d2),
+        ];
+        let mut got = Vec::new();
+        for &(name, hosts, _) in &pinned {
+            let t = if name == "ties" {
+                ties.clone()
+            } else {
+                dses_workload::psc_c90().trace(5_000, 0.7, hosts, 1997)
+            };
+            let r = EventEngine::new(hosts, records_cfg())
+                .run_central_queue(&t, QueueDiscipline::Sjf);
+            assert_eq!(r.measured as usize, t.len());
+            got.push((name, hosts, schedule_digest(&r)));
+        }
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -225,7 +225,7 @@ mod tests {
     fn within_user_sizes_cluster() {
         let ut = builder().within_scv(0.05).build();
         // pick the busiest user and check its size spread is tight
-        let mut by_user: std::collections::HashMap<u32, Vec<f64>> = Default::default();
+        let mut by_user: std::collections::BTreeMap<u32, Vec<f64>> = Default::default();
         for job in ut.trace.jobs() {
             by_user
                 .entry(ut.user(job.id))
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn zero_within_variability_makes_users_deterministic() {
         let ut = builder().within_scv(0.0).jobs(2_000).build();
-        let mut first: std::collections::HashMap<u32, f64> = Default::default();
+        let mut first: std::collections::BTreeMap<u32, f64> = Default::default();
         for job in ut.trace.jobs() {
             let u = ut.user(job.id);
             let entry = first.entry(u).or_insert(job.size);

@@ -12,7 +12,7 @@ use dses_dist::prelude::*;
 use dses_dist::quantile_space_partial_moments;
 use dses_queueing::cutoff::{
     sita_e_cutoffs, sita_u_fair_cutoff, sita_u_fair_cutoffs_multi, sita_u_opt_cutoff,
-    sita_u_opt_cutoffs_multi, TruncatedMoments,
+    sita_u_opt_cutoffs_multi,
 };
 use dses_queueing::transform::{sita_slowdown_ccdf, sita_slowdown_quantile};
 use dses_queueing::{analyze_hetero, hetero_opt_cutoff, ServiceMoments, SitaAnalysis};
@@ -233,11 +233,36 @@ fn opt_and_fair_cutoffs_on_a_20k_trace_sample_keep_their_pinned_bits() {
 
 #[test]
 fn two_host_cutoffs_of_a_cdf_only_distribution_keep_their_pinned_bits() {
-    // every band takes the quadrature sweep, now over three orders; the
-    // multi-host solves cost seconds per host count in a debug build
+    // every band takes the quadrature sweep, now over three orders
     let (opt, fair) = opt_and_fair(&CountingUniform::default(), 2);
     assert_eq!(bits(&opt), [0x40018ec0c06c7f6f]);
     assert_eq!(bits(&fair), [0x4001cc6f33989d5c]);
+}
+
+#[test]
+fn multi_host_cutoffs_of_a_cdf_only_distribution_keep_their_pinned_bits() {
+    // `resolve_cutoff`, the route every exhibit and CLI command takes;
+    // each band takes the quadrature sweep. The pins were recorded while
+    // these solves still went through a memo of repeated band queries,
+    // whose repeats sat mostly on water-filling's bisection path, so the
+    // fair solve is also pinned at h = 4 (the opt solve at h = 4 takes
+    // another ~6 s in a debug build)
+    use dses_core::cutoffs::{resolve_cutoff, CutoffMethod};
+    let d = CountingUniform::default();
+    let pins: [(usize, CutoffMethod, &[u64]); 3] = [
+        (3, CutoffMethod::OptSlowdown, &[0x3ffded70eb42ccd4, 0x4003eca8d252f4af]),
+        (3, CutoffMethod::Fair, &[0x3ffe8293e55d61ae, 0x40041aa0173a7a11]),
+        (
+            4,
+            CutoffMethod::Fair,
+            &[0x3ffba027939a8808, 0x4001dc63e96b5dae, 0x4005274449041d61],
+        ),
+    ];
+    for (hosts, method, want) in pins {
+        let lambda = 0.7 * hosts as f64 / d.mean();
+        let got = resolve_cutoff(&d, lambda, hosts, method).unwrap();
+        assert_eq!(bits(&got), want, "{method:?} h={hosts}");
+    }
 }
 
 #[test]
@@ -341,9 +366,6 @@ impl<D: Distribution> Distribution for Recording<D> {
     fn partial_moments(&self, ks: &[i32], a: f64, b: f64, out: &mut [f64]) {
         self.asked.lock().unwrap().push(ks.to_vec());
         self.inner.partial_moments(ks, a, b, out);
-    }
-    fn closed_form_moments(&self) -> bool {
-        self.inner.closed_form_moments()
     }
 }
 
@@ -484,7 +506,8 @@ fn bands(d: &dyn Distribution, mid: f64) -> Vec<(f64, f64)> {
         (mid, f64::INFINITY),
     ];
     // Erlang's cdf(+∞) is NaN, so its moments are undefined on bands
-    // reaching +∞ (a SITA analysis treats such a band as empty)
+    // reaching +∞ (a SITA analysis treats such a band as empty); it is
+    // the only built-in left so
     if d.cdf(f64::INFINITY).is_nan() {
         bands.retain(|&(_, b)| b.is_finite());
     }
@@ -509,17 +532,6 @@ fn partial_moments_bit_identity_matrix() {
             assert_eq!(batch(&d, a, b), want, "{case}: Box<dyn>");
             assert_eq!(batch(&&d, a, b), want, "{case}: &D");
             assert_eq!(batch(&arc, a, b), want, "{case}: Arc<dyn>");
-
-            let memo = TruncatedMoments::new(d.as_ref());
-            assert_eq!(batch(&memo, a, b), want, "{case}: cold memo");
-            assert_eq!(memo.stats(), (0, ORDERS.len() as u64), "{case}");
-            assert_eq!(batch(&memo, a, b), want, "{case}: warm memo");
-            assert_eq!(memo.stats(), (ORDERS.len() as u64, ORDERS.len() as u64), "{case}");
-            let partly = TruncatedMoments::new(d.as_ref());
-            let _ = partly.partial_moment(2, a, b);
-            let _ = partly.partial_moment(-2, a, b);
-            assert_eq!(batch(&partly, a, b), want, "{case}: partly warm memo");
-            assert_eq!(partly.stats(), (2, ORDERS.len() as u64), "{case}");
 
             // the public sweep — what a quadrature-fallback type overrides
             // with — against the trait's per-order default
@@ -607,16 +619,6 @@ fn service_moments_take_one_quantile_sweep_per_band() {
         bits(&per_order)
     );
 
-    // the memo fills all five misses with one inner sweep, then hits
-    let memo = TruncatedMoments::new(&d);
-    let before = d.quantiles();
-    let cached = ServiceMoments::of_interval(&memo, a, b).unwrap();
-    assert_eq!(d.quantiles() - before, sweep);
-    assert_eq!(cached, s);
-    let before = d.quantiles();
-    let _ = ServiceMoments::of_interval(&memo, a, b).unwrap();
-    assert_eq!(d.quantiles(), before, "a warm band sweeps nothing");
-
     // a SITA analysis sweeps each band once (plus one sweep for E[X]);
     // its per-band bits equal the per-order formula
     let lambda = 0.3;
@@ -663,12 +665,6 @@ fn orders_beyond_one_sweep_split_into_sweeps_and_keep_their_bits() {
     assert_eq!(d.quantiles() - before, 2 * sweep, "eight orders per sweep");
     let want = ks.map(|k| d.partial_moment(k, a, b));
     assert_eq!(bits(&out), bits(&want));
-    // the memo batches its misses the same way and answers the repeat
-    let memo = TruncatedMoments::new(&d);
-    let mut cached = [0.0; 11];
-    memo.partial_moments(&ks, a, b, &mut cached);
-    assert_eq!(bits(&cached), bits(&want));
-    assert_eq!(memo.stats(), (1, 10), "the repeated order 1 hits");
 }
 
 #[test]
