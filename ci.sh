@@ -21,19 +21,23 @@ cargo test -q
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Digest gates: one iteration of each benchmark workload, checked against
-# `perfbench/references.txt`. `paper_h2` (~1.5 s) and `wide_full` (~2.7 s)
+# `perfbench/references.txt`. `paper_h2` (~1.5 s) and `wide_full` (~2.4 s)
 # simulate — the C90 sweep grid and replications at 2 hosts, the full
 # collector at 8 and 64 hosts — so a change that moves one trace or kernel
-# bit fails here. `analytic` (~6 s on 2 vCPUs, most of it the Erlang-4
-# solve; its p99 inversion fans out on the worker pool) checks the
-# quadrature-fallback Erlang-4 fair solve, the SITA cutoff solves, the
-# p99 transform inversion and the analytic policy roster. They gate
+# bit fails here. They run at the default seed 1997 and again at the
+# held-out seed 4099 (~4 s together), so a trace column that drifts only
+# at some seeds fails too. `analytic` (~6 s on 2 vCPUs, most of it the
+# Erlang-4 solve; its p99 inversion fans out on the worker pool) checks
+# the quadrature-fallback Erlang-4 fair solve, the SITA cutoff solves,
+# the p99 transform inversion and the analytic policy roster. They gate
 # correctness only, never timing.
-for workload in paper_h2 wide_full analytic; do
+for gate in paper_h2:1997 wide_full:1997 analytic:1997 paper_h2:4099 wide_full:4099; do
+    workload=${gate%%:*}
+    seed=${gate##*:}
     result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+        --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | tail -n 1)
     if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
-        echo "ci: perfbench $workload digests failed: $result" >&2
+        echo "ci: perfbench $workload digests at seed $seed failed: $result" >&2
         exit 1
     fi
 done

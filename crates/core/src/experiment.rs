@@ -81,6 +81,12 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     /// the default: one worker per available core. Results are
     /// bit-for-bit identical for every setting — the thread count only
     /// changes wall-clock time.
+    ///
+    /// The setting bounds the grid's lanes only. Inside a run, a long
+    /// trace draws its arrival columns on a free pool helper (up to
+    /// [`dses_dist::par::available_workers`]; see
+    /// [`WorkloadBuilder`]), and a grid whose lanes keep the pool busy
+    /// draws them on each lane's own thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = (threads > 0).then_some(threads);

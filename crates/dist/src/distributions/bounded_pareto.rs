@@ -22,6 +22,8 @@ pub struct BoundedPareto {
     alpha: f64,
     /// cached normaliser `1 − (k/p)^α`
     norm: f64,
+    /// cached inverse-transform exponent `−1/α`
+    neg_inv_alpha: f64,
 }
 
 impl BoundedPareto {
@@ -42,7 +44,13 @@ impl BoundedPareto {
             return Err(DistError::new(format!("tail index alpha = {alpha} must be positive and finite")));
         }
         let norm = 1.0 - (k / p).powf(alpha);
-        Ok(Self { k, p, alpha, norm })
+        Ok(Self {
+            k,
+            p,
+            alpha,
+            norm,
+            neg_inv_alpha: -1.0 / alpha,
+        })
     }
 
     /// Lower bound `k` of the support.
@@ -94,7 +102,7 @@ impl Distribution for BoundedPareto {
     fn sample(&self, rng: &mut Rng64) -> f64 {
         // Inverse transform: x = k · (1 − u·norm)^{−1/α}
         let u = rng.uniform();
-        self.k * (1.0 - u * self.norm).powf(-1.0 / self.alpha)
+        self.k * (1.0 - u * self.norm).powf(self.neg_inv_alpha)
     }
 
     fn support(&self) -> (f64, f64) {
@@ -113,7 +121,7 @@ impl Distribution for BoundedPareto {
 
     fn quantile(&self, u: f64) -> f64 {
         assert!((0.0..=1.0).contains(&u), "quantile probability {u} not in [0,1]");
-        self.k * (1.0 - u * self.norm).powf(-1.0 / self.alpha)
+        self.k * (1.0 - u * self.norm).powf(self.neg_inv_alpha)
     }
 
     fn raw_moment(&self, k: i32) -> f64 {

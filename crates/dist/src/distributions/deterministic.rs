@@ -45,8 +45,10 @@ impl Distribution for Deterministic {
     fn cdf(&self, x: f64) -> f64 {
         if x >= self.value {
             1.0
-        } else {
+        } else if x < self.value {
             0.0
+        } else {
+            f64::NAN
         }
     }
 

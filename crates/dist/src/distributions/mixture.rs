@@ -66,6 +66,9 @@ impl Mixture {
 }
 
 impl Distribution for Mixture {
+    // Inlined into the caller's draw loop: out of line, the call costs
+    // as much as the body–tail pick itself (DESIGN.md §9.4).
+    #[inline]
     fn sample(&self, rng: &mut Rng64) -> f64 {
         let u = rng.uniform();
         let mut acc = 0.0;

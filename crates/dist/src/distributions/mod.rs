@@ -64,4 +64,38 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn a_nan_argument_gives_nan_and_never_panics() {
+        // LogNormal and Erlang reach the incomplete gamma, whose domain
+        // asserts once rejected NaN and aborted the caller
+        let mixture = Mixture::new(vec![
+            (0.5, Box::new(BoundedPareto::new(1.0, 1.0e4, 1.1).unwrap()) as Box<dyn Distribution>),
+            (0.5, Box::new(LogNormal::new(6.0, 1.0).unwrap())),
+        ])
+        .unwrap();
+        let every: Vec<(&str, Box<dyn Distribution>)> = vec![
+            ("BoundedPareto", Box::new(BoundedPareto::new(1.0, 1.0e6, 1.1).unwrap())),
+            ("Deterministic", Box::new(Deterministic::new(2.0).unwrap())),
+            ("Erlang", Box::new(Erlang::with_mean(4, 1000.0).unwrap())),
+            ("Exponential", Box::new(Exponential::with_mean(1000.0).unwrap())),
+            ("HyperExponential", Box::new(HyperExponential::fit_mean_scv(1000.0, 4.0).unwrap())),
+            ("LogNormal", Box::new(LogNormal::new(6.0, 1.0).unwrap())),
+            ("Pareto", Box::new(Pareto::new(1.0, 1.5).unwrap())),
+            ("Scaled", Box::new(Scaled::new(LogNormal::new(6.0, 1.0).unwrap(), 3.0).unwrap())),
+            ("Uniform", Box::new(Uniform::new(1.0, 5.0).unwrap())),
+            ("Weibull", Box::new(Weibull::new(3.0, 1000.0).unwrap())),
+            ("Mixture", Box::new(mixture)),
+            ("Empirical", Box::new(crate::Empirical::from_values(&[1.0, 2.0, 8.0]).unwrap())),
+        ];
+        for (name, d) in &every {
+            assert!(d.cdf(f64::NAN).is_nan(), "{name}: cdf(NaN)");
+            let x = d.quantile(0.5);
+            let p = d.prob_in(f64::NAN, x);
+            assert!(p.is_nan() || p == 0.0, "{name}: prob_in(NaN, {x}) = {p}");
+        }
+        assert!(crate::special::erf(f64::NAN).is_nan());
+        assert!(crate::special::erfc(f64::NAN).is_nan());
+        assert!(crate::special::std_normal_cdf(f64::NAN).is_nan());
+    }
 }

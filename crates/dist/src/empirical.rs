@@ -122,6 +122,9 @@ impl Distribution for Empirical {
     }
 
     fn cdf(&self, x: f64) -> f64 {
+        if x.is_nan() {
+            return f64::NAN;
+        }
         self.count_le(x) as f64 / self.sorted.len() as f64
     }
 

@@ -43,18 +43,28 @@
 //! A worker panic is captured, stops further index claims for that batch,
 //! and is re-raised on the submitting thread, as with the sequential
 //! loop. The module remains dependency-free.
+//!
+//! [`join`] runs two unlike tasks side by side — a generated trace's size
+//! and arrival streams: the caller runs one, and the other is a
+//! one-index batch that a free helper takes or the caller runs after its
+//! own. Results and panics are those of the sequential order.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of workers the machine supports (`available_parallelism`,
-/// falling back to 1 when the platform cannot tell).
+/// falling back to 1 when the platform cannot tell), asked once per
+/// process: on Linux each query reads the cgroup quota files, about
+/// 40 µs and four allocations, which a trace build would pay per call.
 #[must_use]
 pub fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// Resolve a requested worker count: `None` or `Some(0)` means "use the
@@ -109,6 +119,19 @@ impl Batch {
         self.next.load(Ordering::Relaxed) >= self.n
     }
 
+    /// Block until every index completed or one panicked; returns the
+    /// captured panic, if any.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let mut done = self.done.lock().expect("batch accounting poisoned"); // dses-lint: allow(panic-hygiene) -- poisoned lock means a worker panicked; that panic is already propagating
+        while done.completed < self.n && done.panic.is_none() {
+            done = self
+                .finished
+                .wait(done)
+                .expect("batch accounting poisoned"); // dses-lint: allow(panic-hygiene) -- poisoned lock means a worker panicked; that panic is already propagating
+        }
+        done.panic.take()
+    }
+
     /// Drain indices until none are left, recording completions. On a
     /// panic inside `run`, capture it (first one wins), stop all further
     /// claims, and wake the submitter.
@@ -139,6 +162,26 @@ impl Batch {
             }
         }
     }
+}
+
+/// The one task of a [`WorkerPool::join`]: waiting to be claimed, being
+/// run, or its result.
+enum JoinSlot<A, R> {
+    Task(A),
+    Claimed,
+    Done(R),
+}
+
+impl<A, R> JoinSlot<A, R> {
+    fn take(&mut self) -> Self {
+        std::mem::replace(self, JoinSlot::Claimed)
+    }
+}
+
+/// Lock a join slot. No task runs under the lock, so it is never
+/// poisoned by one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct PoolState {
@@ -239,16 +282,7 @@ impl WorkerPool {
         // The submitter drains alongside the pool: progress never waits
         // on a helper thread becoming free.
         batch.work();
-        let panic = {
-            let mut done = batch.done.lock().expect("batch accounting poisoned"); // dses-lint: allow(panic-hygiene) -- poisoned lock means a worker panicked; that panic is already propagating
-            while done.completed < n && done.panic.is_none() {
-                done = batch
-                    .finished
-                    .wait(done)
-                    .expect("batch accounting poisoned"); // dses-lint: allow(panic-hygiene) -- poisoned lock means a worker panicked; that panic is already propagating
-            }
-            done.panic.take()
-        };
+        let panic = batch.wait();
         self.retire(&batch);
         if let Some(payload) = panic {
             resume_unwind(payload);
@@ -262,6 +296,67 @@ impl WorkerPool {
                     .expect("worker filled every claimed slot") // dses-lint: allow(panic-hygiene) -- run_indexed waits until all n indices completed
             })
             .collect()
+    }
+
+    /// Run `a` and `b` side by side and return both results: `b` on the
+    /// calling thread, `a` as a one-index batch that a pool helper picks
+    /// up if one is free (`workers >= 2`). If no helper has started `a`
+    /// by the time `b` returns, the caller runs it too, so a `join`
+    /// nested in a busy pool runs both tasks in turn on its own thread.
+    ///
+    /// Results and panics are those of the sequential `(b(), a())`
+    /// order: `b` borrows freely from the caller, and a panic in `b`
+    /// wins over one in `a` (an `a` no helper started is then skipped,
+    /// one already running is waited for). With `workers <= 1` that
+    /// loop runs as written — no locks, no queue.
+    pub fn join<RA, RB, A, B>(&self, workers: usize, a: A, b: B) -> (RA, RB)
+    where
+        RA: Send + 'static,
+        A: FnOnce() -> RA + Send + 'static,
+        B: FnOnce() -> RB,
+    {
+        if workers <= 1 {
+            let rb = b();
+            return (a(), rb);
+        }
+        let slot = Arc::new(Mutex::new(JoinSlot::Task(a)));
+        let batch = Arc::new(Batch {
+            n: 1,
+            next: AtomicUsize::new(0),
+            admissions: AtomicUsize::new(1),
+            run: {
+                let slot = Arc::clone(&slot);
+                Box::new(move |_| {
+                    let task = lock(&slot).take();
+                    if let JoinSlot::Task(a) = task {
+                        let result = a();
+                        *lock(&slot) = JoinSlot::Done(result);
+                    }
+                })
+            },
+            done: Mutex::new(BatchDone {
+                completed: 0,
+                panic: None,
+            }),
+            finished: Condvar::new(),
+        });
+        self.submit(Arc::clone(&batch), 1);
+        let rb = catch_unwind(AssertUnwindSafe(b));
+        // Claim `a` back unless a helper has already started it.
+        let on_caller = batch.next.fetch_add(1, Ordering::Relaxed) == 0;
+        self.retire(&batch);
+        let helper_panic = if on_caller { None } else { batch.wait() };
+        let rb = rb.unwrap_or_else(|payload| resume_unwind(payload));
+        if let Some(payload) = helper_panic {
+            resume_unwind(payload);
+        }
+        let task = lock(&slot).take();
+        let ra = match task {
+            JoinSlot::Task(a) => a(),
+            JoinSlot::Done(ra) => ra,
+            JoinSlot::Claimed => unreachable!("a helper that claims the task completes or panics"),
+        };
+        (ra, rb)
     }
 
     /// Enqueue a batch and make sure at least `helpers` pool threads
@@ -339,6 +434,18 @@ where
     F: Fn(usize) -> R + Send + Sync + 'static,
 {
     WorkerPool::global().run_indexed(n, workers, f)
+}
+
+/// Run `a` and `b` side by side on the global [`WorkerPool`]: `b` on
+/// the caller, `a` on a free pool helper or else after `b`. See
+/// [`WorkerPool::join`] for the ordering contract.
+pub fn join<RA, RB, A, B>(workers: usize, a: A, b: B) -> (RA, RB)
+where
+    RA: Send + 'static,
+    A: FnOnce() -> RA + Send + 'static,
+    B: FnOnce() -> RB,
+{
+    WorkerPool::global().join(workers, a, b)
 }
 
 /// Map `f` over a slice on up to `workers` pool threads, preserving
@@ -442,6 +549,41 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn join_returns_both_results_at_any_worker_count() {
+        let pool = WorkerPool::new();
+        let borrowed = [3u64, 4, 5];
+        for workers in [0, 1, 2, 8] {
+            let (a, b) = pool.join(workers, || (0..1_000u64).sum::<u64>(), || borrowed.iter().sum::<u64>());
+            assert_eq!((a, b), (499_500, 12), "workers = {workers}");
+        }
+        // nested in the lanes of a busy pool: each lane still gets both
+        let pool = Arc::new(pool);
+        let inner = Arc::clone(&pool);
+        let lanes = pool.run_indexed(8, 2, move |i| inner.join(2, move || i * 10, || i + 1));
+        assert_eq!(lanes, (0..8).map(|i| (i * 10, i + 1)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn join_raises_the_panic_of_the_sequential_order() {
+        let pool = WorkerPool::new();
+        let message = |f: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+            *payload.downcast::<&str>().expect("a static message")
+        };
+        // `b` runs first in the sequential order, so its panic wins
+        let both = || {
+            pool.join(2, || -> u8 { panic!("in a") }, || -> u8 { panic!("in b") });
+        };
+        assert_eq!(message(&both), "in b");
+        let only_a = || {
+            pool.join(2, || -> u8 { panic!("in a") }, || 1u8);
+        };
+        assert_eq!(message(&only_a), "in a");
+        // the pool survives both
+        assert_eq!(pool.join(2, || 1, || 2), (1, 2));
     }
 
     #[test]

@@ -47,8 +47,12 @@ pub fn gamma(x: f64) -> f64 {
 /// Regularised lower incomplete gamma `P(a, x) = γ(a, x) / Γ(a)`.
 ///
 /// Series expansion for `x < a + 1`, continued fraction otherwise
-/// (Numerical Recipes style).
+/// (Numerical Recipes style). A NaN `x` gives NaN, so a NaN reaching a
+/// cdf through `erf`/`erfc` propagates instead of aborting the caller.
 pub fn reg_gamma_lower(a: f64, x: f64) -> f64 {
+    if x.is_nan() {
+        return f64::NAN;
+    }
     assert!(a > 0.0 && x >= 0.0, "reg_gamma_lower requires a > 0, x >= 0");
     if x == 0.0 {
         return 0.0;
@@ -105,8 +109,11 @@ fn reg_gamma_upper_cf(a: f64, x: f64) -> f64 {
 ///
 /// Computed directly from the continued fraction when `x ≥ a + 1`, not as
 /// `1 − P(a, x)`, so tiny tail probabilities keep full relative accuracy
-/// (important for `erfc` at large arguments).
+/// (important for `erfc` at large arguments). A NaN `x` gives NaN.
 pub fn reg_gamma_upper(a: f64, x: f64) -> f64 {
+    if x.is_nan() {
+        return f64::NAN;
+    }
     assert!(a > 0.0 && x >= 0.0, "reg_gamma_upper requires a > 0, x >= 0");
     if x == 0.0 {
         1.0

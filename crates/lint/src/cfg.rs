@@ -220,49 +220,17 @@ impl Builder<'_, '_> {
         self.code.text(p)
     }
 
-    /// Does a `|` / `||` at `p` start a closure (expression position)
-    /// rather than a binary/closing construct?
-    fn starts_closure(&self, p: usize) -> bool {
-        if self.code.kind(p) != TokenKind::Punct || !matches!(self.text(p), "|" | "||") {
-            return false;
-        }
-        match p.checked_sub(1).map(|q| (self.code.kind(q), self.text(q))) {
-            // after a value ⇒ binary OR; after `|` we are inside a
-            // pattern alternation, not a new closure
-            Some((TokenKind::Ident, t)) => matches!(t, "return" | "move" | "else" | "in"),
-            Some((TokenKind::Int | TokenKind::Float | TokenKind::Str | TokenKind::Char, _)) => {
-                false
-            }
-            Some((TokenKind::Punct, t)) => !matches!(t, ")" | "]" | "}" | "?" | "|"),
-            None => true,
-            _ => false,
-        }
-    }
-
     /// Mark a closure starting at `p` (on `|` or `||`); claims its
     /// tokens into `node` with closure depth `depth + 1` and returns the
     /// position after its body.
     fn closure(&mut self, p: usize, node: usize, depth: u32) -> usize {
         let mut q = p;
         if self.text(p) == "|" {
-            // skip the parameter list to the matching `|`
-            self.claim(p, node);
-            self.bump(p, depth);
-            q = p + 1;
-            let mut par = 0usize;
-            while q < self.node_of.len() + self.open {
-                let t = self.text(q);
-                if par == 0 && t == "|" {
-                    break;
-                }
-                match t {
-                    "(" | "[" | "<" => par += 1,
-                    ")" | "]" | ">" => par = par.saturating_sub(1),
-                    _ => {}
-                }
-                self.claim(q, node);
-                self.bump(q, depth);
-                q += 1;
+            // the parameter list, up to the matching `|`
+            q = self.code.closing_bar(p).min(self.open + self.node_of.len());
+            for r in p..q {
+                self.claim(r, node);
+                self.bump(r, depth);
             }
         }
         if q >= self.open + self.node_of.len() {
@@ -293,7 +261,7 @@ impl Builder<'_, '_> {
                 }
                 _ => {}
             }
-            if self.starts_closure(q) {
+            if self.code.starts_closure(q) {
                 q = self.closure(q, node, depth + 1);
                 continue;
             }
@@ -317,7 +285,7 @@ impl Builder<'_, '_> {
     fn opaque(&mut self, start: usize, end: usize, node: usize, depth: u32) {
         let mut p = start;
         while p < end {
-            if self.starts_closure(p) {
+            if self.code.starts_closure(p) {
                 p = self.closure(p, node, depth);
                 continue;
             }
@@ -344,7 +312,7 @@ impl Builder<'_, '_> {
                 }
                 _ => {}
             }
-            if self.starts_closure(p) {
+            if self.code.starts_closure(p) {
                 p = self.closure(p, node, depth);
                 continue;
             }
@@ -406,7 +374,7 @@ impl Builder<'_, '_> {
                                     q = cl + 1;
                                 }
                                 _ => {
-                                    if self.starts_closure(q) {
+                                    if self.code.starts_closure(q) {
                                         q = self.closure(q, cur, depth);
                                     } else {
                                         self.claim(q, cur);
@@ -592,7 +560,7 @@ impl Builder<'_, '_> {
                     p = close + 1;
                 }
                 _ => {
-                    if self.starts_closure(p) {
+                    if self.code.starts_closure(p) {
                         p = self.closure(p, cur, depth);
                         continue;
                     }
@@ -711,7 +679,7 @@ impl Builder<'_, '_> {
                 }
                 _ => {}
             }
-            if self.starts_closure(q) {
+            if self.code.starts_closure(q) {
                 q = self.closure(q, node, depth);
                 continue;
             }

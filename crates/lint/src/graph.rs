@@ -745,6 +745,25 @@ mod tests {
     }
 
     #[test]
+    fn a_closure_body_naming_a_param_keeps_the_param_narrowing() {
+        let files = vec![sf(
+            "crates/a/src/lib.rs",
+            "a",
+            FileKind::Lib,
+            "pub struct T;\n\
+             impl T { pub fn go(&self, i: usize) {} }\n\
+             pub struct U;\n\
+             impl U { pub fn go(&self, i: usize) {} }\n\
+             pub fn f(x: &T, v: &[usize]) { v.iter().for_each(|&i| x.go(i)); }",
+        )];
+        let g = Graph::build(&files);
+        let f = find(&g, "f");
+        // `x` opens the closure's body; only `i` is bound there
+        let labels: Vec<String> = g.edges[f].iter().map(|&(t, _)| g.label(t)).collect();
+        assert_eq!(labels, vec!["T::go".to_string()]);
+    }
+
+    #[test]
     fn std_paths_resolve_to_nothing() {
         let files = vec![sf(
             "crates/a/src/lib.rs",

@@ -87,6 +87,44 @@ impl<'s> Code<'s> {
         (p < self.code.len()).then(|| self.text(p))
     }
 
+    /// Does a `|` / `||` at `p` start a closure (expression position)
+    /// rather than a binary/closing construct?
+    #[must_use]
+    pub fn starts_closure(&self, p: usize) -> bool {
+        if self.kind(p) != TokenKind::Punct || !matches!(self.text(p), "|" | "||") {
+            return false;
+        }
+        match p.checked_sub(1).map(|q| (self.kind(q), self.text(q))) {
+            // after a value ⇒ binary OR; after `|` we are inside a
+            // pattern alternation, not a new closure
+            Some((TokenKind::Ident, t)) => matches!(t, "return" | "move" | "else" | "in"),
+            Some((TokenKind::Int | TokenKind::Float | TokenKind::Str | TokenKind::Char, _)) => {
+                false
+            }
+            Some((TokenKind::Punct, t)) => !matches!(t, ")" | "]" | "}" | "?" | "|"),
+            None => true,
+            _ => false,
+        }
+    }
+
+    /// Code position of the `|` closing the closure parameter list
+    /// opened by the `|` at `open` (the first `|` outside brackets and
+    /// generics), or the end of the code if there is none.
+    #[must_use]
+    pub fn closing_bar(&self, open: usize) -> usize {
+        let mut depth = 0usize;
+        for p in open + 1..self.len() {
+            match self.text(p) {
+                "|" if depth == 0 => return p,
+                "(" | "[" | "<" => depth += 1,
+                ")" | "]" | ">" => depth = depth.saturating_sub(1),
+                ">>" => depth = depth.saturating_sub(2),
+                _ => {}
+            }
+        }
+        self.len()
+    }
+
     /// Code position of the bracket matching the one at `open`.
     #[must_use]
     pub fn match_bracket(&self, open: usize, ob: &str, cb: &str) -> Option<usize> {
@@ -701,6 +739,9 @@ struct Walker<'s> {
     scopes: Vec<Scope>,
     /// (ty, trait) of each impl id, for fn attribution.
     impl_info: Vec<(Option<String>, Option<String>)>,
+    /// Code positions of the `|`s around the latest closure parameter
+    /// list: the identifiers strictly between them are bindings.
+    closure_params: Option<(usize, usize)>,
 }
 
 impl<'s> Walker<'s> {
@@ -717,6 +758,7 @@ impl<'s> Walker<'s> {
             },
             scopes: Vec::new(),
             impl_info: Vec::new(),
+            closure_params: None,
         }
     }
 
@@ -1187,6 +1229,10 @@ impl<'s> Walker<'s> {
     /// Record calls/facts at code position `p` into the innermost
     /// enclosing fn; record crate references regardless of scope.
     fn collect_facts(&mut self, p: usize) {
+        let closing = self.closure_params.is_some_and(|(_, close)| close == p);
+        if !closing && self.code.text(p) == "|" && self.code.starts_closure(p) {
+            self.closure_params = Some((p, self.code.closing_bar(p)));
+        }
         if self.code.kind(p) != TokenKind::Ident {
             return;
         }
@@ -1221,7 +1267,13 @@ impl<'s> Walker<'s> {
         };
 
         // --- shadowing (re-bindings that disable param narrowing) ---
-        if matches!(prev, Some("let" | "for" | "|"))
+        // A closure binds what its parameter list names; its body, which
+        // starts right after the closing `|`, binds nothing.
+        let closure_param = self
+            .closure_params
+            .is_some_and(|(open, close)| open < p && p < close);
+        if matches!(prev, Some("let" | "for"))
+            || closure_param
             || (prev == Some("mut") && p >= 2 && self.code.text(p - 2) == "let")
         {
             self.out.fns[fn_idx]
@@ -1618,11 +1670,23 @@ fn f(ws: &mut Workspace, x: Trace) {
     }
     make().go();
 }
+fn g(trace: &Trace, y: u32, z: u32) {
+    v.map(|Reverse((_, id))| trace.job(id as usize));
+    v.map(|y| y.go());
+    v.map(move |a: Vec<Vec<u8>>, mut z| z.go(a));
+    v.map(|| trace.len());
+}
 ";
         let items = parse_file(src);
         assert!(items.fields.iter().any(|d| d.field == "inner" && d.fty == "Dispatcher"));
         let f = &items.fns[0];
         assert!(f.shadowed.contains(&"x".to_string()));
+        // a closure's body may start with a parameter of the fn: only
+        // the names between the closure's `|`s are bindings
+        let g = &items.fns[1];
+        let shadowed = |name: &str| g.shadowed.iter().any(|s| s == name);
+        assert!(!shadowed("trace"), "{:?}", g.shadowed);
+        assert!(shadowed("id") && shadowed("y") && shadowed("z") && shadowed("a"));
         let recvs: Vec<&Recv> = f
             .calls
             .iter()

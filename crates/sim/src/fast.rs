@@ -142,6 +142,13 @@ const ARGMIN_LANES: usize = 8;
 /// candidates, and the `(min value, then min index)` horizontal
 /// reduction recovers exactly it. The scalar tail covers indices after
 /// the chunked prefix, where strict `<` alone preserves the tie-break.
+///
+/// Idle first (DESIGN.md §11.1): a clamped backlog is `+0.0` exactly
+/// when `free_at[h] <= now` and positive otherwise, so whenever a host
+/// is idle the minimum is 0 and the leftmost idle host is the answer.
+/// The chunked branch looks for it chunk by chunk, one branch-free
+/// compare per chunk, and runs the lane scan only when every host is
+/// busy.
 // dses-lint: divides(0)
 // dses-lint: deny(alloc)
 #[must_use]
@@ -157,6 +164,16 @@ pub(crate) fn argmin_work_left(free_at: &[f64], now: f64) -> usize {
     // "tail" case covering the whole slice — is faster and trivially
     // leftmost-tie-wins.
     if chunks > 0 {
+        // Idle first: the first chunk holding a host at or below `now`
+        // holds the leftmost idle host, which is the answer. The check
+        // is one branch-free compare per chunk, so an all-busy array
+        // pays little before the lane scan; an idle host in the
+        // remainder wins the scalar tail below with its +0.0.
+        for (c, block) in free_at.chunks_exact(ARGMIN_LANES).enumerate() {
+            if block.iter().fold(false, |idle, &f| idle | (f <= now)) {
+                return c * ARGMIN_LANES + block.iter().take_while(|&&f| f > now).count();
+            }
+        }
         // Indices ride in f64 lanes too (exact below 2^53), so one
         // compare mask drives two same-width selects.
         let mut lane_v = [f64::INFINITY; ARGMIN_LANES];
@@ -1141,6 +1158,38 @@ mod tests {
                     );
                 }
             }
+        }
+        // Idle-heavy inputs on the chunked branch, where the scan stops
+        // at the first idle host: many hosts at or below `now`, hosts
+        // exactly at `now`, `+0.0` hosts at `now = 0.0`, and a lone idle
+        // host in the last position.
+        for n in [16usize, 17, 31, 64, 1024] {
+            for _ in 0..50 {
+                let now = values[rng.below(values.len() as u64) as usize];
+                let free_at: Vec<f64> = (0..n)
+                    .map(|_| match rng.below(4) {
+                        0 => now,
+                        1 => now * 0.5,
+                        _ => now + 1.0 + rng.below(3) as f64,
+                    })
+                    .collect();
+                assert_eq!(
+                    argmin_work_left(&free_at, now),
+                    argmin_ref(&free_at, now),
+                    "n = {n}, now = {now}, free_at = {free_at:?}"
+                );
+            }
+            let zeros = vec![0.0; n];
+            assert_eq!(argmin_work_left(&zeros, 0.0), 0, "n = {n}: all +0.0 at now 0");
+            let mut last = vec![5.0; n];
+            last[n - 1] = 2.5;
+            for now in [2.5, 3.0] {
+                assert_eq!(argmin_work_left(&last, now), n - 1, "n = {n}: idle last");
+                assert_eq!(argmin_ref(&last, now), n - 1);
+            }
+            let mut busy = vec![0.0; n];
+            busy[0] = 1.0;
+            assert_eq!(argmin_work_left(&busy, 0.0), 1, "n = {n}: first +0.0 after a busy host");
         }
     }
 

@@ -3,8 +3,16 @@
 use crate::arrivals::ArrivalProcess;
 use crate::job::Job;
 use crate::trace::{reciprocals, Trace};
+use dses_dist::par::{available_workers, join};
 use dses_dist::prelude::*;
 use std::sync::Arc;
+
+/// Length from which [`WorkloadBuilder::build_loads`] draws a trace's
+/// size column and its arrival columns side by side, the arrivals on a
+/// pool helper ([`dses_dist::par::join`]); shorter traces draw them in
+/// turn on the caller. Below about 2 000 jobs waking a helper costs more
+/// than the arrival stream it takes over (DESIGN.md §9.4).
+pub const CONCURRENT_BUILD_MIN_JOBS: usize = 4_096;
 
 /// Builder for synthetic job traces.
 ///
@@ -44,6 +52,15 @@ use std::sync::Arc;
 /// column and one reciprocal column and differ only in their arrivals.
 /// [`WorkloadBuilder::build`] under [`WorkloadBuilder::poisson_load`] is
 /// its one-load case.
+///
+/// The two streams share nothing, so from [`CONCURRENT_BUILD_MIN_JOBS`]
+/// jobs a Poisson build draws them side by side: the sizes and
+/// reciprocals on the calling thread, the arrival columns on a helper of
+/// the worker pool when one is free (up to [`available_workers`]). Each
+/// column is still a pure function of the seed, `n`, the distribution
+/// and the rates, so a trace has the same bits on any thread and at any
+/// worker count. An explicit arrival process is not `Send`, so its
+/// traces are always drawn on the caller.
 #[derive(Debug)]
 pub struct WorkloadBuilder<D: Distribution> {
     size_dist: D,
@@ -131,8 +148,9 @@ impl<D: Distribution> WorkloadBuilder<D> {
                 one.pop().expect("one load in, one trace out")
             }
             LoadSpec::Process(mut process) => {
-                let (sizes, inv_sizes, mut gap_rng) =
-                    size_columns(&self.size_dist, self.n_jobs, self.seed);
+                let root = Rng64::seed_from(self.seed);
+                let (sizes, inv_sizes) = size_columns(&self.size_dist, self.n_jobs, root.stream(1));
+                let mut gap_rng = root.stream(2);
                 process.reset();
                 let arrivals = arrival_column(self.n_jobs, |_| process.next_gap(&mut gap_rng));
                 Trace::from_columns(arrivals, sizes, inv_sizes)
@@ -158,47 +176,60 @@ impl<D: Distribution> WorkloadBuilder<D> {
         );
         assert!(hosts > 0, "need at least one host");
         let n = self.n_jobs;
-        let (sizes, inv_sizes, mut gap_rng) = size_columns(&self.size_dist, n, self.seed);
         let mean = self.size_dist.mean();
-        // One load draws its unit exponentials as it sums them; a sweep
-        // draws them once into a column that every load rescales.
-        let units: Option<Vec<f64>> = if loads.len() > 1 {
-            Some((0..n).map(|_| gap_rng.standard_exponential()).collect())
-        } else {
-            None
+        let rates: Vec<f64> = loads.iter().map(|&rho| rho * hosts as f64 / mean).collect();
+        let root = Rng64::seed_from(self.seed);
+        let gaps = {
+            let (rng, rates) = (root.stream(2), rates.clone());
+            move || arrival_columns(rng, n, &rates)
         };
-        loads
-            .iter()
-            .map(|&rho| {
-                let rate = rho * hosts as f64 / mean;
-                assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-                // each load allocates its own arrivals column: once per
-                // trace, never per job
-                let arrivals = match &units {
-                    Some(units) => arrival_column(n, |i| units[i] / rate),
-                    None => arrival_column(n, |_| gap_rng.standard_exponential() / rate),
-                };
-                Trace::from_columns(arrivals, Arc::clone(&sizes), Arc::clone(&inv_sizes))
-            })
+        let sizes = || size_columns(&self.size_dist, n, root.stream(1));
+        // Sizes first, as in the serial order: their check panics before
+        // any rate or arrival check does.
+        let (arrivals, (sizes, inv_sizes)) = if n >= CONCURRENT_BUILD_MIN_JOBS {
+            join(available_workers(), gaps, sizes)
+        } else {
+            let sizes = sizes();
+            (gaps(), sizes)
+        };
+        assert!(
+            rates.iter().all(|&rate| rate > 0.0 && rate.is_finite()),
+            "rate must be positive"
+        );
+        arrivals
+            .into_iter()
+            .map(|arrivals| Trace::from_columns(arrivals, Arc::clone(&sizes), Arc::clone(&inv_sizes)))
             .collect()
     }
 }
 
 /// The load-invariant columns of a generated trace: `n` sizes drawn from
-/// stream 1 of `Rng64::seed_from(seed)`, each passing [`Job::new`]'s size
-/// check, and their reciprocals. Also returns stream 2, the gap stream.
-fn size_columns<D: Distribution>(
-    dist: &D,
-    n: usize,
-    seed: u64,
-) -> (Arc<[f64]>, Arc<[f64]>, Rng64) {
-    let root = Rng64::seed_from(seed);
-    let mut size_rng = root.stream(1);
+/// `rng` (stream 1 of the seed), each passing [`Job::new`]'s size check,
+/// and their reciprocals.
+fn size_columns<D: Distribution>(dist: &D, n: usize, mut rng: Rng64) -> (Arc<[f64]>, Arc<[f64]>) {
     let sizes: Arc<[f64]> = (0..n)
-        .map(|i| Job::checked_size(i as u64, dist.sample(&mut size_rng)))
+        .map(|i| Job::checked_size(i as u64, dist.sample(&mut rng)))
         .collect();
     let inv_sizes = reciprocals(&sizes);
-    (sizes, inv_sizes, root.stream(2))
+    (sizes, inv_sizes)
+}
+
+/// The Poisson arrival column of each rate, in order, from `rng` (stream
+/// 2 of the seed); it stops before the first rate that is not positive
+/// and finite, which the caller rejects. One load draws its unit
+/// exponentials as it sums them; a sweep draws them once into a column
+/// that every load rescales, and each load allocates its own arrival
+/// column: once per trace, never per job.
+fn arrival_columns(mut rng: Rng64, n: usize, rates: &[f64]) -> Vec<Vec<f64>> {
+    let valid = rates.iter().take_while(|&&rate| rate > 0.0 && rate.is_finite());
+    if rates.len() > 1 {
+        let units: Vec<f64> = (0..n).map(|_| rng.standard_exponential()).collect();
+        valid.map(|&rate| arrival_column(n, |i| units[i] / rate)).collect()
+    } else {
+        valid
+            .map(|&rate| arrival_column(n, |_| rng.standard_exponential() / rate))
+            .collect()
+    }
 }
 
 /// Arrival times as the running sum `t += gap(i)` from `t = 0`, each
