@@ -11,7 +11,9 @@ cargo build --release
 # for byte (~11-15 s on 2 vCPUs).
 ./target/release/all_exhibits | cmp - exhibits_output.txt
 
-cargo test -q
+# --no-fail-fast: a failing test binary (say, a lint selfcheck) must not
+# hide whether the other suites pass; the script still fails if any does.
+cargo test -q --no-fail-fast
 
 # The repo benchmark (`perfbench/`, its own cargo workspace) builds
 # against the public APIs of `crates/`, and its tests compare the

@@ -7,9 +7,8 @@
 use std::process::Command;
 
 fn main() {
-    // forwarded to every child exhibit (0 = all cores; Auto = per-caller demand)
+    // forwarded to every child exhibit (0 = all cores)
     let threads = dses_bench::threads_arg();
-    let metrics = dses_bench::metrics_arg();
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
     let bins = [
@@ -26,8 +25,6 @@ fn main() {
         if threads > 0 {
             cmd.arg("--threads").arg(threads.to_string());
         }
-        cmd.arg("--metrics")
-            .arg(dses_core::report::metrics_mode_label(metrics));
         let status = cmd.status();
         match status {
             Ok(s) if s.success() => {}

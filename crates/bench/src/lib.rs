@@ -45,38 +45,6 @@ pub fn workers_arg() -> usize {
     })
 }
 
-/// Parse `--metrics full|auto|means` (or `--metrics=<mode>`) from this
-/// process's command line: the collector's demand tier for an exhibit's
-/// runs. `auto` — the default when the flag is absent — lets each entry
-/// point demand exactly the fields it reads; demanded fields are
-/// bitwise identical across modes, so the committed exhibit captures
-/// are byte-for-byte the same under `full` and `auto`. `means` forces
-/// the slimmest tier everywhere (a throughput knob; undemanded fields
-/// read as deterministic empties).
-#[must_use]
-pub fn metrics_arg() -> MetricsMode {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let value = if let Some(v) = a.strip_prefix("--metrics=") {
-            v.to_string()
-        } else if a == "--metrics" {
-            args.next().unwrap_or_default()
-        } else {
-            continue;
-        };
-        return match value.as_str() {
-            "full" => MetricsMode::Full,
-            "auto" => MetricsMode::Auto,
-            "means" => MetricsMode::Means,
-            other => {
-                eprintln!("invalid --metrics value {other:?}; expected full, auto, or means");
-                std::process::exit(2);
-            }
-        };
-    }
-    MetricsMode::Auto
-}
-
 /// The load grid used by the simulation figures (the paper plots up to
 /// 0.8 "because otherwise they become unreadable" but discusses all
 /// loads under 1; we include 0.9).
@@ -104,9 +72,8 @@ pub const EXHIBIT_WARMUP: usize = 5_000;
 pub const EXHIBIT_SEED: u64 = 1997;
 
 /// Build the standard exhibit experiment for a preset. Honors the
-/// `--threads <n>` and `--metrics <mode>` flags on the binary's command
-/// line (see [`threads_arg`], [`metrics_arg`]), so every exhibit
-/// accepts the same knobs.
+/// `--threads <n>` flag on the binary's command line (see
+/// [`threads_arg`]), so every exhibit accepts the same knob.
 #[must_use]
 pub fn exhibit_experiment(preset: &WorkloadPreset, hosts: usize) -> Experiment<Mixture> {
     Experiment::new(preset.size_dist.clone())
@@ -115,7 +82,6 @@ pub fn exhibit_experiment(preset: &WorkloadPreset, hosts: usize) -> Experiment<M
         .warmup_jobs(EXHIBIT_WARMUP)
         .seed(EXHIBIT_SEED)
         .threads(threads_arg())
-        .metrics_mode(metrics_arg())
 }
 
 /// Render a set of policy sweeps as two tables (mean slowdown and

@@ -10,6 +10,11 @@
 
 use std::collections::BTreeMap;
 
+/// The most points one load range may expand to. At 100 000 jobs a
+/// load's arrival column is 0.8 MB, so 1 000 loads already hold 0.8 GB;
+/// the paper's figures use 9.
+pub const MAX_LOADS: usize = 1_000;
+
 /// Parsed command line: one subcommand plus `--key value` / `--switch`
 /// flags.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -159,7 +164,9 @@ impl Args {
         self.switches.iter().any(|s| s == key)
     }
 
-    /// Parse a load list: `0.5` or `0.5,0.7,0.9` or a range `0.1:0.9:0.2`.
+    /// Parse a load list: `0.5` or `0.5,0.7,0.9` or a range `0.1:0.9:0.2`
+    /// of at most [`MAX_LOADS`] points. Only the syntax is checked here;
+    /// the caller checks each value.
     pub fn get_loads(&self, key: &str, default: &[f64]) -> Result<Vec<f64>, ArgError> {
         let Some(spec) = self.get(key) else {
             return Ok(default.to_vec());
@@ -178,13 +185,18 @@ impl Args {
                 if !(step > 0.0 && hi >= lo) {
                     return Err(ArgError(format!("empty range in --{key}: {spec:?}")));
                 }
-                let mut out = Vec::new();
-                let mut x = lo;
-                while x <= hi + 1e-12 {
-                    out.push((x * 1e9).round() / 1e9);
-                    x += step;
+                // Count the points before building them: a step too small
+                // to move `x += step` would otherwise never end the list.
+                // The 1e-9 of a step absorbs rounding in `(hi − lo) / step`.
+                let points = ((hi - lo) / step + 1e-9).floor() + 1.0;
+                if points.is_nan() || points > MAX_LOADS as f64 {
+                    return Err(ArgError(format!(
+                        "--{key} range {spec:?} has more than {MAX_LOADS} points"
+                    )));
                 }
-                return Ok(out);
+                return Ok((0..points as usize)
+                    .map(|k| ((lo + k as f64 * step) * 1e9).round() / 1e9)
+                    .collect());
             }
         }
         spec.split(',')
@@ -245,6 +257,14 @@ mod tests {
         assert_eq!(a.get_loads("loads", &[0.7]).unwrap(), vec![0.7]);
         let a = parse(&["x", "--loads", "0.9:0.1:0.2"]).unwrap();
         assert!(a.get_loads("loads", &[]).is_err());
+        // the point count is known before the list is built
+        let a = parse(&["x", "--loads", "0.5:0.5:1e-300"]).unwrap();
+        assert_eq!(a.get_loads("loads", &[]).unwrap(), vec![0.5]);
+        let a = parse(&["x", "--loads", "0.001:1:0.001"]).unwrap();
+        assert_eq!(a.get_loads("loads", &[]).unwrap().len(), MAX_LOADS);
+        let a = parse(&["x", "--loads", "0.0005:1:0.0005"]).unwrap();
+        let e = a.get_loads("loads", &[]).unwrap_err().0;
+        assert!(e.contains("more than 1000 points"), "{e}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::names;
 use dses_core::fairness::FairnessReport;
 use dses_core::report::{fmt_num, Table};
 use dses_core::rule_of_thumb::rule_of_thumb_fraction;
-use dses_core::{Experiment, MetricsMode, PolicySpec};
+use dses_core::{Experiment, PolicySpec};
 use dses_dist::{Distribution, Mixture};
 use dses_sim::SimResult;
 use dses_workload::{swf, Trace};
@@ -44,7 +44,7 @@ const COMMANDS: &[Command] = &[
     Command {
         names: &["simulate"],
         values: &[
-            "workload", "hosts", "jobs", "warmup", "seed", "metrics", "policy", "load", "slo",
+            "workload", "hosts", "jobs", "warmup", "seed", "policy", "load", "slo",
         ],
         switches: &["fairness", "percentiles"],
         run: simulate,
@@ -58,8 +58,7 @@ const COMMANDS: &[Command] = &[
     Command {
         names: &["sweep"],
         values: &[
-            "workload", "hosts", "jobs", "warmup", "seed", "metrics", "policies", "loads",
-            "threads",
+            "workload", "hosts", "jobs", "warmup", "seed", "policies", "loads", "threads",
         ],
         switches: &[],
         run: sweep,
@@ -67,8 +66,7 @@ const COMMANDS: &[Command] = &[
     Command {
         names: &["replicate"],
         values: &[
-            "workload", "hosts", "jobs", "warmup", "seed", "metrics", "policies", "load", "reps",
-            "threads",
+            "workload", "hosts", "jobs", "warmup", "seed", "policies", "load", "reps", "threads",
         ],
         switches: &[],
         run: replicate,
@@ -130,22 +128,20 @@ COMMANDS
       --fairness                    print the slowdown-vs-size profile
       --percentiles                 print slowdown percentiles
       --slo <s>                     report the fraction of jobs with slowdown > s
-      --metrics full|auto|means     collector demand tier (default auto);
-                                    auto collects what each command reads,
-                                    means is the slim throughput tier
   analyze    closed-form prediction (no simulation)
       --workload, --policy, --load, --hosts as above
   sweep      figure-style table over loads
       --policies a,b,c              (default random,lwl,sita-e,sita-u-fair)
-      --loads lo:hi:step or a,b,c   (default 0.1:0.9:0.2)
+      --loads lo:hi:step or a,b,c   each in (0,1); a range of at most 1000
+                                    points (default 0.1:0.9:0.2)
       --threads <n>                 worker threads; 0 = all cores (default 0)
                                     results are identical for every n
-      --workload, --hosts, --jobs, --seed, --warmup, --metrics as above
+      --workload, --hosts, --jobs, --seed, --warmup as above
   replicate  multi-seed runs with ~95% confidence intervals
       --policies a,b,c              (default lwl,sita-e,sita-u-fair)
       --reps <n>                    (default 5)
       --threads <n>                 worker threads; 0 = all cores (default 0)
-      --workload, --load, --hosts, --jobs, --seed, --warmup, --metrics as above
+      --workload, --load, --hosts, --jobs, --seed, --warmup as above
   cutoff     solve SITA cutoffs
       --method equal-load|opt|fair|rot
       --workload, --load, --hosts as above
@@ -197,14 +193,27 @@ fn hosts(args: &Args) -> Result<usize, ArgError> {
     Ok(hosts)
 }
 
+/// A system load strictly inside (0, 1), or an error naming `--{flag}`.
+fn check_load(flag: &str, load: f64) -> Result<f64, ArgError> {
+    if !(load > 0.0 && load < 1.0) {
+        return Err(ArgError(format!("--{flag} must be in (0,1), got {load}")));
+    }
+    Ok(load)
+}
+
 /// `--load` (default 0.7), checked in one place for every command: a
 /// system load strictly inside (0, 1).
 fn load(args: &Args) -> Result<f64, ArgError> {
-    let load = args.get_f64("load", 0.7)?;
-    if !(load > 0.0 && load < 1.0) {
-        return Err(ArgError(format!("--load must be in (0,1), got {load}")));
+    check_load("load", args.get_f64("load", 0.7)?)
+}
+
+/// `--loads` (default 0.1:0.9:0.2), every value checked like [`load`].
+fn loads(args: &Args) -> Result<Vec<f64>, ArgError> {
+    let loads = args.get_loads("loads", &[0.1, 0.3, 0.5, 0.7, 0.9])?;
+    for &load in &loads {
+        check_load("loads", load)?;
     }
-    Ok(load)
+    Ok(loads)
 }
 
 /// [`hosts`] and [`load`].
@@ -224,28 +233,17 @@ fn check_warmup(warmup: usize, jobs: usize) -> Result<(), ArgError> {
 }
 
 /// The experiment the simulating commands share: `--workload`,
-/// `--hosts`, `--jobs`, `--warmup`, `--seed` and `--metrics`.
+/// `--hosts`, `--jobs`, `--warmup` and `--seed`.
 fn experiment_from(args: &Args) -> Result<Experiment<Mixture>, ArgError> {
     let preset = names::workload(args.get_or("workload", "c90"))?;
     let jobs = args.get_usize("jobs", 100_000)?;
     let warmup = args.get_usize("warmup", 1_000)?;
     check_warmup(warmup, jobs)?;
-    let experiment = Experiment::new(preset.size_dist.clone())
+    Ok(Experiment::new(preset.size_dist.clone())
         .hosts(hosts(args)?)
         .jobs(jobs)
         .warmup_jobs(warmup)
-        .seed(args.get_u64("seed", 0)?);
-    let mode = match args.get_or("metrics", "auto") {
-        "full" => MetricsMode::Full,
-        "auto" => MetricsMode::Auto,
-        "means" => MetricsMode::Means,
-        other => {
-            return Err(ArgError(format!(
-                "--metrics expects full, auto, or means, got {other:?}"
-            )))
-        }
-    };
-    Ok(experiment.metrics_mode(mode))
+        .seed(args.get_u64("seed", 0)?))
 }
 
 /// Render the standard result block.
@@ -363,7 +361,7 @@ fn analyze(args: &Args) -> Result<String, ArgError> {
 fn sweep(args: &Args) -> Result<String, ArgError> {
     let experiment = experiment_from(args)?.threads(args.get_usize("threads", 0)?);
     let specs = names::policy_list(args.get_or("policies", "random,lwl,sita-e,sita-u-fair"))?;
-    let loads = args.get_loads("loads", &[0.1, 0.3, 0.5, 0.7, 0.9])?;
+    let loads = loads(args)?;
     // The whole policy × load grid fans out over --threads workers with
     // one shared trace per load; failed points carry NaN, which fmt_num
     // renders as "-" exactly like the old per-run loop did.
@@ -639,23 +637,17 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mode_flag_parses_and_rejects() {
-        let out = run_tokens(&[
-            "simulate", "--policy", "lwl", "--jobs", "2000", "--load", "0.5", "--metrics",
-            "means",
-        ])
-        .unwrap();
-        assert!(out.contains("mean slowdown"));
-        let err = run_tokens(&["simulate", "--metrics", "bogus"]);
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn bad_inputs_are_reported_not_panicked() {
         assert!(run_tokens(&["simulate", "--load", "1.5"]).is_err());
         assert!(run_tokens(&["simulate", "--policy", "nope"]).is_err());
         assert!(run_tokens(&["frobnicate"]).is_err());
         assert!(run_tokens(&["swf"]).is_err());
+        // every --loads value is checked like --load, and a range's size
+        // is known before it is built
+        for loads in ["0", "-0.5", "inf", "0.5,nan", "0:0.5:0.25", "1.5", "0.3,1.5"] {
+            assert_rejected(&["sweep", "--loads", loads], "--loads must be in (0,1)");
+        }
+        assert_rejected(&["sweep", "--loads", "0.1:0.3:1e-300"], "more than 1000 points");
     }
 
     /// Write `jobs` C90 jobs as an SWF log under a per-test file name.
@@ -796,8 +788,12 @@ mod tests {
                 }
             }
         }
-        // flags another command reads are unknown here too
+        // flags another command reads are unknown here too, and so is
+        // the removed collector-tier flag
         assert_rejected(&["sweep", "--load", "0.5"], "--load");
+        for command in ["simulate", "sweep", "replicate"] {
+            assert_rejected(&[command, "--metrics", "means"], "unknown flag --metrics");
+        }
         assert_rejected(&["simulate", "--threads", "2"], "--threads");
         assert_rejected(&["analyze", "--jobs", "100"], "--jobs");
         // a value flag without its value, a switch with one

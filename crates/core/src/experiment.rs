@@ -10,29 +10,6 @@ use dses_sim::{simulate_dispatch, Demand, EventEngine, MetricsConfig, SimResult}
 use dses_workload::{Trace, WorkloadBuilder};
 use std::sync::Arc;
 
-/// How an experiment resolves the collector's [`Demand`] tier — the
-/// demand-lattice knob exposed on the CLI and exhibit binaries as
-/// `--metrics full|auto|means` (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetricsMode {
-    /// Every accumulator family on every entry point — the pre-tier
-    /// collector, byte-for-byte.
-    Full,
-    /// Each entry point demands exactly the fields it reads:
-    /// [`Experiment::run`]/[`Experiment::try_run`] return the whole
-    /// [`SimResult`], so they stay full; [`Experiment::sweep_grid`]
-    /// reads only [`SweepPoint`]'s fields (`MEANS | PER_HOST`);
-    /// [`Experiment::replicate`] reads only the mean slowdown
-    /// (`MEANS`). Demanded fields are bitwise identical to `Full`, so
-    /// figures and exhibits are unchanged under `Auto`.
-    #[default]
-    Auto,
-    /// Force the `MEANS` tier everywhere: the four moment streams and
-    /// makespan only. Undemanded [`SimResult`] fields read as
-    /// deterministic empties — a throughput mode, not a fidelity mode.
-    Means,
-}
-
 /// A configured experiment: a workload distribution plus simulation
 /// parameters. Cheap to clone; immutable once built.
 #[derive(Debug, Clone)]
@@ -46,7 +23,6 @@ pub struct Experiment<D: Distribution + Clone + 'static> {
     percentiles: bool,
     slo_slowdown: Option<f64>,
     threads: Option<usize>,
-    metrics_mode: MetricsMode,
 }
 
 impl<D: Distribution + Clone + 'static> Experiment<D> {
@@ -63,17 +39,7 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
             percentiles: false,
             slo_slowdown: None,
             threads: None,
-            metrics_mode: MetricsMode::default(),
         }
-    }
-
-    /// How the collector's [`Demand`] tier is resolved (default
-    /// [`MetricsMode::Auto`]; see its docs for the per-entry-point
-    /// demands).
-    #[must_use]
-    pub fn metrics_mode(mut self, mode: MetricsMode) -> Self {
-        self.metrics_mode = mode;
-        self
     }
 
     /// Worker threads for grid entry points ([`Experiment::sweep_grid`],
@@ -183,16 +149,14 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
             .build_loads(loads, self.hosts)
     }
 
-    /// Resolve the effective demand for an entry point that reads the
-    /// `reads` families from its results.
-    fn demand_for(&self, reads: Demand) -> Demand {
-        match self.metrics_mode {
-            MetricsMode::Full => Demand::FULL,
-            MetricsMode::Auto => reads,
-            MetricsMode::Means => Demand::MEANS,
-        }
-    }
-
+    /// The collector configuration for an entry point that reads the
+    /// `reads` result families: the collector demands exactly those
+    /// (DESIGN.md §13.1). [`Experiment::run`] and
+    /// [`Experiment::try_run`] return the whole [`SimResult`], so they
+    /// demand everything; [`Experiment::sweep_grid`] reads only
+    /// [`SweepPoint`]'s fields (`MEANS | PER_HOST`);
+    /// [`Experiment::replicate`] reads only the mean slowdown (`MEANS`).
+    /// Demanded fields are bitwise identical to a full-demand run.
     fn metrics_config(&self, split_cutoff: Option<f64>, reads: Demand) -> MetricsConfig {
         MetricsConfig {
             warmup_jobs: self.warmup_jobs,
@@ -202,7 +166,7 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
             split_cutoff,
             slowdown_percentiles: self.percentiles,
             slo_slowdown: self.slo_slowdown,
-            demand: self.demand_for(reads),
+            demand: reads,
             batched: false,
         }
     }
@@ -239,7 +203,7 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     }
 
     /// [`Experiment::try_run_on_trace`] with the caller declaring which
-    /// result families it reads (the demand under [`MetricsMode::Auto`]).
+    /// result families it reads (the collector's demand).
     fn try_run_on_trace_demand(
         &self,
         spec: &PolicySpec,
@@ -415,8 +379,8 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     /// variability.
     ///
     /// Each replication is a solo run on its own trace and its own pool
-    /// task, demanding only the mean slowdown (the `MEANS` tier under
-    /// [`MetricsMode::Auto`]), so R replications spread over every worker
+    /// task, demanding only the mean slowdown (the `MEANS` tier), so R
+    /// replications spread over every worker
     /// and each trace is freed as soon as its run ends. When replications
     /// fail, the first failure in lane order is returned.
     pub fn replicate(

@@ -57,7 +57,7 @@ pub mod spec;
 
 pub use cutoffs::{resolve_cutoff, CutoffMethod};
 pub use estimation::{MisclassifyingSita, NoisySizeInterval};
-pub use experiment::{Experiment, LoadSweep, MetricsMode, SweepPoint};
+pub use experiment::{Experiment, LoadSweep, SweepPoint};
 pub use fairness::FairnessReport;
 pub use policies::{
     GroupedSita, LeastWorkLeft, RandomPolicy, RoundRobin, ShortestQueue, SizeInterval,
@@ -68,7 +68,7 @@ pub use spec::PolicySpec;
 /// Convenient glob import: `use dses_core::prelude::*;`.
 pub mod prelude {
     pub use crate::cutoffs::{resolve_cutoff, CutoffMethod};
-    pub use crate::experiment::{Experiment, LoadSweep, MetricsMode, SweepPoint};
+    pub use crate::experiment::{Experiment, LoadSweep, SweepPoint};
     pub use crate::fairness::FairnessReport;
     pub use crate::policies::{
         GroupedSita, LeastWorkLeft, RandomPolicy, RoundRobin, ShortestQueue, SizeInterval,

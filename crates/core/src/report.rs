@@ -105,20 +105,6 @@ pub fn fmt_num(x: f64) -> String {
     }
 }
 
-/// Canonical label for a collector demand tier
-/// ([`MetricsMode`](crate::experiment::MetricsMode)) — the
-/// CLI flag values, the perf-report "collector tier" column, and the
-/// bench JSON all spell the modes this way.
-#[must_use]
-pub fn metrics_mode_label(mode: crate::experiment::MetricsMode) -> &'static str {
-    use crate::experiment::MetricsMode;
-    match mode {
-        MetricsMode::Full => "full",
-        MetricsMode::Auto => "auto",
-        MetricsMode::Means => "means",
-    }
-}
-
 /// Format a ratio like "12.3x".
 #[must_use]
 pub fn fmt_ratio(numerator: f64, denominator: f64) -> String {

@@ -7,33 +7,30 @@
 //! `free_at` is `start + size`. This gives an *exact* simulation — not an
 //! approximation.
 //!
-//! The engine is **specialized to the policy**: a dispatcher declares
-//! which [`HostView`] fields it reads via
-//! [`Dispatcher::state_needs`](crate::state::StateNeeds), and the engine
-//! picks one of four hot loops:
+//! The engine is **specialized to the policy**. A policy that declares a
+//! closed form ([`DispatchKernel`]: Random, Round-Robin, SITA,
+//! Least-Work-Left) runs an inlined kernel with no per-job virtual call.
+//! Every other policy runs one loop body, `run_generic`, monomorphized
+//! on the two [`HostView`](crate::state::HostView) fields it declares
+//! it reads ([`Dispatcher::state_needs`](crate::state::StateNeeds)):
 //!
-//! * **static** (`NOTHING`, e.g. Random/Round-Robin/SITA) — O(1) per
-//!   job: the Lindley scalar per host is all the state there is, and the
-//!   views handed to the policy are never refreshed (it cannot tell);
-//! * **work-left** (`WORK_LEFT`, e.g. Least-Work-Left) — O(h) per job,
-//!   heap-free: `work_left = max(free_at − now, 0)` falls out of the
-//!   Lindley scalar;
-//! * **queue-length** (`QUEUE_LEN` only, e.g. Shortest-Queue) — an FCFS
-//!   run-to-completion host completes jobs in assignment order
-//!   (`completion = max(now, free_at) + service ≥ free_at`, the previous
-//!   completion), so its in-system completion times form a **monotone
-//!   FIFO deque** — push new completions at the back, pop expired ones
-//!   off the front. Queue lengths update incrementally, and a tournament
-//!   heap over the deque fronts (≤ one entry per non-empty host) makes
-//!   the per-arrival expiry check O(1) instead of an O(h) scan;
-//! * **full** (`ALL`, the default for policies that declare nothing) —
-//!   per-host completion min-heaps maintain counts *and* work; this is
-//!   also the reference loop the specialized ones are tested against.
+//! * **`WORK_LEFT`** — refresh `work_left = max(free_at − now, 0)` from
+//!   the Lindley scalars before each dispatch, O(h) per job;
+//! * **`QUEUE_LEN`** — an FCFS run-to-completion host completes jobs in
+//!   assignment order (`completion = max(now, free_at) + service ≥
+//!   free_at`, the previous completion), so its in-system completion
+//!   times form a **monotone FIFO deque**: push new completions at the
+//!   back, pop expired ones off the front. Queue lengths update
+//!   incrementally, and a tournament heap over the deque fronts (≤ one
+//!   entry per non-empty host) makes the per-arrival expiry check O(1)
+//!   instead of an O(h) scan.
 //!
-//! All loops run the identical Lindley arithmetic on the same RNG
-//! stream, so the schedules are bit-for-bit the same regardless of which
-//! loop runs — a policy that does not read a field cannot observe
-//! whether it was computed. The loops stream the trace through its
+//! A field that is not declared is never computed: the views stay at
+//! zero, and a policy that does not read them cannot tell. `ALL` (the
+//! default for a policy that declares nothing) maintains both fields.
+//! Every kernel and every instantiation runs the identical Lindley
+//! arithmetic on the same RNG stream, so schedules are bit-for-bit the
+//! same whichever path runs. The loops stream the trace through its
 //! structure-of-arrays views ([`Trace::arrivals`], [`Trace::sizes`]).
 //!
 //! All per-run state lives in a [`SimWorkspace`]: the `*_into` entry
@@ -48,13 +45,13 @@
 //! end to end (DESIGN.md §12 has the measurements).
 //!
 //! The event-driven engine in [`crate::event`] computes the identical
-//! schedule the slow way; `tests` in both modules and the integration
-//! suite assert exact agreement.
+//! schedule the slow way and is the independent reference: `tests` in
+//! both modules and the integration suite assert exact agreement.
 
 use std::cmp::Reverse;
 
 use crate::metrics::{Collector, JobRecord, MetricsConfig, SimResult};
-use crate::state::{DispatchKernel, Dispatcher, HostView, StateNeeds, SystemState};
+use crate::state::{DispatchKernel, Dispatcher, StateNeeds, SystemState};
 use crate::workspace::{with_thread_workspace, SimWorkspace};
 use dses_dist::Rng64;
 use dses_workload::Trace;
@@ -353,7 +350,7 @@ pub fn simulate_dispatch_speeds_into<P: Dispatcher + ?Sized>(
 /// Dispatch to the hot loop matching the policy's declared state needs.
 ///
 /// Every loop performs the same sequence of observable operations — one
-/// `policy.dispatch` per job on the shared RNG stream, then the Lindley
+/// host choice per job on the shared RNG stream, then the Lindley
 /// update `start = max(now, free_at)`, `free_at = start + service` —
 /// so the choice of loop never changes a schedule, only how much host
 /// bookkeeping is maintained between dispatches.
@@ -400,33 +397,17 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         _ => Selected::Generic,
     };
 
-    let arrivals = trace.arrivals();
-    let sizes = trace.sizes();
-    let inv_sizes = trace.inv_sizes();
-    let SimWorkspace {
-        free_at,
-        views,
-        fifos,
-        expiry,
-        heaps,
-        collector,
-        kernel_cutoffs,
-        ..
-    } = ws;
-
     match selected {
         Selected::Random => {
-            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run and each returns; every path performs at most one service divide per job
+            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run; every path performs at most one service divide per job
             run_static_kernel(
                 trace,
                 speeds,
                 |_, rng| rng.below(hosts as u64) as usize,
                 &mut rng,
-                free_at,
-                collector,
+                &mut ws.free_at,
+                &mut ws.collector,
             );
-            collector.finish_into(out);
-            return;
         }
         Selected::RoundRobin => {
             // engine-owned cursor: `next % hosts` under the invariant
@@ -441,99 +422,78 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
                     t
                 },
                 &mut rng,
-                free_at,
-                collector,
+                &mut ws.free_at,
+                &mut ws.collector,
             );
-            collector.finish_into(out);
-            return;
         }
         Selected::Sita => {
             // `sita_pick` ≡ `partition_point(|c| size > c)` on strictly
             // increasing cutoffs ({c : size > c} is a prefix)
-            let cuts = kernel_cutoffs.as_slice();
+            let cuts = ws.kernel_cutoffs.as_slice();
             run_static_kernel(
                 trace,
                 speeds,
                 |size, _| sita_pick(cuts, size),
                 &mut rng,
-                free_at,
-                collector,
+                &mut ws.free_at,
+                &mut ws.collector,
             );
-            collector.finish_into(out);
-            return;
         }
         Selected::WorkLeft => {
-            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run and each returns; every path performs at most one service divide per job
-            run_work_left_kernel(trace, speeds, free_at, collector);
-            collector.finish_into(out);
-            return;
+            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run; every path performs at most one service divide per job
+            run_work_left_kernel(trace, speeds, &mut ws.free_at, &mut ws.collector);
         }
-        Selected::Generic => {}
-    }
-
-    if needs.needs_queue_len() && needs.needs_work_left() {
-        // Full loop: per-host completion heaps maintain queue lengths
-        // alongside the Lindley scalars. Also the reference loop the
-        // specialized ones are validated against.
-        for i in 0..arrivals.len() {
-            let now = arrivals[i];
-            for h in 0..hosts {
-                let heap = &mut heaps[h];
-                while let Some(&Reverse(OrdF64(c))) = heap.peek() {
-                    if c <= now {
-                        heap.pop();
-                    } else {
-                        break;
-                    }
-                }
-                views[h] = HostView {
-                    queue_len: heap.len(),
-                    work_left: (free_at[h] - now).max(0.0),
-                };
+        Selected::Generic => {
+            let rng = &mut rng;
+            match (needs.needs_work_left(), needs.needs_queue_len()) {
+                (false, false) => run_generic::<false, false, _, _>(trace, speeds, policy, rng, ws),
+                (true, false) => run_generic::<true, false, _, _>(trace, speeds, policy, rng, ws),
+                (false, true) => run_generic::<false, true, _, _>(trace, speeds, policy, rng, ws),
+                (true, true) => run_generic::<true, true, _, _>(trace, speeds, policy, rng, ws),
             }
-            let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
-            assert!(
-                target < hosts,
-                "policy {} returned host {target} of {hosts}",
-                // dses-lint: allow(no-alloc-transitive) -- name() formats only on the assert failure path
-                policy.name()
-            );
-            let start = now.max(free_at[target]);
-            let completion = start + speeds.service(target, sizes[i]);
-            free_at[target] = completion;
-            heaps[target].push(Reverse(OrdF64(completion)));
-            collector.record_with_inv(
-                JobRecord {
-                    id: i as u64,
-                    arrival: now,
-                    size: sizes[i],
-                    start,
-                    completion,
-                    host: target,
-                },
-                inv_sizes[i],
-            );
         }
-    } else if needs.needs_queue_len() {
-        // Queue-length loop: per-host heaps replaced by FIFO deques. An
-        // FCFS run-to-completion host completes jobs in assignment order
-        // — each new completion is `max(now, free_at) + service ≥
-        // free_at`, the previous one — so the in-system completions of
-        // one host form a monotone non-decreasing FIFO: expire off the
-        // front, push on the back.
-        //
-        // Queue lengths update incrementally (+1 on dispatch, −1 on
-        // expiry), and a tournament heap over the deque *fronts* — at
-        // most one entry per non-empty host — turns the per-arrival
-        // expiry check into an O(1) peek instead of an O(hosts) scan.
-        // Expiry order across hosts cannot affect results: every entry
-        // with `completion ≤ now` is drained before the policy looks,
-        // and the later entries keep their exact counts, so queue
-        // lengths are bit-identical to the full loop's. `work_left`
-        // stays 0 — the policy declared it never reads it.
-        for i in 0..arrivals.len() {
-            let now = arrivals[i];
+    }
+    ws.collector.finish_into(out);
+}
+
+/// The loop for every policy without a closed-form kernel: one
+/// `policy.dispatch` per job over views holding exactly the fields the
+/// policy declared (module docs), then the Lindley update. An undeclared
+/// field stays 0 from [`SimWorkspace::reset_fast`].
+///
+/// The FIFO deques hold because an FCFS host completes jobs in
+/// assignment order, whatever the policy reads, so `ALL` counts queues
+/// on them too. Expiry order across hosts cannot affect results: every
+/// entry with `completion ≤ now` is drained before the policy looks.
+// dses-lint: divides(1)
+// dses-lint: deny(alloc)
+fn run_generic<
+    const WORK_LEFT: bool,
+    const QUEUE_LEN: bool,
+    P: Dispatcher + ?Sized,
+    S: SpeedModel,
+>(
+    trace: &Trace,
+    speeds: &S,
+    policy: &mut P,
+    rng: &mut Rng64,
+    ws: &mut SimWorkspace,
+) {
+    let hosts = speeds.hosts();
+    let arrivals = trace.arrivals();
+    let sizes = trace.sizes();
+    let inv_sizes = trace.inv_sizes();
+    let SimWorkspace {
+        free_at,
+        views,
+        fifos,
+        expiry,
+        collector,
+        ..
+    } = ws;
+    for i in 0..arrivals.len() {
+        let now = arrivals[i];
+        if QUEUE_LEN {
             while let Some(&Reverse((OrdF64(next), h))) = expiry.peek() {
                 if next > now {
                     break;
@@ -550,93 +510,43 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
                     expiry.push(Reverse((OrdF64(front), h)));
                 }
             }
-            let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
-            assert!(
-                target < hosts,
-                "policy {} returned host {target} of {hosts}",
-                policy.name()
-            );
-            let start = now.max(free_at[target]);
-            let completion = start + speeds.service(target, sizes[i]);
-            free_at[target] = completion;
+        }
+        if WORK_LEFT {
+            for (v, &f) in views.iter_mut().zip(free_at.iter()) {
+                v.work_left = (f - now).max(0.0);
+            }
+        }
+        let state = SystemState { now, hosts: views.as_slice() };
+        let target = policy.dispatch(&trace.job(i), &state, rng);
+        assert!(
+            target < hosts,
+            "policy {} returned host {target} of {hosts}",
+            // dses-lint: allow(no-alloc-transitive) -- name() formats only on the assert failure path
+            policy.name()
+        );
+        let start = now.max(free_at[target]);
+        let completion = start + speeds.service(target, sizes[i]);
+        free_at[target] = completion;
+        if QUEUE_LEN {
             let fifo = &mut fifos[target];
             if fifo.is_empty() {
                 expiry.push(Reverse((OrdF64(completion), target)));
             }
             fifo.push_back(completion);
             views[target].queue_len += 1;
-            collector.record_with_inv(
-                JobRecord {
-                    id: i as u64,
-                    arrival: now,
-                    size: sizes[i],
-                    start,
-                    completion,
-                    host: target,
-                },
-                inv_sizes[i],
-            );
         }
-    } else if needs.needs_work_left() {
-        // Work-left loop: the Lindley scalar is the whole host state.
-        // `queue_len` stays 0 — the policy declared it never reads it.
-        for i in 0..arrivals.len() {
-            let now = arrivals[i];
-            for (v, &f) in views.iter_mut().zip(free_at.iter()) {
-                v.work_left = (f - now).max(0.0);
-            }
-            let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
-            assert!(
-                target < hosts,
-                "policy {} returned host {target} of {hosts}",
-                policy.name()
-            );
-            let start = now.max(free_at[target]);
-            let completion = start + speeds.service(target, sizes[i]);
-            free_at[target] = completion;
-            collector.record_with_inv(
-                JobRecord {
-                    id: i as u64,
-                    arrival: now,
-                    size: sizes[i],
-                    start,
-                    completion,
-                    host: target,
-                },
-                inv_sizes[i],
-            );
-        }
-    } else {
-        // Static loop: the policy reads no host state at all, so the
-        // views are frozen zeros (correct length, never refreshed).
-        for i in 0..arrivals.len() {
-            let now = arrivals[i];
-            let state = SystemState { now, hosts: views.as_slice() };
-            let target = policy.dispatch(&trace.job(i), &state, &mut rng);
-            assert!(
-                target < hosts,
-                "policy {} returned host {target} of {hosts}",
-                policy.name()
-            );
-            let start = now.max(free_at[target]);
-            let completion = start + speeds.service(target, sizes[i]);
-            free_at[target] = completion;
-            collector.record_with_inv(
-                JobRecord {
-                    id: i as u64,
-                    arrival: now,
-                    size: sizes[i],
-                    start,
-                    completion,
-                    host: target,
-                },
-                inv_sizes[i],
-            );
-        }
+        collector.record_with_inv(
+            JobRecord {
+                id: i as u64,
+                arrival: now,
+                size: sizes[i],
+                start,
+                completion,
+                host: target,
+            },
+            inv_sizes[i],
+        );
     }
-    collector.finish_into(out);
 }
 
 /// The inlined static-policy loop: `select` is the policy's closed-form
@@ -807,8 +717,30 @@ mod tests {
         }
     }
 
-    /// Forces the full (heap-maintaining) loop for any inner policy by
-    /// claiming it reads everything — the pre-specialization engine.
+    /// Pick the host with the fewest in-system jobs, breaking ties by
+    /// least work left and then by lowest index: a policy that reads
+    /// both view fields.
+    struct FewestThenLeastWork;
+    impl Dispatcher for FewestThenLeastWork {
+        fn dispatch(&mut self, _: &Job, s: &SystemState<'_>, _: &mut Rng64) -> usize {
+            s.hosts
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| {
+                    a.queue_len
+                        .cmp(&b.queue_len)
+                        .then(a.work_left.total_cmp(&b.work_left))
+                })
+                .expect("at least one host")
+                .0
+        }
+        fn state_needs(&self) -> StateNeeds {
+            StateNeeds::ALL
+        }
+    }
+
+    /// Runs any inner policy on the `ALL` instantiation by claiming it
+    /// reads everything: both view fields maintained for every job.
     struct ForceFull<P>(P);
     impl<P: Dispatcher> Dispatcher for ForceFull<P> {
         fn dispatch(&mut self, job: &Job, s: &SystemState<'_>, rng: &mut Rng64) -> usize {
@@ -958,10 +890,44 @@ mod tests {
         let _ = simulate_dispatch(&t, 2, &mut Bad, 0, MetricsConfig::default());
     }
 
+    /// Run a fresh policy from `make` on `t` through the fast engine as
+    /// declared, through the fast engine forced to `ALL`, and through the
+    /// event engine, on unit speeds over three hosts (`None`) or on
+    /// `speeds`; the three schedules must agree record for record.
+    fn assert_matches_all_and_event<P: Dispatcher>(
+        t: &Trace,
+        speeds: Option<&[f64]>,
+        make: impl Fn() -> P,
+        seed: u64,
+    ) {
+        let cfg = MetricsConfig {
+            collect_records: true,
+            ..MetricsConfig::default()
+        };
+        let (fast, all, event) = match speeds {
+            None => (
+                simulate_dispatch(t, 3, &mut make(), seed, cfg),
+                simulate_dispatch(t, 3, &mut ForceFull(make()), seed, cfg),
+                crate::EventEngine::new(3, cfg).run_dispatch(t, &mut make(), seed),
+            ),
+            Some(speeds) => (
+                simulate_dispatch_speeds(t, speeds, &mut make(), seed, cfg),
+                simulate_dispatch_speeds(t, speeds, &mut ForceFull(make()), seed, cfg),
+                crate::EventEngine::with_speeds(speeds.to_vec(), cfg)
+                    .run_dispatch(t, &mut make(), seed),
+            ),
+        };
+        let fast = fast.records.unwrap();
+        assert_eq!(fast, all.records.unwrap(), "declared needs vs ALL");
+        let mut event = event.records.unwrap();
+        event.sort_by_key(|r| r.id);
+        assert_eq!(fast, event, "fast engine vs event engine");
+    }
+
     #[test]
     fn specialized_loops_match_the_full_loop_bitwise() {
-        // A bursty hand trace with ties and idle gaps; every loop must
-        // produce the identical schedule to the heap-maintaining one.
+        // A bursty hand trace with ties and idle gaps; every instantiation
+        // must produce the schedule of `ALL` and of the event engine.
         let t = trace(&[
             (0.0, 10.0),
             (0.0, 3.0),
@@ -971,11 +937,7 @@ mod tests {
             (30.0, 5.0),
             (30.5, 0.5),
         ]);
-        let cfg = MetricsConfig {
-            collect_records: true,
-            ..MetricsConfig::default()
-        };
-        // static kernel (RNG-driven, so the stream position matters too)
+        // static loop (RNG-driven, so the stream position matters too)
         struct Flip;
         impl Dispatcher for Flip {
             fn dispatch(&mut self, _: &Job, s: &SystemState<'_>, rng: &mut Rng64) -> usize {
@@ -985,25 +947,14 @@ mod tests {
                 StateNeeds::NOTHING
             }
         }
-        let fast = simulate_dispatch(&t, 3, &mut Flip, 9, cfg);
-        let full = simulate_dispatch(&t, 3, &mut ForceFull(Flip), 9, cfg);
-        assert_eq!(fast.records.unwrap(), full.records.unwrap());
-        // work-left kernel
-        let fast = simulate_dispatch(&t, 3, &mut MiniLwl, 0, cfg);
-        let full = simulate_dispatch(&t, 3, &mut ForceFull(MiniLwl), 0, cfg);
-        assert_eq!(fast.records.unwrap(), full.records.unwrap());
-        // queue-length (FIFO deque) kernel
-        let fast = simulate_dispatch(&t, 3, &mut MiniSq, 0, cfg);
-        let full = simulate_dispatch(&t, 3, &mut ForceFull(MiniSq), 0, cfg);
-        assert_eq!(fast.records.unwrap(), full.records.unwrap());
-        // heterogeneous speeds through the kernels
-        let speeds = [1.0, 0.5, 2.0];
-        let fast = simulate_dispatch_speeds(&t, &speeds, &mut MiniLwl, 0, cfg);
-        let full = simulate_dispatch_speeds(&t, &speeds, &mut ForceFull(MiniLwl), 0, cfg);
-        assert_eq!(fast.records.unwrap(), full.records.unwrap());
-        let fast = simulate_dispatch_speeds(&t, &speeds, &mut MiniSq, 0, cfg);
-        let full = simulate_dispatch_speeds(&t, &speeds, &mut ForceFull(MiniSq), 0, cfg);
-        assert_eq!(fast.records.unwrap(), full.records.unwrap());
+        assert_matches_all_and_event(&t, None, || Flip, 9);
+        // work-left, queue-length (FIFO deque) and both-field loops, on
+        // unit and on heterogeneous speeds
+        for speeds in [None, Some(&[1.0, 0.5, 2.0][..])] {
+            assert_matches_all_and_event(&t, speeds, || MiniLwl, 0);
+            assert_matches_all_and_event(&t, speeds, || MiniSq, 0);
+            assert_matches_all_and_event(&t, speeds, || FewestThenLeastWork, 0);
+        }
     }
 
     #[test]

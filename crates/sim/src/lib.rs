@@ -11,9 +11,10 @@
 //!   (every policy in the paper except Central-Queue). Each host's FCFS
 //!   queue satisfies the Lindley recursion; the engine specializes its
 //!   hot loop to what the policy declares it reads ([`StateNeeds`]):
-//!   O(1) per job for static and work-left-only policies, with a
-//!   completion heap maintained only for queue-length-aware policies.
-//!   Tens of millions of jobs simulate in seconds.
+//!   O(1) per job for static policies, O(h) for work-left-aware ones,
+//!   with per-host FIFO deques of completion times maintained only for
+//!   queue-length-aware policies. Tens of millions of jobs simulate in
+//!   seconds.
 //! * [`event::EventEngine`] — a general event-driven engine with an
 //!   explicit event queue and host state machines. It additionally
 //!   supports **queueing policies** (Central-Queue variants) where jobs

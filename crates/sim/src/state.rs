@@ -83,10 +83,12 @@ impl SystemState<'_> {
 /// The paper's static policies (Random, Round-Robin, SITA) read neither
 /// field, Least-Work-Left reads only [`HostView::work_left`] (which the
 /// Lindley `free_at` scalar provides for free), and only Shortest-Queue
-/// pays for per-host job counting. [`crate::fast::simulate_dispatch`]
-/// selects one of three specialized hot loops from this declaration; all
-/// three produce bit-identical schedules, because a dispatcher that does
-/// not read a field cannot observe whether it was computed.
+/// pays for per-host job counting. For a policy without a closed-form
+/// [`DispatchKernel`], [`crate::fast::simulate_dispatch`] runs one loop
+/// body monomorphized on these two bits, which maintains exactly the
+/// declared fields; every instantiation produces the same schedule,
+/// because a dispatcher that does not read a field cannot observe
+/// whether it was computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateNeeds(u8);
 
@@ -94,10 +96,12 @@ impl StateNeeds {
     /// Reads neither field (static policies): O(1) per job, no host
     /// bookkeeping at all.
     pub const NOTHING: StateNeeds = StateNeeds(0);
-    /// Reads [`HostView::work_left`] only (LWL family): heap-free loop.
+    /// Reads [`HostView::work_left`] only (LWL family): derived from the
+    /// Lindley scalars, no per-host job counting.
     pub const WORK_LEFT: StateNeeds = StateNeeds(1);
     /// Reads [`HostView::queue_len`] only (Shortest-Queue): the engine
-    /// must track in-system job counts (a per-host completion heap).
+    /// must track in-system job counts (a per-host FIFO deque of
+    /// completion times).
     pub const QUEUE_LEN: StateNeeds = StateNeeds(2);
     /// Reads both fields — the safe default for unknown dispatchers.
     pub const ALL: StateNeeds = StateNeeds(3);

@@ -1,9 +1,10 @@
 //! Reusable per-worker simulation state.
 //!
 //! Every run of the fast engine used to allocate its full working set —
-//! host scalars, view buffers, completion heaps, the metrics collector
-//! with its histogram/percentile/record storage — and drop it on return.
-//! A sweep is thousands of runs, so the allocator sat on the hot path.
+//! host scalars, view buffers, per-host completion containers, the
+//! metrics collector with its histogram/percentile/record storage — and
+//! drop it on return. A sweep is thousands of runs, so the allocator sat
+//! on the hot path.
 //!
 //! [`SimWorkspace`] owns all of those buffers once. Engines borrow it
 //! through the `*_into` entry points ([`crate::fast::simulate_dispatch_into`],
@@ -45,15 +46,14 @@ pub struct SimWorkspace {
     pub(crate) free_at: Vec<f64>,
     /// Host views handed to the policy.
     pub(crate) views: Vec<HostView>,
-    /// Per-host FIFO departure deques (queue-length kernel): completion
-    /// times are monotone per FCFS host, so a deque replaces a heap.
+    /// Per-host FIFO departure deques (any policy that reads
+    /// `queue_len`): completion times are monotone per FCFS host, so a
+    /// deque replaces a heap.
     pub(crate) fifos: Vec<VecDeque<f64>>,
     /// Tournament heap over the deque *fronts* — at most one entry per
-    /// non-empty host — giving the queue-length kernel an O(1)
-    /// next-expiry check per arrival instead of an O(hosts) scan.
+    /// non-empty host — giving an O(1) next-expiry check per arrival
+    /// instead of an O(hosts) scan.
     pub(crate) expiry: BinaryHeap<Reverse<(OrdF64, usize)>>,
-    /// Per-host completion min-heaps (full-state reference kernel).
-    pub(crate) heaps: Vec<BinaryHeap<Reverse<OrdF64>>>,
     /// The streaming metrics collector. Its demand tier and record path
     /// are re-resolved from the run's [`MetricsConfig`] at each reset;
     /// its growable storage — histogram, percentile state, record
@@ -76,7 +76,6 @@ impl SimWorkspace {
             views: Vec::new(),
             fifos: Vec::new(),
             expiry: BinaryHeap::new(),
-            heaps: Vec::new(),
             collector: Collector::new(0, MetricsConfig::default()),
             event: EventWorkspace::new(),
             kernel_cutoffs: Vec::new(),
@@ -84,16 +83,16 @@ impl SimWorkspace {
     }
 
     /// Reset the fast-engine buffers for a run on `hosts` hosts, keeping
-    /// allocations. `backlog` pre-sizes the per-host completion
-    /// containers (callers pass [`dses_workload::Trace::backlog_hint`],
-    /// which scales with jobs-per-host instead of the old fixed 32).
+    /// allocations. `backlog` pre-sizes the per-host FIFO deques
+    /// (callers pass [`dses_workload::Trace::backlog_hint`], which scales
+    /// with jobs-per-host instead of the old fixed 32).
     ///
-    /// `needs` is the policy's declaration: only the containers the
-    /// matching hot loop actually maintains are (re)shaped. A static or
-    /// work-left run on `h = 1024` therefore never materialises 1024
-    /// FIFO deques and completion heaps it would not touch — the stale
-    /// ones from an earlier queue-aware run are left as-is (never read)
-    /// and cleared again the next time a loop needs them.
+    /// `needs` is the policy's declaration: the deques and the expiry
+    /// heap are (re)shaped only for a policy that reads `queue_len`. A
+    /// static or work-left run on `h = 1024` therefore never
+    /// materialises 1024 deques it would not touch — the stale ones from
+    /// an earlier queue-aware run are left as-is (never read) and
+    /// cleared again the next time a loop needs them.
     pub(crate) fn reset_fast(&mut self, hosts: usize, backlog: usize, needs: StateNeeds) {
         self.free_at.clear();
         self.free_at.resize(hosts, 0.0);
@@ -105,9 +104,9 @@ impl SimWorkspace {
                 work_left: 0.0,
             },
         );
-        if needs.needs_queue_len() && !needs.needs_work_left() {
-            // queue-length loop: FIFO deques + the expiry tournament heap
-            // shrink the per-host lists only by truncation — capacity stays
+        if needs.needs_queue_len() {
+            // FIFO deques + the expiry tournament heap shrink the
+            // per-host lists only by truncation — capacity stays
             for fifo in &mut self.fifos {
                 fifo.clear();
             }
@@ -118,16 +117,6 @@ impl SimWorkspace {
             }
             self.expiry.clear();
             self.expiry.reserve(hosts.saturating_sub(self.expiry.capacity()));
-        }
-        if needs.needs_queue_len() && needs.needs_work_left() {
-            // full reference loop: per-host completion min-heaps
-            for heap in &mut self.heaps {
-                heap.clear();
-            }
-            self.heaps.truncate(hosts);
-            while self.heaps.len() < hosts {
-                self.heaps.push(BinaryHeap::with_capacity(backlog));
-            }
         }
     }
 }
@@ -169,17 +158,19 @@ mod tests {
         assert_eq!(ws.views.len(), 3);
         assert_eq!(ws.fifos.len(), 3);
         assert!(ws.fifos[0].capacity() >= 64);
-        ws.reset_fast(3, 64, StateNeeds::ALL);
-        assert_eq!(ws.heaps.len(), 3);
         // shrink then regrow: contents always start clean
         ws.free_at[1] = 7.0;
         ws.fifos[2].push_back(1.0);
-        ws.heaps[0].push(Reverse(OrdF64(2.0)));
+        ws.expiry.push(Reverse((OrdF64(1.0), 2)));
         ws.reset_fast(2, 64, StateNeeds::QUEUE_LEN);
         assert_eq!(ws.free_at, vec![0.0; 2]);
         assert!(ws.fifos.iter().all(VecDeque::is_empty));
-        ws.reset_fast(2, 64, StateNeeds::ALL);
-        assert!(ws.heaps.iter().all(BinaryHeap::is_empty));
+        assert!(ws.expiry.is_empty());
+        // a policy reading both fields counts its queues on the same deques
+        ws.fifos[1].push_back(3.0);
+        ws.reset_fast(3, 64, StateNeeds::ALL);
+        assert_eq!(ws.fifos.len(), 3);
+        assert!(ws.fifos.iter().all(VecDeque::is_empty));
         ws.reset_fast(5, 64, StateNeeds::QUEUE_LEN);
         assert_eq!(ws.free_at.len(), 5);
         assert_eq!(ws.fifos.len(), 5);
@@ -188,16 +179,14 @@ mod tests {
     #[test]
     fn needs_aware_reset_skips_unused_containers() {
         // a static run on many hosts must not materialise per-host
-        // deques/heaps — that is what lets h=1024 sweeps stay lean
+        // deques — that is what lets h=1024 sweeps stay lean
         let mut ws = SimWorkspace::new();
         ws.reset_fast(1024, 32, StateNeeds::NOTHING);
         assert_eq!(ws.free_at.len(), 1024);
         assert_eq!(ws.views.len(), 1024);
         assert!(ws.fifos.is_empty());
-        assert!(ws.heaps.is_empty());
         ws.reset_fast(1024, 32, StateNeeds::WORK_LEFT);
         assert!(ws.fifos.is_empty());
-        assert!(ws.heaps.is_empty());
     }
 
     #[test]

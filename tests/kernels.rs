@@ -3,18 +3,20 @@
 //! Every registered dispatch policy (the paper roster plus the rule of
 //! thumb, fixed-cutoff, and grouped variants) runs through
 //!
-//! 1. the fast engine's *specialized* loop (whatever the policy's
-//!    [`StateNeeds`] and `DispatchKernel` select — for the closed-form
-//!    policies, the inlined vectorizable kernel),
-//! 2. the *opaque* specialized loop (the same policy wrapped so it keeps
-//!    its [`StateNeeds`] but declares no kernel: one `dispatch` call per
-//!    job),
-//! 3. the fast engine's *full* loop (the same policy wrapped so it
-//!    claims `StateNeeds::ALL`), and
-//! 4. the event engine,
+//! 1. the fast engine as the policy declares itself — for the
+//!    closed-form policies the inlined kernel its `DispatchKernel`
+//!    selects, for the others the generic loop instantiated on its
+//!    [`StateNeeds`],
+//! 2. the generic loop on the policy's own [`StateNeeds`] (the policy
+//!    wrapped so it declares no kernel: one `dispatch` call per job),
+//! 3. the generic loop on `StateNeeds::ALL` (the policy wrapped so it
+//!    claims both view fields), and
+//! 4. the event engine, the one independent reference,
 //!
 //! on a C90-style trace at three loads, and all four must produce
-//! record-for-record identical schedules. Central-queue policies have no
+//! record-for-record identical schedules. A policy that reads both
+//! fields — fewest jobs, then least work left — runs the same
+//! comparison at 2, 3 and 16 hosts. Central-queue policies have no
 //! dispatch form and are exercised by the event-engine tests instead.
 //!
 //! The closed-form static kernels (Random, Round-Robin, SITA) and
@@ -34,8 +36,8 @@ use dses_sim::{
 };
 use dses_workload::{Job, Trace};
 
-/// Forces the full-state loop: delegates everything but inherits the
-/// default `state_needs` of `StateNeeds::ALL`.
+/// Forces the generic loop's `ALL` instantiation: delegates everything
+/// but inherits the default `state_needs` of `StateNeeds::ALL`.
 struct ForceFull(Box<dyn Dispatcher>);
 
 impl Dispatcher for ForceFull {
@@ -50,10 +52,10 @@ impl Dispatcher for ForceFull {
     }
 }
 
-/// Forces the opaque specialized loop: keeps the policy's declared
-/// `state_needs` but inherits the default `DispatchKernel::Opaque`, so
-/// the engine calls `dispatch` once per job instead of inlining the
-/// policy's closed-form kernel.
+/// Forces the generic loop on the policy's own needs: keeps the
+/// declared `state_needs` but inherits the default
+/// `DispatchKernel::Opaque`, so the engine calls `dispatch` once per job
+/// instead of inlining the policy's closed-form kernel.
 struct ForceOpaque(Box<dyn Dispatcher>);
 
 impl Dispatcher for ForceOpaque {
@@ -68,6 +70,30 @@ impl Dispatcher for ForceOpaque {
     }
     fn state_needs(&self) -> StateNeeds {
         self.0.state_needs()
+    }
+}
+
+/// Picks the host with the fewest in-system jobs, breaking ties by least
+/// work left and then by lowest index: a policy that reads both view
+/// fields, so no specialization can drop either.
+struct FewestThenLeastWork;
+
+impl Dispatcher for FewestThenLeastWork {
+    fn dispatch(&mut self, _: &Job, state: &SystemState<'_>, _: &mut Rng64) -> usize {
+        state
+            .hosts
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| {
+                a.queue_len
+                    .cmp(&b.queue_len)
+                    .then(a.work_left.total_cmp(&b.work_left))
+            })
+            .expect("at least one host")
+            .0
+    }
+    fn state_needs(&self) -> StateNeeds {
+        StateNeeds::ALL
     }
 }
 
@@ -104,10 +130,11 @@ fn sorted(mut records: Vec<JobRecord>) -> Vec<JobRecord> {
     records
 }
 
-/// Run `trace` through the specialized loop, the opaque specialized
-/// loop, the full loop, and the event engine — a fresh policy from
-/// `fresh` for each — and assert the four schedules are record-for-record
-/// identical. Returns the specialized loop's records in id order.
+/// Run `trace` through the policy as declared, the generic loop on its
+/// own needs, the generic loop on `ALL`, and the event engine — a fresh
+/// policy from `fresh` for each — and assert the four schedules are
+/// record-for-record identical. Returns the first run's records in id
+/// order.
 fn assert_engines_identical(
     trace: &Trace,
     hosts: usize,
@@ -124,12 +151,12 @@ fn assert_engines_identical(
     assert_eq!(
         fast_records,
         sorted(opaque.records.unwrap()),
-        "{label}: specialized kernel vs opaque loop"
+        "{label}: declared kernel vs opaque loop"
     );
     assert_eq!(
         fast_records,
         sorted(slow.records.unwrap()),
-        "{label}: specialized loop vs full loop"
+        "{label}: declared needs vs ALL"
     );
     assert_eq!(
         fast_records,
@@ -181,6 +208,19 @@ fn multi_host_policies_match_across_kernels_and_engines() {
     }
     // the queue-length kernel's tournament heap over 16 FIFO fronts
     assert_c90_engines_identical(&PolicySpec::ShortestQueue, 16, 0.8, 17);
+    // both view fields read together, on the same deques and heap
+    for (i, &hosts) in [2usize, 3, 16].iter().enumerate() {
+        for &rho in &[0.3, 0.6, 0.9] {
+            let trace = dses_workload::psc_c90().trace(5_000, rho, hosts, 61 + i as u64);
+            assert_engines_identical(
+                &trace,
+                hosts,
+                &|| Box::new(FewestThenLeastWork),
+                7,
+                &format!("fewest-then-least-work (hosts={hosts}, rho={rho})"),
+            );
+        }
+    }
 }
 
 #[test]
@@ -263,7 +303,7 @@ fn sita_ladders_routing_every_job_to_one_end_host_match_across_engines() {
 
 /// End-to-end pin of the wide-SITA host lookup's leftmost semantics:
 /// job sizes placed *exactly on* cutoffs must route identically through
-/// the specialized kernel, the full loop, the event engine, and the
+/// the specialized kernel, the `ALL` loop, the event engine, and the
 /// policy's own `host_for` (`partition_point(|&c| size > c)` — a tie
 /// stays left).
 #[test]

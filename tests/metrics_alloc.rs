@@ -8,8 +8,8 @@
 //! largest hand-off — must perform **zero** heap allocations in steady
 //! state. The same holds for each kernel's own state: the static
 //! kernels' Lindley scalars, the work-left kernel's chunked argmin, and
-//! the queue-length kernel's FIFO deques and expiry heap all live in the
-//! grow-once workspace. The batched tier's SoA lanes are a grow-once
+//! the generic loop's views, FIFO deques and expiry heap all live in
+//! the grow-once workspace. The batched tier's SoA lanes are a grow-once
 //! boxed block owned by the collector; once built they are reused
 //! forever.
 //!
@@ -17,11 +17,14 @@
 //! binary's tests on multiple threads, and any concurrent test would
 //! pollute the global allocation counter.
 
+use dses_core::cutoffs::CutoffMethod;
 use dses_core::spec::{BuiltPolicy, PolicySpec};
-use dses_dist::Distribution;
+use dses_dist::{Distribution, Rng64};
 use dses_sim::{
-    simulate_dispatch_into, Demand, Dispatcher, MetricsConfig, SimResult, SimWorkspace,
+    simulate_dispatch_into, Demand, Dispatcher, MetricsConfig, SimResult, SimWorkspace, StateNeeds,
+    SystemState,
 };
+use dses_workload::{Job, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -53,6 +56,30 @@ fn alloc_count_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let base = COUNT.load(Ordering::Relaxed);
     let out = f();
     (out, COUNT.load(Ordering::Relaxed) - base)
+}
+
+/// Picks the host with the fewest in-system jobs, breaking ties by least
+/// work left and then by lowest index: it reads both view fields, so it
+/// runs the generic loop's `ALL` instantiation.
+struct FewestThenLeastWork;
+
+impl Dispatcher for FewestThenLeastWork {
+    fn dispatch(&mut self, _: &Job, state: &SystemState<'_>, _: &mut Rng64) -> usize {
+        state
+            .hosts
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| {
+                a.queue_len
+                    .cmp(&b.queue_len)
+                    .then(a.work_left.total_cmp(&b.work_left))
+            })
+            .expect("at least one host")
+            .0
+    }
+    fn state_needs(&self) -> StateNeeds {
+        StateNeeds::ALL
+    }
 }
 
 fn build(spec: &PolicySpec, lambda: f64, hosts: usize) -> Box<dyn Dispatcher> {
@@ -110,29 +137,42 @@ fn steady_state_collector_tiers_do_not_allocate() {
             },
         ),
     ];
-    // One policy per kernel class: the three closed-form static kernels,
-    // the work-left kernel, and the queue-length kernel.
-    let roster = [
+    // One policy per kernel class: the three closed-form static kernels
+    // and the work-left kernel, then the generic loop's instantiations —
+    // WORK_LEFT (the grouped SITA-U-fair/LWL hybrid), QUEUE_LEN
+    // (Shortest-Queue) and ALL (a policy that reads both view fields).
+    let static_kernels = [
         PolicySpec::Random,
         PolicySpec::RoundRobin,
         PolicySpec::SitaE,
+    ];
+    let host_scans = [
         PolicySpec::LeastWorkLeft,
+        PolicySpec::Grouped {
+            method: CutoffMethod::Fair,
+        },
         PolicySpec::ShortestQueue,
     ];
     for &hosts in &[8usize, 64, 1024] {
         let trace = dses_workload::psc_c90().trace(12_000, 0.7, hosts, 23);
-        // Least-Work-Left and Shortest-Queue cost O(h) per job; a shorter
+        // the policies that scan the hosts cost O(h) per job; a shorter
         // trace keeps their wide cases quick in a debug build
         let short = trace.truncate(2_000);
+        let scan_trace = if hosts >= 64 { &short } else { &trace };
         let lambda = trace.arrival_rate();
-        for spec in &roster {
-            let scans_hosts = matches!(spec, PolicySpec::LeastWorkLeft | PolicySpec::ShortestQueue);
-            let trace = if hosts >= 64 && scans_hosts {
-                &short
-            } else {
-                &trace
-            };
-            let mut policy = build(spec, lambda, hosts);
+        let mut runs: Vec<(String, Box<dyn Dispatcher>, &Trace)> = Vec::new();
+        for spec in &static_kernels {
+            runs.push((spec.name(), build(spec, lambda, hosts), &trace));
+        }
+        for spec in &host_scans {
+            runs.push((spec.name(), build(spec, lambda, hosts), scan_trace));
+        }
+        runs.push((
+            "fewest-then-least-work".to_string(),
+            Box::new(FewestThenLeastWork),
+            scan_trace,
+        ));
+        for (name, mut policy, trace) in runs {
             for (tier, cfg) in &tiers {
                 // warm-up run grows every buffer (and the block lanes) to
                 // this shape
@@ -151,10 +191,8 @@ fn steady_state_collector_tiers_do_not_allocate() {
                     }
                 });
                 assert_eq!(
-                    allocs,
-                    0,
-                    "{}: {tier} tier allocated in steady state at h={hosts}",
-                    spec.name()
+                    allocs, 0,
+                    "{name}: {tier} tier allocated in steady state at h={hosts}"
                 );
             }
         }

@@ -327,42 +327,38 @@ fn batched_engine_runs_match_scalar_within_bounds() {
 }
 
 #[test]
-fn metrics_mode_means_reproduces_sweep_results_bitwise() {
+fn sweep_grid_points_match_full_demand_runs_bitwise() {
+    // `sweep_grid` demands only `MEANS | PER_HOST`; every field of every
+    // point must equal a full-demand run on the same trace bit for bit.
     let preset = dses_workload::psc_c90();
-    let specs = [PolicySpec::Random, PolicySpec::SitaE];
+    let specs = [
+        PolicySpec::Random,
+        PolicySpec::SitaE,
+        PolicySpec::ShortestQueue,
+    ];
     let loads = [0.5, 0.8];
     let base = Experiment::new(preset.size_dist.clone())
         .hosts(4)
         .jobs(5_000)
         .warmup_jobs(200)
         .seed(1997);
-    let full = base
-        .clone()
-        .metrics_mode(MetricsMode::Full)
-        .sweep_grid(&specs, &loads);
-    let means = base
-        .clone()
-        .metrics_mode(MetricsMode::Means)
-        .sweep_grid(&specs, &loads);
-    let auto = base.metrics_mode(MetricsMode::Auto).sweep_grid(&specs, &loads);
-    for (sweeps, mode) in [(&means, "means"), (&auto, "auto")] {
-        for (a, b) in full.iter().zip(sweeps.iter()) {
-            assert_eq!(a.policy, b.policy);
-            for (x, y) in a.points.iter().zip(&b.points) {
-                assert_eq!(
-                    x.mean_slowdown.to_bits(),
-                    y.mean_slowdown.to_bits(),
-                    "mean slowdown under {mode} mode ({})",
-                    a.policy
-                );
-                assert_eq!(
-                    x.var_slowdown.to_bits(),
-                    y.var_slowdown.to_bits(),
-                    "var slowdown under {mode} mode ({})",
-                    a.policy
-                );
-                assert_eq!(x.measured, y.measured);
-            }
+    let sweeps = base.sweep_grid(&specs, &loads);
+    for (spec, sweep) in specs.iter().zip(&sweeps) {
+        assert_eq!(sweep.policy, spec.name());
+        for (&rho, point) in loads.iter().zip(&sweep.points) {
+            let full = base.try_run_on_trace(spec, &base.trace(rho)).unwrap();
+            let label = format!("{} at rho={rho}", sweep.policy);
+            let same = |field: &str, swept: f64, run: f64| {
+                assert_eq!(swept.to_bits(), run.to_bits(), "{label}: {field}");
+            };
+            same("mean slowdown", point.mean_slowdown, full.slowdown.mean);
+            same("var slowdown", point.var_slowdown, full.slowdown.variance);
+            same("mean response", point.mean_response, full.response.mean);
+            same("var response", point.var_response, full.response.variance);
+            same("mean waiting", point.mean_waiting, full.waiting.mean);
+            same("host-0 load share", point.load_fraction_host0, full.load_fraction(0));
+            same("host-0 job share", point.job_fraction_host0, full.job_fraction(0));
+            assert_eq!(point.measured, full.measured, "{label}: measured");
         }
     }
 }
