@@ -15,6 +15,12 @@ cargo build --release
 # hide whether the other suites pass; the script still fails if any does.
 cargo test -q --no-fail-fast
 
+# The percentile pipe's tests and the allocation gate again in release:
+# there the pool helper overlaps the recording thread far more often than
+# in a debug build, so the handoffs between them run in other orders.
+cargo test --release --offline -q -p dses-integration --test metrics_alloc --test full_collector
+cargo test --release --offline -q -p dses-dist -p dses-sim --lib
+
 # The repo benchmark (`perfbench/`, its own cargo workspace) builds
 # against the public APIs of `crates/`, and its tests compare the
 # untraced `Experiment::replicate` with its traced lane loop bit for bit
@@ -28,7 +34,7 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # collector at 8 and 64 hosts — so a change that moves one trace or kernel
 # bit fails here. They run at the default seed 1997 and again at the
 # held-out seed 4099 (~4 s together), so a trace column that drifts only
-# at some seeds fails too. `analytic` (~6 s on 2 vCPUs, most of it the
+# at some seeds fails too. `analytic` (~5.5-6 s on 2 vCPUs, most of it the
 # Erlang-4 solve; its p99 inversion fans out on the worker pool) checks
 # the quadrature-fallback Erlang-4 fair solve, the SITA cutoff solves,
 # the p99 transform inversion and the analytic policy roster. They gate

@@ -18,6 +18,7 @@ use dses_workload::{burstiness_report, Mmpp2, ReplayArrivals};
 use std::sync::Arc;
 
 fn main() {
+    dses_bench::check_args();
     let workers = dses_bench::workers_arg();
     let preset = dses_workload::psc_c90();
     let rho = 0.7;

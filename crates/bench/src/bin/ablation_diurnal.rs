@@ -11,6 +11,7 @@ use dses_core::report::{fmt_num, Table};
 use dses_workload::DiurnalPoisson;
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let rho = 0.7;
     let hosts = 2;

@@ -11,6 +11,7 @@ use dses_queueing::hetero::{analyze_hetero, hetero_opt_cutoff};
 use dses_sim::{simulate_dispatch_speeds, MetricsConfig};
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let d = &preset.size_dist;
     let rho = 0.6; // of total capacity 2.0

@@ -12,6 +12,7 @@ use dses_core::prelude::*;
 use dses_core::report::{fmt_num, Table};
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let rho = 0.7;
     let mut table = Table::new(

@@ -13,6 +13,7 @@ use dses_core::prelude::*;
 use dses_core::report::{fmt_num, Table};
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let experiment = exhibit_experiment(&preset, 2).percentiles(true);
     let rho = 0.7;

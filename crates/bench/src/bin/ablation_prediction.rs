@@ -13,6 +13,7 @@ use dses_workload::UserWorkloadBuilder;
 use std::sync::Arc;
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let rho = 0.6;
     let mut table = Table::new(

@@ -13,6 +13,7 @@ use dses_core::report::{fmt_num, Table};
 use dses_sim::simulate_dispatch;
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let d = &preset.size_dist;
     let mut table = Table::new(

@@ -11,6 +11,7 @@ use dses_core::prelude::*;
 use dses_core::report::{fmt_num, Table};
 
 fn main() {
+    dses_bench::check_args();
     let rho = 0.7;
     let mean = 1000.0;
     // Ranking is by mean waiting time: distributions with density at 0

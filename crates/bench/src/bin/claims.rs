@@ -17,6 +17,7 @@ use dses_sim::validate::max_response_deviation;
 use dses_sim::{simulate_dispatch, EventEngine};
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let experiment = exhibit_experiment(&preset, 2);
 

@@ -9,6 +9,7 @@ use dses_bench::{exhibit_experiment, load_grid, run_figure};
 use dses_core::prelude::*;
 
 fn main() {
+    dses_bench::check_args();
     let loads = load_grid();
     let specs = [
         PolicySpec::Random,

@@ -8,6 +8,7 @@ use dses_core::report::Table;
 use dses_core::rule_of_thumb::rule_of_thumb_fraction;
 
 fn main() {
+    dses_bench::check_args();
     for (fig, preset) in [
         ("Figure 11 — load fraction on Host 1, J90", dses_workload::psc_j90()),
         ("Figure 13 — load fraction on Host 1, CTC", dses_workload::ctc_sp2()),

@@ -10,6 +10,7 @@ use dses_bench::{exhibit_experiment, load_grid, run_figure};
 use dses_core::prelude::*;
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let experiment = exhibit_experiment(&preset, 2);
     let loads = load_grid();

@@ -9,6 +9,7 @@ use dses_core::report::Table;
 use dses_core::rule_of_thumb::rule_of_thumb_fraction;
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let experiment = exhibit_experiment(&preset, 2);
     let loads = load_grid();

@@ -17,6 +17,7 @@ use dses_core::report::{fmt_num, Table};
 use dses_workload::Mmpp2;
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let hosts = 2;
     let experiment = exhibit_experiment(&preset, hosts);

@@ -10,6 +10,7 @@ use dses_core::report::{fmt_num, Table};
 use dses_queueing::policies::AnalyticPolicy;
 
 fn main() {
+    dses_bench::check_args();
     let preset = dses_workload::psc_c90();
     let experiment = Experiment::new(preset.size_dist.clone()).hosts(2);
     let policies = [

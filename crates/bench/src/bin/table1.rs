@@ -11,6 +11,7 @@ use dses_core::report::Table;
 use dses_workload::presets::all_presets;
 
 fn main() {
+    dses_bench::check_args();
     println!("Table 1 — characteristics of the (calibrated stand-in) trace data\n");
     let mut analytic = Table::new(
         "calibrated size distributions (analytic)",

@@ -12,29 +12,56 @@ use dses_core::prelude::*;
 use dses_core::report::{fmt_num, Table};
 use dses_workload::WorkloadPreset;
 
-/// Parse `--threads <n>` (or `--threads=<n>`) from this process's
-/// command line: worker threads for an exhibit's simulation fan-out.
-/// `0` — the default when the flag is absent — means one worker per
-/// available core. Exhibits are bit-for-bit identical for every value;
-/// the flag only changes wall-clock time.
-#[must_use]
-pub fn threads_arg() -> usize {
-    let mut args = std::env::args().skip(1);
+/// Parse an exhibit's arguments (the program name excluded). The only
+/// argument an exhibit reads is `--threads <n>` (or `--threads=<n>`):
+/// worker threads for its simulation fan-out, where `0` — the default
+/// when the flag is absent — means one worker per available core.
+/// Exhibits are bit-for-bit identical for every value; the flag only
+/// changes wall-clock time. Any other argument, a missing value or one
+/// that is not a non-negative integer is an error naming it. The first
+/// `--threads` wins.
+pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<usize, String> {
+    let mut threads = None;
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         let value = if let Some(v) = a.strip_prefix("--threads=") {
             v.to_string()
         } else if a == "--threads" {
-            args.next().unwrap_or_default()
+            args.next().ok_or("--threads needs a value")?
         } else {
-            continue;
+            return Err(format!(
+                "unknown argument {a:?}; an exhibit takes only --threads <n>"
+            ));
         };
-        return value.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --threads value {value:?}; expected a non-negative integer");
-            std::process::exit(2);
-        });
+        let n = value.parse().map_err(|_| {
+            format!("invalid --threads value {value:?}; expected a non-negative integer")
+        })?;
+        threads.get_or_insert(n);
     }
-    0
+    Ok(threads.unwrap_or(0))
 }
+
+/// Check this process's command line with [`parse_args`] and return
+/// its `--threads` value; on any other argument, or a bad value, print
+/// the error and exit with status 2. Every exhibit's `main` calls this
+/// first, before it does any work.
+pub fn check_args() -> usize {
+    *THREADS.get_or_init(|| {
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// The `--threads` value [`check_args`] read: `0` (all cores) in a
+/// process whose `main` did not call it, such as a test harness.
+#[must_use]
+pub fn threads_arg() -> usize {
+    THREADS.get().copied().unwrap_or(0)
+}
+
+static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
 
 /// The worker count [`threads_arg`] resolves to (`0` → all cores).
 #[must_use]
@@ -73,7 +100,7 @@ pub const EXHIBIT_SEED: u64 = 1997;
 
 /// Build the standard exhibit experiment for a preset. Honors the
 /// `--threads <n>` flag on the binary's command line (see
-/// [`threads_arg`]), so every exhibit accepts the same knob.
+/// [`check_args`]), so every exhibit accepts the same knob.
 #[must_use]
 pub fn exhibit_experiment(preset: &WorkloadPreset, hosts: usize) -> Experiment<Mixture> {
     Experiment::new(preset.size_dist.clone())
@@ -127,6 +154,34 @@ pub fn run_figure(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(a: &[&str]) -> Result<usize, String> {
+        parse_args(a.iter().map(|s| (*s).to_string()))
+    }
+
+    #[test]
+    fn exhibit_arguments_are_threads_only() {
+        assert_eq!(args(&[]), Ok(0));
+        assert_eq!(args(&["--threads", "3"]), Ok(3));
+        assert_eq!(args(&["--threads=0"]), Ok(0));
+        assert_eq!(
+            args(&["--threads=2", "--threads", "5"]),
+            Ok(2),
+            "the first wins"
+        );
+        for (bad, named) in [
+            (&["--bogus-flag"][..], "\"--bogus-flag\""),
+            (&["--threads", "2", "extra"], "\"extra\""),
+            (&["--thread", "1"], "\"--thread\""),
+            (&["--metrics", "means"], "\"--metrics\""),
+            (&["--threads", "-1"], "\"-1\""),
+            (&["--threads=x"], "\"x\""),
+            (&["--threads"], "--threads needs a value"),
+        ] {
+            let err = args(bad).expect_err("rejected");
+            assert!(err.contains(named), "{bad:?}: {err}");
+        }
+    }
 
     #[test]
     fn grids_are_increasing_and_subcritical() {

@@ -301,9 +301,10 @@ fn simulate(args: &Args) -> Result<String, ArgError> {
     let experiment = match args.get("slo") {
         Some(_) => {
             let slo = args.get_f64("slo", 10.0)?;
-            if slo.is_nan() || slo < 1.0 {
+            // no job's slowdown exceeds +inf, so that SLO would count nothing
+            if !(slo.is_finite() && slo >= 1.0) {
                 return Err(ArgError(format!(
-                    "--slo must be a slowdown of at least 1, got {slo}"
+                    "--slo must be a finite slowdown of at least 1, got {slo}"
                 )));
             }
             experiment.slo(slo)
@@ -648,6 +649,12 @@ mod tests {
             assert_rejected(&["sweep", "--loads", loads], "--loads must be in (0,1)");
         }
         assert_rejected(&["sweep", "--loads", "0.1:0.3:1e-300"], "more than 1000 points");
+        for slo in ["inf", "-inf", "nan", "0.5"] {
+            assert_rejected(
+                &["simulate", "--slo", slo, "--jobs", "2000", "--warmup", "0"],
+                "--slo must be a finite slowdown of at least 1",
+            );
+        }
     }
 
     /// Write `jobs` C90 jobs as an SWF log under a per-test file name.

@@ -48,11 +48,13 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     /// bit-for-bit identical for every setting — the thread count only
     /// changes wall-clock time.
     ///
-    /// The setting bounds the grid's lanes only. Inside a run, a long
-    /// trace draws its arrival columns on a free pool helper (up to
-    /// [`dses_dist::par::available_workers`]; see
-    /// [`WorkloadBuilder`]), and a grid whose lanes keep the pool busy
-    /// draws them on each lane's own thread.
+    /// The setting bounds the grid's lanes only. Inside a run, whatever
+    /// the lane count, two things use a free pool helper when
+    /// [`dses_dist::par::available_workers`] is at least 2: a long trace
+    /// draws its arrival columns there (see [`WorkloadBuilder`]), and a
+    /// long run that tracks percentiles hands its P² pushes there
+    /// ([`MetricsConfig::slowdown_percentiles`]). In a grid whose lanes
+    /// keep the pool busy, each lane does both on its own thread.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = (threads > 0).then_some(threads);

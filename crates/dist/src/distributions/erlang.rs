@@ -14,6 +14,8 @@ use crate::traits::{quantile_space_partial_moments, DistError, Distribution};
 pub struct Erlang {
     shape: u32,
     rate: f64,
+    /// `ln Γ(shape)`, computed once: every CDF evaluation needs it.
+    ln_gamma_shape: f64,
 }
 
 impl Erlang {
@@ -25,7 +27,11 @@ impl Erlang {
         if !(rate > 0.0) || !rate.is_finite() {
             return Err(DistError::new(format!("rate = {rate} must be positive and finite")));
         }
-        Ok(Self { shape, rate })
+        Ok(Self {
+            shape,
+            rate,
+            ln_gamma_shape: special::ln_gamma(f64::from(shape)),
+        })
     }
 
     /// Create an Erlang with shape `shape` and the given mean.
@@ -68,7 +74,7 @@ impl Distribution for Erlang {
         if x <= 0.0 {
             0.0
         } else {
-            special::reg_gamma_lower(f64::from(self.shape), self.rate * x)
+            special::reg_gamma_lower_ln(f64::from(self.shape), self.ln_gamma_shape, self.rate * x)
         }
     }
 
@@ -76,12 +82,12 @@ impl Distribution for Erlang {
         let shape = f64::from(self.shape);
         if k >= 0 {
             // E[X^k] = Γ(shape + k) / (Γ(shape) λ^k)
-            (special::ln_gamma(shape + f64::from(k)) - special::ln_gamma(shape)).exp()
+            (special::ln_gamma(shape + f64::from(k)) - self.ln_gamma_shape).exp()
                 / self.rate.powi(k)
         } else {
             let j = f64::from(-k);
             if shape > j {
-                (special::ln_gamma(shape - j) - special::ln_gamma(shape)).exp() * self.rate.powi(-k)
+                (special::ln_gamma(shape - j) - self.ln_gamma_shape).exp() * self.rate.powi(-k)
             } else {
                 f64::INFINITY
             }
@@ -161,6 +167,42 @@ mod tests {
         let var = sum2 / n as f64 - mean * mean;
         assert!((mean - 5.0).abs() < 0.03, "mean = {mean}");
         assert!((var - 5.0).abs() < 0.15, "var = {var}");
+    }
+
+    #[test]
+    fn cdf_is_the_regularized_gamma_bit_for_bit() {
+        let specials = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+        ];
+        for shape in [1, 2, 4, 10, 40] {
+            for rate in [0.004, 1.0, 3.7] {
+                let d = Erlang::new(shape, rate).unwrap();
+                // λx from 1e-3 to 10·(shape + 1): both the series
+                // (λx < shape + 1) and the continued fraction
+                let grid = (0..400).map(|i| 1e-3 * 1.03f64.powi(i) * f64::from(shape) / rate);
+                let mut branches = [false; 2];
+                for x in grid.chain(specials) {
+                    let want = special::reg_gamma_lower(f64::from(shape), rate * x);
+                    assert_eq!(
+                        d.cdf(x).to_bits(),
+                        want.to_bits(),
+                        "Erlang({shape}, {rate}).cdf({x:e})"
+                    );
+                    if x.is_finite() && x > 0.0 {
+                        branches[usize::from(rate * x >= f64::from(shape) + 1.0)] = true;
+                    }
+                }
+                assert_eq!(branches, [true, true], "both branches at shape {shape}");
+            }
+        }
+        // +∞ stays NaN, as `reg_gamma_lower` gives it
+        assert!(Erlang::new(4, 1.0).unwrap().cdf(f64::INFINITY).is_nan());
     }
 
     #[test]

@@ -48,6 +48,11 @@
 //! and arrival streams: the caller runs one, and the other is a
 //! one-index batch that a free helper takes or the caller runs after its
 //! own. Results and panics are those of the sequential order.
+//!
+//! [`HelperTask`] is `join`'s one-index batch kept for reuse: its owner
+//! offers it to a free helper once per run and claims it back at the
+//! end, with no allocation after the first offer. The full collector's
+//! percentile pipe is its one user.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -342,9 +347,7 @@ impl WorkerPool {
         });
         self.submit(Arc::clone(&batch), 1);
         let rb = catch_unwind(AssertUnwindSafe(b));
-        // Claim `a` back unless a helper has already started it.
-        let on_caller = batch.next.fetch_add(1, Ordering::Relaxed) == 0;
-        self.retire(&batch);
+        let on_caller = self.claim_back(&batch);
         let helper_panic = if on_caller { None } else { batch.wait() };
         let rb = rb.unwrap_or_else(|payload| resume_unwind(payload));
         if let Some(payload) = helper_panic {
@@ -367,7 +370,7 @@ impl WorkerPool {
             let shared = Arc::clone(&self.shared);
             let id = state.spawned;
             std::thread::Builder::new()
-                // dses-lint: allow(loop-alloc) -- names the pool threads; this loop runs once per worker at pool growth, never per job
+                // dses-lint: allow(loop-alloc, no-alloc-transitive) -- names the pool threads; this loop runs once per worker at pool growth, never per job or per offer
                 .name(format!("dses-pool-{id}"))
                 .spawn(move || worker_loop(&shared))
                 .expect("failed to spawn pool worker"); // dses-lint: allow(panic-hygiene) -- cannot run a sweep without threads; abort is the only option
@@ -376,6 +379,16 @@ impl WorkerPool {
         state.queue.push_back(batch);
         drop(state);
         self.shared.work_ready.notify_all();
+    }
+
+    /// Claim a one-index batch's index for the caller unless a helper
+    /// has already started it, and take the batch off the queue: `true`
+    /// means the task will not run on a helper, `false` that one has
+    /// it (wait for it with [`Batch::wait`]).
+    fn claim_back(&self, batch: &Arc<Batch>) -> bool {
+        let on_caller = batch.next.fetch_add(1, Ordering::Relaxed) == 0;
+        self.retire(batch);
+        on_caller
     }
 
     /// Remove a finished batch from the queue (workers also prune drained
@@ -446,6 +459,110 @@ where
     B: FnOnce() -> RB,
 {
     WorkerPool::global().join(workers, a, b)
+}
+
+/// Spin iterations (about 20 µs on the 2-vCPU Xeon) a
+/// [`HelperTask::offer`] waits for the last offer's helper to let go of
+/// the task before it declines.
+const OFFER_SPINS: usize = 1024;
+
+/// A one-index pool task offered again and again from one allocation:
+/// each [`HelperTask::offer`] lets one free pool helper run it while the
+/// owner works on, as `join` does for its `a` task, and the owner ends
+/// every offer with [`HelperTask::claim_back`] (and, when a helper has
+/// the task, [`HelperTask::wait`]).
+///
+/// The task runs at most once per offer. Between offers the pool holds
+/// no clone of it, so re-arming writes nothing a helper could still be
+/// reading: `offer` declines while a helper that admitted itself to an
+/// earlier offer has not yet let go of the batch (it then finds the
+/// index claimed and returns without running the task).
+pub struct HelperTask {
+    batch: Arc<Batch>,
+}
+
+impl HelperTask {
+    /// Wrap `run`, which a helper calls once per offer it takes. Nothing
+    /// is offered yet.
+    pub fn new<F>(run: F) -> Self
+    where
+        F: Fn() + Send + Sync + 'static,
+    {
+        Self {
+            batch: Arc::new(Batch {
+                n: 1,
+                // claimed: nothing to start until the first offer
+                next: AtomicUsize::new(1),
+                admissions: AtomicUsize::new(0),
+                // dses-lint: allow(no-alloc-transitive) -- grow-once: built with its owner, then re-offered without allocating
+                run: Box::new(move |_| run()),
+                done: Mutex::new(BatchDone {
+                    completed: 0,
+                    panic: None,
+                }),
+                finished: Condvar::new(),
+            }),
+        }
+    }
+
+    /// Offer the task to `pool`'s helpers, starting one pool thread if
+    /// the pool has none. Returns `false`, offering nothing, if a helper
+    /// still holds the batch from an earlier offer after a short spin.
+    ///
+    /// Every accepted offer must be ended by [`HelperTask::claim_back`]
+    /// before the next one.
+    pub fn offer(&self, pool: &WorkerPool) -> bool {
+        // A helper that finished the last offer lets go of the batch
+        // right after reporting completion: give it a moment.
+        let mut spins = 0;
+        while Arc::strong_count(&self.batch) > 1 {
+            if spins == OFFER_SPINS {
+                return false;
+            }
+            std::hint::spin_loop();
+            spins += 1;
+        }
+        // pairs with the release decrement of the last helper's clone:
+        // whatever it did to the batch happens before the re-arm
+        std::sync::atomic::fence(Ordering::Acquire);
+        *lock(&self.batch.done) = BatchDone {
+            completed: 0,
+            panic: None,
+        };
+        self.batch.admissions.store(1, Ordering::Relaxed);
+        // the index opens last, after the accounting it completes into
+        self.batch.next.store(0, Ordering::Release);
+        pool.submit(Arc::clone(&self.batch), 1);
+        true
+    }
+
+    /// End the current offer: `true` if no helper had started the task
+    /// (it will not run, and the caller does its work itself), `false`
+    /// if one had (call [`HelperTask::wait`]). The same claim-back as
+    /// [`WorkerPool::join`]'s.
+    #[must_use]
+    pub fn claim_back(&self, pool: &WorkerPool) -> bool {
+        pool.claim_back(&self.batch)
+    }
+
+    /// Block until the helper that took the current offer has finished
+    /// the task. A panic in the task comes back as `Err` with its
+    /// payload, for the caller to re-raise (`resume_unwind`) or, while
+    /// tearing down, to drop.
+    pub fn wait(&self) -> std::thread::Result<()> {
+        match self.batch.wait() {
+            Some(payload) => Err(payload),
+            None => Ok(()),
+        }
+    }
+}
+
+impl std::fmt::Debug for HelperTask {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HelperTask")
+            .field("holders", &Arc::strong_count(&self.batch))
+            .finish_non_exhaustive()
+    }
 }
 
 /// Map `f` over a slice on up to `workers` pool threads, preserving
@@ -599,5 +716,156 @@ mod tests {
         // the pool survives a panicked batch
         let ok = pool.run_indexed(8, 4, |i| i + 1);
         assert_eq!(ok, (1..=8).collect::<Vec<_>>());
+    }
+
+    /// Whether `cond` holds within ten seconds.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let start = std::time::Instant::now();
+        while !cond() {
+            if start.elapsed() > std::time::Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// Offer `task`, retrying while the last offer's helper still holds
+    /// it.
+    fn offer(task: &HelperTask, pool: &WorkerPool) {
+        assert!(
+            eventually(|| task.offer(pool)),
+            "the offer was declined for ten seconds"
+        );
+    }
+
+    /// Occupy every helper of a fresh `pool` (it gets one) with a task
+    /// that waits for the returned flag; returns once the helper is in.
+    fn hold_the_helper(pool: &Arc<WorkerPool>) -> (Arc<AtomicUsize>, std::thread::JoinHandle<()>) {
+        let release = Arc::new(AtomicUsize::new(0));
+        let entered = Arc::new(AtomicUsize::new(0));
+        let holder = {
+            let (pool, release, entered) =
+                (Arc::clone(pool), Arc::clone(&release), Arc::clone(&entered));
+            std::thread::spawn(move || {
+                // two indices on two workers: the submitter blocks on one,
+                // so the pool's helper must take the other
+                pool.run_indexed(2, 2, move |_| {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    while release.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                });
+            })
+        };
+        assert!(eventually(|| entered.load(Ordering::SeqCst) == 2));
+        assert_eq!(pool.spawned_workers(), 1);
+        (release, holder)
+    }
+
+    #[test]
+    fn helper_task_runs_at_most_once_per_offer() {
+        let pool = WorkerPool::new();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let task = {
+            let runs = Arc::clone(&runs);
+            HelperTask::new(move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let mut on_helpers = 0;
+        for round in 0..40 {
+            offer(&task, &pool);
+            if round % 2 == 1 {
+                // let a helper take this one
+                assert!(eventually(|| runs.load(Ordering::SeqCst) == on_helpers + 1));
+            }
+            if !task.claim_back(&pool) {
+                task.wait().expect("the task does not panic");
+                on_helpers += 1;
+            }
+            // a second claim-back finds the index taken and runs nothing
+            assert!(!task.claim_back(&pool));
+            assert_eq!(runs.load(Ordering::SeqCst), on_helpers, "round {round}");
+        }
+        assert!(on_helpers >= 20, "every odd round ran on a helper");
+        // nothing runs between offers
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(runs.load(Ordering::SeqCst), on_helpers);
+    }
+
+    #[test]
+    fn helper_task_claimed_back_before_start_returns_to_the_caller() {
+        let pool = Arc::new(WorkerPool::new());
+        let (release, holder) = hold_the_helper(&pool);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let task = {
+            let ran = Arc::clone(&ran);
+            HelperTask::new(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        offer(&task, &pool);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(
+            task.claim_back(&pool),
+            "no helper was free: the work is the caller's"
+        );
+        release.store(1, Ordering::SeqCst);
+        holder.join().expect("the holder finishes");
+        // the freed helper finds nothing to start
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        // and the task can be offered again
+        offer(&task, &pool);
+        assert!(eventually(|| ran.load(Ordering::SeqCst) == 1));
+        assert!(!task.claim_back(&pool));
+        task.wait().expect("the task does not panic");
+    }
+
+    #[test]
+    fn helper_task_panic_comes_back_at_the_wait() {
+        let pool = WorkerPool::new();
+        let started = Arc::new(AtomicUsize::new(0));
+        let task = {
+            let started = Arc::clone(&started);
+            HelperTask::new(move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                panic!("in the helper task");
+            })
+        };
+        offer(&task, &pool);
+        assert!(eventually(|| started.load(Ordering::SeqCst) == 1));
+        assert!(!task.claim_back(&pool));
+        let payload = task.wait().expect_err("the helper's panic comes back");
+        assert_eq!(
+            *payload.downcast::<&str>().expect("a static message"),
+            "in the helper task"
+        );
+        // the pool and the task survive it
+        assert_eq!(pool.run_indexed(4, 2, |i| i * 2), vec![0, 2, 4, 6]);
+        offer(&task, &pool);
+        assert!(eventually(|| started.load(Ordering::SeqCst) == 2));
+        assert!(!task.claim_back(&pool));
+        assert!(task.wait().is_err());
+    }
+
+    #[test]
+    fn helper_task_offered_again_after_completion_runs_again() {
+        let pool = WorkerPool::new();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let task = {
+            let runs = Arc::clone(&runs);
+            HelperTask::new(move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        for expected in 1..=5 {
+            offer(&task, &pool);
+            assert!(eventually(|| runs.load(Ordering::SeqCst) == expected));
+            assert!(!task.claim_back(&pool));
+            task.wait().expect("the task does not panic");
+        }
+        assert_eq!(pool.spawned_workers(), 1, "one helper serves every offer");
     }
 }

@@ -50,12 +50,18 @@ pub fn gamma(x: f64) -> f64 {
 /// (Numerical Recipes style). A NaN `x` gives NaN, so a NaN reaching a
 /// cdf through `erf`/`erfc` propagates instead of aborting the caller.
 pub fn reg_gamma_lower(a: f64, x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
+    match reg_gamma_lower_edge(a, x) {
+        Some(p) => p,
+        None => reg_gamma_lower_ln(a, ln_gamma(a), x),
     }
-    assert!(a > 0.0 && x >= 0.0, "reg_gamma_lower requires a > 0, x >= 0");
-    if x == 0.0 {
-        return 0.0;
+}
+
+/// [`reg_gamma_lower`] with `ln Γ(a)` supplied by a caller that keeps it
+/// (the Erlang CDF: its shape never changes). `ln_gamma_a` must be
+/// `ln_gamma(a)`; the result is then the same bits.
+pub fn reg_gamma_lower_ln(a: f64, ln_gamma_a: f64, x: f64) -> f64 {
+    if let Some(p) = reg_gamma_lower_edge(a, x) {
+        return p;
     }
     if x < a + 1.0 {
         // series: P(a,x) = x^a e^-x / Γ(a) * Σ x^n Γ(a)/Γ(a+1+n)
@@ -70,15 +76,25 @@ pub fn reg_gamma_lower(a: f64, x: f64) -> f64 {
                 break;
             }
         }
-        sum * (a * x.ln() - x - ln_gamma(a)).exp()
+        sum * (a * x.ln() - x - ln_gamma_a).exp()
     } else {
-        1.0 - reg_gamma_upper_cf(a, x)
+        1.0 - reg_gamma_upper_cf(a, ln_gamma_a, x)
     }
 }
 
+/// `P(a, x)` where it needs no `ln Γ(a)`: NaN for a NaN `x`, 0 at
+/// `x = 0`; `None` otherwise.
+fn reg_gamma_lower_edge(a: f64, x: f64) -> Option<f64> {
+    if x.is_nan() {
+        return Some(f64::NAN);
+    }
+    assert!(a > 0.0 && x >= 0.0, "reg_gamma_lower requires a > 0, x >= 0");
+    (x == 0.0).then_some(0.0)
+}
+
 /// Regularised upper incomplete gamma `Q(a, x) = 1 − P(a, x)` via Lentz's
-/// continued fraction; valid for `x ≥ a + 1`.
-fn reg_gamma_upper_cf(a: f64, x: f64) -> f64 {
+/// continued fraction; valid for `x ≥ a + 1`. `ln_gamma_a` is `ln Γ(a)`.
+fn reg_gamma_upper_cf(a: f64, ln_gamma_a: f64, x: f64) -> f64 {
     const TINY: f64 = 1e-300;
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / TINY;
@@ -102,7 +118,7 @@ fn reg_gamma_upper_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (a * x.ln() - x - ln_gamma(a)).exp() * h
+    (a * x.ln() - x - ln_gamma_a).exp() * h
 }
 
 /// Regularised upper incomplete gamma `Q(a, x)`.
@@ -120,7 +136,7 @@ pub fn reg_gamma_upper(a: f64, x: f64) -> f64 {
     } else if x < a + 1.0 {
         1.0 - reg_gamma_lower(a, x)
     } else {
-        reg_gamma_upper_cf(a, x)
+        reg_gamma_upper_cf(a, ln_gamma(a), x)
     }
 }
 

@@ -6,6 +6,10 @@
 //! all of them, plus the per-host load shares that Figure 5's
 //! "fraction of load on Host 1" series needs.
 
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+use dses_dist::par::{available_workers, HelperTask, WorkerPool};
 use dses_dist::{LogHistogram, Moments, OnlineMoments, QuantileSet};
 
 /// The outcome of one job's passage through the system.
@@ -148,6 +152,13 @@ pub struct MetricsConfig {
     pub split_cutoff: Option<f64>,
     /// Track streaming slowdown percentiles (p50/p90/p95/p99) via the
     /// P² estimator — O(1) memory, no record buffering.
+    ///
+    /// A run of at least 8 192 measured jobs on a machine with two or
+    /// more workers hands its estimator pushes to a free pool helper
+    /// through a bounded chunk pipe, whatever `Experiment::threads` says
+    /// (that count sizes a grid's lanes, and a single run is not a grid).
+    /// The estimates are bit for bit those of the inline pushes: one
+    /// thread at a time pushes, in job order (DESIGN.md §13.7).
     pub slowdown_percentiles: bool,
     /// If set, count jobs whose slowdown exceeds this service-level
     /// threshold — "predictable slowdown" (§1.2) as an SLO violation
@@ -469,7 +480,12 @@ pub struct Collector {
     fairness: Option<LogHistogram>,
     short_slowdown: OnlineMoments,
     long_slowdown: OnlineMoments,
+    /// The estimators while this thread pushes into them; `None` when
+    /// percentiles are off or while a piped run has lent them to `pipe`.
     percentiles: Option<QuantileSet>,
+    /// The percentile pipe, built on the first run that takes it and
+    /// re-armed for every later one (grow-once, like the block lanes).
+    pipe: Option<Box<PercentilePipe>>,
     slo_violations: u64,
     records: Option<Vec<JobRecord>>,
     /// `inv_n[k] = 1.0 / (k + 1)` for the first `expected_jobs` counts —
@@ -501,8 +517,10 @@ impl Collector {
 
     /// Create a collector for `hosts` hosts, pre-sizing the record buffer
     /// for `expected_jobs` completions (engines pass the trace length so
-    /// full-record runs never pay repeated reallocation; streaming mode
-    /// ignores the hint).
+    /// full-record runs never pay repeated reallocation). Streaming mode
+    /// uses the hint to size its reciprocal table and to decide whether
+    /// the percentile pushes take the pipe; without one
+    /// ([`Collector::new`]) they stay on the recording thread.
     #[must_use]
     pub fn with_job_hint(hosts: usize, cfg: MetricsConfig, expected_jobs: usize) -> Self {
         let mut c = Self {
@@ -518,6 +536,7 @@ impl Collector {
             short_slowdown: OnlineMoments::new(),
             long_slowdown: OnlineMoments::new(),
             percentiles: None,
+            pipe: None,
             slo_violations: 0,
             records: None,
             inv_n: Vec::new(),
@@ -538,9 +557,17 @@ impl Collector {
     /// expected_jobs)` — the engines' reusable-workspace entry points rely
     /// on that to stay bit-for-bit equal to fresh-allocation runs — but
     /// every growable buffer (per-host stats, the fairness histogram when
-    /// its layout is unchanged, the record vector, the block lanes) keeps
-    /// its allocation.
+    /// its layout is unchanged, the record vector, the block lanes, the
+    /// percentile pipe) keeps its allocation.
+    ///
+    /// A run the previous owner abandoned (no `finish`) has its pipe
+    /// closed here, so the pool helper that served it is free again.
+    ///
+    /// Every allocation here is a grow-once site, waived with its
+    /// reason; `deny(alloc)` keeps any other out.
+    // dses-lint: deny(alloc)
     pub fn reset(&mut self, hosts: usize, cfg: MetricsConfig, expected_jobs: usize) {
+        self.end_pipe_run(false);
         self.cfg = cfg;
         let d = cfg.demand.normalized();
         self.slowdown = OnlineMoments::new();
@@ -577,7 +604,7 @@ impl Collector {
                     v.clear();
                     v.reserve(expected_jobs);
                 }
-                // dses-lint: allow(no-alloc-transitive) -- grow-once: records are built when first enabled, then cleared and reused
+                // dses-lint: allow(no-alloc) -- grow-once: records are built when first enabled, then cleared and reused
                 other => *other = Some(Vec::with_capacity(expected_jobs)),
             }
         } else {
@@ -590,11 +617,45 @@ impl Collector {
         if self.path == RecordPath::Batched {
             match &mut self.block {
                 Some(b) => b.fill = 0,
+                // dses-lint: allow(no-alloc) -- grow-once: the lanes are built on the first batched run, then reused
                 other => *other = Some(Box::new(BlockCollector::empty())),
             }
         }
         if self.inv_n.len() < expected_jobs {
             self.inv_n.extend((self.inv_n.len()..expected_jobs).map(|k| 1.0 / (k + 1) as f64));
+        }
+        if self.percentiles.is_some()
+            && expected_jobs.saturating_sub(cfg.warmup_jobs) >= PIPE_MIN_JOBS
+            && available_workers() >= 2
+        {
+            let pipe = match &mut self.pipe {
+                Some(pipe) => pipe,
+                none => none.insert(PercentilePipe::new()),
+            };
+            if let Some(set) = self.percentiles.take() {
+                self.percentiles = pipe.start(set);
+            }
+        }
+    }
+
+    /// End a piped run: with `drain`, push what is still queued (the
+    /// helper may share the work) and the producer's last partial chunk;
+    /// without, drop them (the run was abandoned). Either way the pipe
+    /// closes, the pool helper is released, and the estimators come back
+    /// to `percentiles`. A panic on the helper re-raises here when
+    /// draining; the panicked consumer took the estimators and a chunk
+    /// with it, so the pipe is rebuilt on its next run.
+    fn end_pipe_run(&mut self, drain: bool) {
+        let Some(pipe) = self.pipe.as_deref_mut().filter(|p| p.running) else {
+            return;
+        };
+        let (set, outcome) = pipe.end_run(drain);
+        self.percentiles = set;
+        if let Err(payload) = outcome {
+            self.pipe = None;
+            if drain {
+                std::panic::resume_unwind(payload);
+            }
         }
     }
 
@@ -702,6 +763,8 @@ impl Collector {
             }
             if let Some(p) = &mut self.percentiles {
                 p.push(s);
+            } else if self.pipe.as_ref().is_some_and(|p| p.running) {
+                self.write_piped(s);
             }
             if let Some(threshold) = self.eff_slo {
                 if s > threshold {
@@ -711,6 +774,21 @@ impl Collector {
             if let Some(v) = &mut self.records {
                 v.push(rec);
             }
+        }
+    }
+
+    /// A piped run's percentile push. Out of line, so that every kernel
+    /// loop, which inlines all the record paths, stays the size it was
+    /// without the pipe.
+    #[inline(never)]
+    fn write_piped(&mut self, s: f64) {
+        let Some(pipe) = self.pipe.as_deref_mut() else {
+            return;
+        };
+        // a withdrawn offer hands the estimators back: push inline from
+        // the next job on
+        if let Some(set) = pipe.write(s) {
+            self.percentiles = Some(set);
         }
     }
 
@@ -804,12 +882,14 @@ impl Collector {
 
     /// Finish the run.
     ///
-    /// Consumes the collector; on the batched tier any partially filled
-    /// block is flushed first. Undemanded fields come out as
+    /// Consumes the collector; a piped run's queued slowdowns are pushed
+    /// and, on the batched tier, any partially filled block is flushed
+    /// first. Undemanded fields come out as
     /// deterministic empties (`None`, zeroed tallies, extrema
     /// sentinels) regardless of what the config switches asked for.
     #[must_use]
     pub fn finish(mut self) -> SimResult {
+        self.end_pipe_run(true);
         self.flush_block();
         let d = self.cfg.demand.normalized();
         let measured = self.slowdown.count();
@@ -848,6 +928,7 @@ impl Collector {
     /// allocation — the steady state of a reused-workspace sweep.
     // dses-lint: deny(alloc)
     pub fn finish_into(&mut self, out: &mut SimResult) {
+        self.end_pipe_run(true);
         self.flush_block();
         let d = self.cfg.demand.normalized();
         let measured = self.slowdown.count();
@@ -913,6 +994,361 @@ fn push_own_count(inv_n: &[f64], m: &mut OnlineMoments, x: f64) {
         None => 1.0 / (k + 1) as f64,
     };
     m.push_with_inv(x, inv);
+}
+
+/// Slowdowns per chunk the percentile pipe hands over at once.
+const PIPE_CHUNK: usize = 1024;
+/// Queued chunks past which the producer withdraws an offer no helper
+/// has started, and pushes the oldest chunks itself while the helper
+/// sleeps.
+const PIPE_SOFT_BOUND: usize = 4;
+/// Queued chunks at which the producer runs out of buffers: it pushes
+/// chunks itself if the estimators are free, and otherwise (the helper
+/// is mid-chunk) sleeps until the helper has freed half the buffers.
+/// Room for a descheduled helper to fall behind by 32 k slowdowns.
+const PIPE_HARD_BOUND: usize = 32;
+/// Queued chunks at which a sleeping helper is woken: waking it for
+/// every chunk would cost about as much CPU as the wait it saves.
+const PIPE_WAKE: usize = 2;
+/// Measured jobs from which a percentile run takes the pipe: below it,
+/// waking a parked helper costs more than the pushes it takes over
+/// (DESIGN.md §13.7).
+const PIPE_MIN_JOBS: usize = 8_192;
+
+type Chunk = Box<[f64; PIPE_CHUNK]>;
+
+/// What the producer and the helper share, under one lock.
+struct PipeState {
+    /// The estimators while no thread pushes into them. Whoever takes
+    /// them pushes the oldest queued chunks and puts them back, so the
+    /// pushes stay one thread at a time and in job order. `None` while
+    /// chunks are being pushed (or after a consumer panic lost them).
+    set: Option<QuantileSet>,
+    /// Full chunks, oldest first.
+    full: VecDeque<Chunk>,
+    /// Empty chunk buffers.
+    free: Vec<Chunk>,
+    /// A run is in flight: the consumer keeps waiting for chunks.
+    open: bool,
+    /// The consumer panicked mid-chunk; nobody waits for the estimators.
+    failed: bool,
+    /// The consumer is blocked on `changed`: past the soft bound the
+    /// producer does its work instead of waiting for it to wake.
+    consumer_asleep: bool,
+    /// Threads blocked on `changed` (a change with none skips the wake).
+    sleepers: usize,
+}
+
+struct PipeShared {
+    state: Mutex<PipeState>,
+    /// Signalled on the changes of the state a thread may wait for.
+    changed: Condvar,
+}
+
+impl PipeState {
+    /// Return every queued chunk's buffer to the free list, unpushed.
+    fn drop_queued(&mut self) {
+        self.free.extend(self.full.drain(..));
+    }
+}
+
+/// Lock the pipe state. No estimator push runs under the lock, so it is
+/// never poisoned by one.
+fn lock_pipe(shared: &PipeShared) -> MutexGuard<'_, PipeState> {
+    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wake the threads waiting for a change made under the lock `st`, if
+/// any: `notify_all` with a waiter costs about 5 µs.
+fn signal(shared: &PipeShared, st: &PipeState) {
+    if st.sleepers > 0 {
+        shared.changed.notify_all();
+    }
+}
+
+/// Block until the next change. The caller has checked, under this
+/// lock, that it has nothing to do.
+fn sleep_pipe<'a>(
+    shared: &'a PipeShared,
+    mut st: MutexGuard<'a, PipeState>,
+) -> MutexGuard<'a, PipeState> {
+    st.sleepers += 1;
+    let mut st = shared
+        .changed
+        .wait(st)
+        .unwrap_or_else(PoisonError::into_inner);
+    st.sleepers -= 1;
+    st
+}
+
+/// Take the estimators and push the oldest queued chunks, in order and
+/// outside the lock, until at most `keep` remain; then put the
+/// estimators back. Each buffer returns to the free list as soon as its
+/// chunk is pushed; the producer, if it sleeps for buffers, is woken
+/// once half of them are free.
+fn push_chunks<'a>(
+    shared: &'a PipeShared,
+    mut st: MutexGuard<'a, PipeState>,
+    keep: usize,
+) -> MutexGuard<'a, PipeState> {
+    let Some(mut set) = st.set.take() else {
+        return st;
+    };
+    let on_unwind = LostOnUnwind(shared);
+    while st.full.len() > keep {
+        let Some(chunk) = st.full.pop_front() else {
+            break;
+        };
+        drop(st);
+        for &s in chunk.iter() {
+            set.push(s);
+        }
+        st = lock_pipe(shared);
+        st.free.push(chunk);
+        if st.free.len() == PIPE_HARD_BOUND / 2 {
+            signal(shared, &st);
+        }
+    }
+    drop(on_unwind);
+    st.set = Some(set);
+    signal(shared, &st);
+    st
+}
+
+/// Marks the pipe failed if a push unwinds, so no thread waits for the
+/// estimators the panic took with it.
+struct LostOnUnwind<'a>(&'a PipeShared);
+
+impl Drop for LostOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut st = lock_pipe(self.0);
+            st.failed = true;
+            signal(self.0, &st);
+        }
+    }
+}
+
+/// The helper's side of the pipe: push queued chunks, oldest first,
+/// whenever the estimators are free, until the run ends; sleep while
+/// there is nothing to push.
+fn consume(shared: &PipeShared) {
+    let mut st = lock_pipe(shared);
+    while st.open {
+        if st.set.is_some() && !st.full.is_empty() {
+            st = push_chunks(shared, st, 0);
+        } else {
+            st.consumer_asleep = true;
+            st = sleep_pipe(shared, st);
+            st.consumer_asleep = false;
+        }
+    }
+}
+
+/// Whether the current run's helper task is still on offer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Offer {
+    /// nothing on offer: no run, or the offer was claimed back unstarted
+    None,
+    /// offered and not yet claimed back
+    Out,
+    /// a helper started it (a claim-back said so): wait for it at the end
+    Taken,
+}
+
+/// The full collector's percentile pipe (DESIGN.md §13.7): the recording
+/// thread writes each measured slowdown into a fixed chunk, full chunks
+/// queue up, and a free pool helper — or the producer itself, while the
+/// helper is away — pushes them in order.
+struct PercentilePipe {
+    shared: Arc<PipeShared>,
+    /// The consumer, offered to the pool once per run.
+    task: HelperTask,
+    /// The chunk the producer is filling.
+    chunk: Chunk,
+    fill: usize,
+    /// A piped run is in flight (between `start` and `end_run`).
+    running: bool,
+    offer: Offer,
+}
+
+impl PercentilePipe {
+    /// Build the shared state, `PIPE_HARD_BOUND + 2` chunk buffers (the
+    /// producer's, a full queue, and the helper's) and the pool task,
+    /// once per collector.
+    fn new() -> Box<Self> {
+        // dses-lint: allow(no-alloc-transitive) -- grow-once: Collector::reset builds the pipe on its first piped run, then re-arms it
+        let buffer = || Box::new([0.0; PIPE_CHUNK]);
+        let shared = Arc::new(PipeShared {
+            state: Mutex::new(PipeState {
+                set: None,
+                full: VecDeque::with_capacity(PIPE_HARD_BOUND + 1),
+                free: (0..=PIPE_HARD_BOUND).map(|_| buffer()).collect(),
+                open: false,
+                failed: false,
+                consumer_asleep: false,
+                sleepers: 0,
+            }),
+            changed: Condvar::new(),
+        });
+        let consumer = Arc::clone(&shared);
+        Box::new(Self {
+            shared,
+            task: HelperTask::new(move || consume(&consumer)),
+            chunk: buffer(),
+            fill: 0,
+            running: false,
+            offer: Offer::None,
+        })
+    }
+
+    /// Lend the pipe the estimators and offer the consumer to a free
+    /// pool helper. `Some(set)` hands them back when the pool still
+    /// holds the task from an earlier run; the run then pushes inline.
+    fn start(&mut self, set: QuantileSet) -> Option<QuantileSet> {
+        {
+            let mut st = lock_pipe(&self.shared);
+            st.set = Some(set);
+            st.open = true;
+            st.failed = false;
+        }
+        if self.task.offer(WorkerPool::global()) {
+            self.running = true;
+            self.offer = Offer::Out;
+            self.fill = 0;
+            None
+        } else {
+            let mut st = lock_pipe(&self.shared);
+            st.open = false;
+            st.set.take()
+        }
+    }
+
+    /// Queue one measured slowdown; `Some` hands the estimators back
+    /// when the offer was withdrawn (the run pushes inline from then on).
+    #[inline(always)]
+    fn write(&mut self, s: f64) -> Option<QuantileSet> {
+        self.chunk[self.fill] = s;
+        self.fill += 1;
+        if self.fill == PIPE_CHUNK {
+            self.hand_off()
+        } else {
+            None
+        }
+    }
+
+    /// Queue the full chunk and take an empty buffer, then apply the
+    /// bounds: past the soft one, withdraw an offer no helper has
+    /// started (returning the estimators, every queued chunk pushed)
+    /// or push chunks while the helper sleeps; out of buffers, push
+    /// chunks if the estimators are free and otherwise sleep until the
+    /// helper has freed half the buffers.
+    #[cold]
+    #[inline(never)]
+    fn hand_off(&mut self) -> Option<QuantileSet> {
+        let shared = &*self.shared;
+        let mut st = lock_pipe(shared);
+        if st.free.is_empty() {
+            while !st.failed && st.set.is_none() && st.free.len() < PIPE_HARD_BOUND / 2 {
+                st = sleep_pipe(shared, st);
+            }
+            if st.failed {
+                st.drop_queued();
+            } else if st.set.is_some() && st.free.is_empty() {
+                st = push_chunks(shared, st, PIPE_SOFT_BOUND);
+            }
+        }
+        let Some(empty) = st.free.pop() else {
+            unreachable!(
+                "{} buffers: a full queue and the helper's chunk leave one free",
+                PIPE_HARD_BOUND + 2
+            )
+        };
+        st.full.push_back(std::mem::replace(&mut self.chunk, empty));
+        self.fill = 0;
+        if st.full.len() >= PIPE_WAKE {
+            signal(shared, &st);
+        }
+        if st.full.len() <= PIPE_SOFT_BOUND {
+            return None;
+        }
+        if self.offer == Offer::Out {
+            if self.task.claim_back(WorkerPool::global()) {
+                // no helper came: push what is queued and go inline
+                self.offer = Offer::None;
+                self.running = false;
+                st.open = false;
+                st = push_chunks(shared, st, 0);
+                return st.set.take();
+            }
+            self.offer = Offer::Taken;
+        }
+        if st.set.is_some() && st.consumer_asleep {
+            drop(push_chunks(shared, st, PIPE_SOFT_BOUND));
+        }
+        None
+    }
+
+    /// End the run (see `Collector::end_pipe_run`): claim back an offer
+    /// nobody started, push or drop what is queued, close the pipe, wait
+    /// for a helper that has the task, and return the estimators with
+    /// the helper's outcome.
+    fn end_run(&mut self, drain: bool) -> (Option<QuantileSet>, std::thread::Result<()>) {
+        let helper_has_task = match self.offer {
+            Offer::Out => !self.task.claim_back(WorkerPool::global()),
+            Offer::Taken => true,
+            Offer::None => false,
+        };
+        let shared = &*self.shared;
+        let mut st = lock_pipe(shared);
+        while drain && !st.failed && (st.set.is_none() || !st.full.is_empty()) {
+            st = if st.set.is_some() {
+                push_chunks(shared, st, 0)
+            } else {
+                // the helper is pushing
+                sleep_pipe(shared, st)
+            };
+        }
+        st.open = false;
+        st.drop_queued();
+        signal(shared, &st);
+        drop(st);
+        let outcome = if helper_has_task {
+            self.task.wait()
+        } else {
+            Ok(())
+        };
+        self.offer = Offer::None;
+        self.running = false;
+        let mut set = lock_pipe(shared).set.take();
+        if let Some(set) = set.as_mut().filter(|_| drain) {
+            for &s in &self.chunk[..self.fill] {
+                set.push(s);
+            }
+        }
+        self.fill = 0;
+        (set, outcome)
+    }
+}
+
+impl Drop for PercentilePipe {
+    /// Close a run nobody finished, so the helper serving it returns to
+    /// the pool instead of waiting for chunks forever.
+    fn drop(&mut self) {
+        if self.running {
+            let _ = self.end_run(false);
+        }
+    }
+}
+
+impl std::fmt::Debug for PercentilePipe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PercentilePipe")
+            .field("running", &self.running)
+            .field("offer", &self.offer)
+            .field("fill", &self.fill)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Batch-means confidence half-width for the mean of `values` at roughly
@@ -1309,5 +1745,178 @@ mod demand_tests {
         assert_eq!(r.measured, 1);
         assert_eq!(r.slowdown.min, 1.0);
         assert_eq!(r.per_host[1].jobs, 1);
+    }
+}
+
+#[cfg(test)]
+mod pipe_tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// Whether `cond` holds within ten seconds.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let start = Instant::now();
+        while !cond() {
+            if start.elapsed() > Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// `n` records with spread-out slowdowns (a 64-bit LCG drives the
+    /// sizes and waits) over four hosts.
+    fn records(n: usize) -> Vec<JobRecord> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|i| {
+                let arrival = i as f64;
+                let size = 0.01 + 100.0 * next() * next();
+                let start = arrival + 50.0 * next();
+                JobRecord {
+                    id: i as u64,
+                    arrival,
+                    size,
+                    start,
+                    completion: start + size,
+                    host: i % 4,
+                }
+            })
+            .collect()
+    }
+
+    fn percentile_cfg() -> MetricsConfig {
+        MetricsConfig {
+            slowdown_percentiles: true,
+            fairness_bins: 12,
+            slo_slowdown: Some(10.0),
+            warmup_jobs: 100,
+            ..MetricsConfig::streaming()
+        }
+    }
+
+    /// The run pushed inline: a collector without a job hint never pipes.
+    fn inline(cfg: MetricsConfig, recs: &[JobRecord]) -> SimResult {
+        let mut c = Collector::new(4, cfg);
+        for &r in recs {
+            c.record(r);
+        }
+        assert!(c.pipe.is_none());
+        c.finish()
+    }
+
+    /// Every field, bit for bit (`Debug` prints each float's shortest
+    /// round-trip form, so distinct non-NaN bits print differently).
+    fn assert_same_bits(a: &SimResult, b: &SimResult) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    fn running(c: &Collector) -> bool {
+        c.pipe.as_ref().is_some_and(|p| p.running)
+    }
+
+    #[test]
+    fn a_long_percentile_run_takes_the_pipe_when_a_second_worker_exists() {
+        let recs = records(12_000);
+        let cfg = percentile_cfg();
+        let mut c = Collector::with_job_hint(4, cfg, recs.len());
+        assert_eq!(running(&c), available_workers() >= 2);
+        for &r in &recs {
+            c.record(r);
+        }
+        let piped = c.finish();
+        assert_same_bits(&piped, &inline(cfg, &recs));
+        assert!(piped.slowdown_percentiles.is_some());
+        // short runs, and runs that do not track percentiles, never pipe
+        let short = Collector::with_job_hint(4, cfg, PIPE_MIN_JOBS + cfg.warmup_jobs - 1);
+        assert!(!running(&short));
+        let untracked = Collector::with_job_hint(
+            4,
+            MetricsConfig {
+                demand: Demand::MEANS | Demand::PER_HOST,
+                ..cfg
+            },
+            recs.len(),
+        );
+        assert!(!running(&untracked));
+    }
+
+    #[test]
+    fn a_collector_dropped_mid_run_releases_its_helper() {
+        if available_workers() < 2 {
+            return;
+        }
+        let recs = records(12_000);
+        let mut c = Collector::with_job_hint(4, percentile_cfg(), recs.len());
+        assert!(running(&c));
+        // two chunks: below the soft bound, so only a helper empties the
+        // queue
+        for &r in &recs[..100 + 2 * PIPE_CHUNK] {
+            c.record(r);
+        }
+        let shared = Arc::clone(&c.pipe.as_ref().expect("piped run").shared);
+        assert!(
+            eventually(|| lock_pipe(&shared).full.is_empty()),
+            "a pool helper takes the consumer"
+        );
+        let state = Arc::downgrade(&shared);
+        drop(shared);
+        drop(c);
+        assert!(
+            eventually(|| state.upgrade().is_none()),
+            "the helper lets go of the closed pipe"
+        );
+        // both workers of a two-worker batch meet: the helper is free
+        let met = Arc::new(AtomicUsize::new(0));
+        let both = {
+            let met = Arc::clone(&met);
+            crate::par_map_indexed(2, 2, move |_| {
+                met.fetch_add(1, Ordering::SeqCst);
+                eventually(|| met.load(Ordering::SeqCst) == 2)
+            })
+        };
+        assert_eq!(both, vec![true, true]);
+    }
+
+    #[test]
+    fn a_reset_after_an_abandoned_run_gives_the_fresh_result() {
+        let recs = records(12_000);
+        let cfg = percentile_cfg();
+        let mut reused = Collector::with_job_hint(4, cfg, recs.len());
+        for &r in &recs[..7_000] {
+            reused.record(r);
+        }
+        let next = MetricsConfig {
+            split_cutoff: Some(20.0),
+            warmup_jobs: 0,
+            ..cfg
+        };
+        reused.reset(4, next, recs.len());
+        assert_eq!(running(&reused), available_workers() >= 2);
+        let mut fresh = Collector::with_job_hint(4, next, recs.len());
+        for &r in &recs {
+            reused.record(r);
+            fresh.record(r);
+        }
+        let mut out = SimResult::empty();
+        reused.finish_into(&mut out);
+        let fresh = fresh.finish();
+        assert_same_bits(&out, &fresh);
+        assert_same_bits(&out, &inline(next, &recs));
+        // and the reused collector pipes its next run as well
+        reused.reset(4, cfg, recs.len());
+        for &r in &recs {
+            reused.record(r);
+        }
+        reused.finish_into(&mut out);
+        assert_same_bits(&out, &inline(cfg, &recs));
     }
 }

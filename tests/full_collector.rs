@@ -10,13 +10,23 @@
 //! `Experiment::try_run` under the full collector, recorded before
 //! either change. No exhibit prints a fairness profile, so these digests
 //! (and perfbench's `wide_full`) are the fairness profile's bit gate.
+//!
+//! A run long enough hands its percentile pushes to a pool helper
+//! through a chunk pipe. The last tests hold piped runs to the same
+//! records pushed inline, on a free helper and with every helper held
+//! busy, which forces the two paths that push on the recording thread.
 
 use dses_core::cutoffs::CutoffMethod;
 use dses_core::spec::BuiltPolicy;
 use dses_core::{Experiment, PolicySpec};
 use dses_dist::{Deterministic, Distribution, LogHistogram, Moments, P2Quantile, Pareto, Uniform};
-use dses_sim::{simulate_dispatch, MetricsConfig, SimResult};
+use dses_sim::metrics::Collector;
+use dses_sim::{
+    par_map_indexed, simulate_dispatch, JobRecord, MetricsConfig, SimResult, WorkerPool,
+};
 use dses_workload::{ctc_sp2, psc_c90, psc_j90, WorkloadPreset};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The fairness range `Experiment` gives a preset:
 /// `[max(lo, 1e-3), 1.01·hi)`, with 1e9 for an unbounded top.
@@ -414,5 +424,202 @@ fn a_support_outside_the_default_fairness_range_still_bins_every_job() {
             "{}",
             p.name
         );
+    }
+}
+
+/// Measured jobs from which a run takes the percentile pipe, and the
+/// pipe's chunk length (`crates/sim/src/metrics.rs`).
+const PIPE_MIN_JOBS: usize = 8_192;
+const PIPE_CHUNK: usize = 1_024;
+/// Full chunks the queue may hold before the recording thread withdraws
+/// an offer no helper has started.
+const PIPE_SOFT_BOUND: usize = 4;
+
+/// The full collector's tail as `wide_full` runs it, with `warmup`
+/// jobs discarded.
+fn tail_cfg(warmup: usize) -> MetricsConfig {
+    let (lo, hi) = psc_c90().size_dist.support();
+    MetricsConfig {
+        warmup_jobs: warmup,
+        fairness_bins: 12,
+        fairness_range: (lo.max(1e-3), hi * 1.01),
+        slowdown_percentiles: true,
+        slo_slowdown: Some(10.0),
+        ..MetricsConfig::streaming()
+    }
+}
+
+/// The records of a C90 LWL run of `warmup + measured` jobs at `hosts`
+/// hosts, and the run's result through the engine (which pipes the
+/// percentiles from `PIPE_MIN_JOBS` measured jobs).
+fn records_and_engine_run(
+    hosts: usize,
+    warmup: usize,
+    measured: usize,
+) -> (Vec<JobRecord>, SimResult) {
+    let preset = psc_c90();
+    let trace = preset.trace(warmup + measured, 0.7, hosts, 4099);
+    let run = |cfg: MetricsConfig| {
+        let BuiltPolicy::Dispatch(mut policy) = PolicySpec::LeastWorkLeft
+            .build(&preset.size_dist, trace.arrival_rate(), hosts)
+            .expect("LWL builds")
+        else {
+            unreachable!("LWL dispatches")
+        };
+        simulate_dispatch(&trace, hosts, policy.as_mut(), 3, cfg)
+    };
+    let cfg = tail_cfg(warmup);
+    let records = run(MetricsConfig {
+        collect_records: true,
+        warmup_jobs: 0,
+        ..cfg
+    })
+    .records
+    .expect("records requested");
+    (records, run(cfg))
+}
+
+/// `records` pushed into a collector built with job hint `hint`: one
+/// without a hint (0) never pipes.
+fn collect(hosts: usize, warmup: usize, hint: usize, records: &[JobRecord]) -> SimResult {
+    let mut c = Collector::with_job_hint(hosts, tail_cfg(warmup), hint);
+    for &r in records {
+        c.record(r);
+    }
+    c.finish()
+}
+
+/// A piped engine run and the same records pushed inline.
+fn piped_and_inline(hosts: usize, warmup: usize, measured: usize) -> (SimResult, SimResult) {
+    let (records, piped) = records_and_engine_run(hosts, warmup, measured);
+    (piped, collect(hosts, warmup, 0, &records))
+}
+
+/// Every field, bit for bit (`Debug` prints each float's shortest
+/// round-trip form, so distinct non-NaN bits print differently).
+fn assert_same_bits(what: &str, a: &SimResult, b: &SimResult) {
+    assert!(
+        a.slowdown_percentiles.is_some(),
+        "{what}: percentiles requested"
+    );
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+}
+
+/// Job counts around the pipe's edges: below and at the threshold, a
+/// whole number of chunks and one job more, each after a short warm-up,
+/// and a warm-up longer than one chunk.
+fn edge_cases() -> [(usize, usize); 5] {
+    let chunks = 12 * PIPE_CHUNK;
+    [
+        (100, PIPE_MIN_JOBS - 1),
+        (100, PIPE_MIN_JOBS),
+        (100, chunks),
+        (100, chunks + 1),
+        (PIPE_CHUNK + 500, 12_000),
+    ]
+}
+
+#[test]
+fn piped_percentile_runs_match_inline_pushes_bitwise() {
+    for hosts in [2, 8, 64] {
+        for (warmup, measured) in edge_cases() {
+            let (piped, inline) = piped_and_inline(hosts, warmup, measured);
+            assert_same_bits(
+                &format!("h = {hosts}, {warmup} + {measured} jobs"),
+                &piped,
+                &inline,
+            );
+        }
+    }
+}
+
+/// Hold every helper of the global pool in a task that waits for the
+/// returned flag, so no helper can start a pipe's offer until it is set.
+fn hold_every_helper() -> (Arc<AtomicUsize>, std::thread::JoinHandle<()>) {
+    let helpers = WorkerPool::global().spawned_workers().max(1);
+    let release = Arc::new(AtomicUsize::new(0));
+    let entered = Arc::new(AtomicUsize::new(0));
+    let holder = {
+        let (release, entered) = (Arc::clone(&release), Arc::clone(&entered));
+        std::thread::spawn(move || {
+            // one index per helper and one for this thread, which blocks
+            // on its own: every helper must take one
+            par_map_indexed(helpers + 1, helpers + 1, move |_| {
+                entered.fetch_add(1, Ordering::SeqCst);
+                while release.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+            });
+        })
+    };
+    while entered.load(Ordering::SeqCst) < helpers + 1 {
+        std::thread::yield_now();
+    }
+    assert_eq!(WorkerPool::global().spawned_workers(), helpers);
+    (release, holder)
+}
+
+#[test]
+fn percentile_runs_with_every_helper_busy_push_on_the_recording_thread() {
+    // the records first, while the pool is free
+    let withdrawn_at_the_soft_bound = [
+        (2, 100, PIPE_MIN_JOBS),
+        (8, PIPE_CHUNK + 500, 12_000),
+        (64, 100, 12 * PIPE_CHUNK + 1),
+    ];
+    let runs: Vec<_> = withdrawn_at_the_soft_bound
+        .iter()
+        .map(|&(hosts, warmup, measured)| {
+            (
+                hosts,
+                warmup,
+                records_and_engine_run(hosts, warmup, measured).0,
+            )
+        })
+        .collect();
+    // A run with a job hint past the threshold that ends before its
+    // queue passes the soft bound: `finish` claims the unstarted offer
+    // back and pushes the queue itself.
+    let short = (PIPE_SOFT_BOUND + 1) * PIPE_CHUNK - 1;
+    let claimed_back_at_finish = [(8, 100, short), (64, 0, PIPE_SOFT_BOUND * PIPE_CHUNK)];
+    let short_runs: Vec<_> = claimed_back_at_finish
+        .iter()
+        .map(|&(hosts, warmup, measured)| {
+            (
+                hosts,
+                warmup,
+                records_and_engine_run(hosts, warmup, measured).0,
+            )
+        })
+        .collect();
+    let (release, holder) = hold_every_helper();
+    // every other path pushes on the recording thread: the engine run
+    // (whose offer no helper can start) is withdrawn at the soft bound
+    let results: Vec<_> = withdrawn_at_the_soft_bound
+        .iter()
+        .map(|&(hosts, warmup, measured)| {
+            (
+                format!("h = {hosts}, {warmup} + {measured} jobs, withdrawn"),
+                records_and_engine_run(hosts, warmup, measured).1,
+            )
+        })
+        .chain(short_runs.iter().map(|(hosts, warmup, records)| {
+            (
+                format!(
+                    "h = {hosts}, {warmup} + {} jobs, claimed back",
+                    records.len() - warmup
+                ),
+                collect(*hosts, *warmup, PIPE_MIN_JOBS + warmup, records),
+            )
+        }))
+        .collect();
+    release.store(1, Ordering::SeqCst);
+    holder.join().expect("the holder finishes");
+    let inline = runs
+        .iter()
+        .chain(&short_runs)
+        .map(|(hosts, warmup, records)| collect(*hosts, *warmup, 0, records));
+    for ((what, held), inline) in results.iter().zip(inline) {
+        assert_same_bits(what, held, &inline);
     }
 }
