@@ -17,8 +17,10 @@ cargo test -q --no-fail-fast
 
 # The percentile pipe's tests and the allocation gate again in release:
 # there the pool helper overlaps the recording thread far more often than
-# in a debug build, so the handoffs between them run in other orders.
-cargo test --release --offline -q -p dses-integration --test metrics_alloc --test full_collector
+# in a debug build, so the handoffs between them run in other orders. The
+# kernel ≡ generic loop ≡ event engine gates run here too: the chunked
+# argmin lanes are autovectorized only in optimized builds (~4 s).
+cargo test --release --offline -q -p dses-integration --test metrics_alloc --test full_collector --test kernels
 cargo test --release --offline -q -p dses-dist -p dses-sim --lib
 
 # The repo benchmark (`perfbench/`, its own cargo workspace) builds

@@ -6,7 +6,7 @@ use dses_core::fairness::FairnessReport;
 use dses_core::report::{fmt_num, Table};
 use dses_core::rule_of_thumb::rule_of_thumb_fraction;
 use dses_core::{Experiment, PolicySpec};
-use dses_dist::{Distribution, Mixture};
+use dses_dist::{Distribution, Mixture, Moments};
 use dses_sim::SimResult;
 use dses_workload::{swf, Trace};
 
@@ -281,10 +281,18 @@ fn render_result(title: &str, r: &SimResult) -> String {
         }
     }
     if let (Some(s), Some(l)) = (r.short_slowdown, r.long_slowdown) {
+        // a class no measured job fell in has no mean
+        let class_mean = |m: Moments| {
+            if m.count == 0 {
+                "-".to_string()
+            } else {
+                fmt_num(m.mean)
+            }
+        };
         out.push_str(&format!(
             "  class slowdowns: short {}  long {}\n",
-            fmt_num(s.mean),
-            fmt_num(l.mean)
+            class_mean(s),
+            class_mean(l)
         ));
     }
     if r.fairness.is_some() {
@@ -655,6 +663,42 @@ mod tests {
                 "--slo must be a finite slowdown of at least 1",
             );
         }
+        // SWF logs whose second line holds a time no simulation can use:
+        // a non-finite run or submit time, or run times summing past f64
+        let record = |submit: &str, run: &str| {
+            format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
+        };
+        let logs = [
+            ("100", record("10", "inf"), "field 3"),
+            ("100", record("10", "1e400"), "field 3"),
+            ("100", record("inf", "50"), "field 1"),
+            ("100", record("10", "nan"), "field 3"),
+            ("1e308", record("10", "1e308"), "total run time"),
+        ];
+        for (i, (first_run, second, names)) in logs.iter().enumerate() {
+            let path = std::env::temp_dir().join(format!("dses_cli_bad_swf_{i}.swf"));
+            std::fs::write(&path, record("0", first_run) + second).unwrap();
+            for cmd in ["swf", "burstiness"] {
+                let tokens = [cmd, "--file", path.to_str().unwrap()];
+                assert_rejected(&tokens, "line 2");
+                assert_rejected(&tokens, names);
+            }
+        }
+    }
+
+    #[test]
+    fn a_statistic_over_no_jobs_prints_a_dash() {
+        // five short jobs: the long class stays empty
+        let out = run_tokens(&[
+            "simulate", "--policy", "sita-u-fair", "--jobs", "5", "--warmup", "0", "--fairness",
+        ])
+        .unwrap();
+        assert!(out.contains("  long -\n"), "{out}");
+        assert!(
+            out.contains("long class E[S] = -, unfairness = -\n"),
+            "{out}"
+        );
+        assert!(!out.contains("NaN"), "{out}");
     }
 
     /// Write `jobs` C90 jobs as an SWF log under a per-test file name.

@@ -5,6 +5,7 @@
 //! shouldn't be penalized — slowed down by a greater factor — than short
 //! jobs."* A policy is fair when the slowdown-vs-size curve is flat.
 
+use dses_dist::Moments;
 use dses_sim::SimResult;
 
 /// One size band of the fairness profile.
@@ -23,9 +24,11 @@ pub struct FairnessBin {
 pub struct FairnessReport {
     /// per-size-band slowdowns (only populated bands)
     pub bins: Vec<FairnessBin>,
-    /// mean slowdown of the short class, if a split cutoff was set
+    /// mean slowdown of the short class (`None` without a split, or when
+    /// no measured job was short)
     pub short_mean: Option<f64>,
-    /// mean slowdown of the long class, if a split cutoff was set
+    /// mean slowdown of the long class (`None` without a split, or when
+    /// no measured job was long)
     pub long_mean: Option<f64>,
 }
 
@@ -48,10 +51,11 @@ impl FairnessReport {
                     .collect()
             })
             .unwrap_or_default();
+        let class_mean = |m: Option<Moments>| m.filter(|m| m.count > 0).map(|m| m.mean);
         Self {
             bins,
-            short_mean: result.short_slowdown.map(|m| m.mean),
-            long_mean: result.long_slowdown.map(|m| m.mean),
+            short_mean: class_mean(result.short_slowdown),
+            long_mean: class_mean(result.long_slowdown),
         }
     }
 
@@ -81,7 +85,9 @@ impl FairnessReport {
         (hi > 0.0 && lo.is_finite() && lo > 0.0).then(|| hi / lo)
     }
 
-    /// Render as an aligned text table.
+    /// Render as an aligned text table, with a class line when a split
+    /// was collected and some measured job fell in a class; a class
+    /// without jobs reads `-` there, as does the unfairness ratio then.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -92,10 +98,13 @@ impl FairnessReport {
                 b.size, b.mean_slowdown, b.count
             ));
         }
-        if let (Some(s), Some(l)) = (self.short_mean, self.long_mean) {
+        if self.short_mean.is_some() || self.long_mean.is_some() {
+            let show = |x: Option<f64>| x.map_or_else(|| "-".to_string(), |x| format!("{x:.3}"));
             out.push_str(&format!(
-                "short class E[S] = {s:.3}, long class E[S] = {l:.3}, unfairness = {:.3}\n",
-                self.class_unfairness().unwrap_or(f64::NAN)
+                "short class E[S] = {}, long class E[S] = {}, unfairness = {}\n",
+                show(self.short_mean),
+                show(self.long_mean),
+                show(self.class_unfairness())
             ));
         }
         out
@@ -176,9 +185,25 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_class_renders_as_a_dash() {
+        let r = result_with_jobs(&[(1.0, 5.0), (2.0, 3.0)]);
+        let f = FairnessReport::from_result(&r);
+        assert!((f.short_mean.unwrap() - 4.0).abs() < 1e-12);
+        assert_eq!(f.long_mean, None);
+        assert!(f.class_unfairness().is_none());
+        let text = f.render();
+        assert!(
+            text.contains("short class E[S] = 4.000, long class E[S] = -, unfairness = -"),
+            "{text}"
+        );
+        assert!(!text.contains("NaN"), "{text}");
+    }
+
+    #[test]
     fn missing_data_yields_none() {
         let c = Collector::new(1, MetricsConfig::default());
         let f = FairnessReport::from_result(&c.finish());
+        assert!(!f.render().contains("class"));
         assert!(f.bins.is_empty());
         assert!(f.class_unfairness().is_none());
         assert!(f.band_spread(1).is_none());

@@ -216,8 +216,8 @@ impl Dispatcher for SizeInterval {
 #[derive(Debug, Clone)]
 pub struct GroupedSita {
     cutoff: f64,
-    short_hosts: Vec<usize>,
-    long_hosts: Vec<usize>,
+    short_hosts: usize,
+    hosts: usize,
     label: String,
 }
 
@@ -242,8 +242,8 @@ impl GroupedSita {
         );
         Self {
             cutoff,
-            short_hosts: (0..short_group_size).collect(),
-            long_hosts: (short_group_size..hosts).collect(),
+            short_hosts: short_group_size,
+            hosts,
             label: label.into(),
         }
     }
@@ -269,21 +269,25 @@ impl GroupedSita {
         self.cutoff
     }
 
-    /// Host indices in the short group.
+    /// Number of hosts in the short group, hosts `0..short_hosts()`.
     #[must_use]
-    pub fn short_hosts(&self) -> &[usize] {
-        &self.short_hosts
+    pub fn short_hosts(&self) -> usize {
+        self.short_hosts
     }
 }
 
 impl Dispatcher for GroupedSita {
     fn dispatch(&mut self, job: &Job, state: &SystemState<'_>, _rng: &mut Rng64) -> usize {
-        let group = if job.size <= self.cutoff {
-            &self.short_hosts
+        let (lo, hi) = if job.size <= self.cutoff {
+            (0, self.short_hosts)
         } else {
-            &self.long_hosts
+            (self.short_hosts, self.hosts)
         };
-        state.least_work_among(group)
+        lo + SystemState {
+            now: state.now,
+            hosts: &state.hosts[lo..hi],
+        }
+        .least_work()
     }
 
     fn name(&self) -> String {
@@ -292,6 +296,16 @@ impl Dispatcher for GroupedSita {
 
     fn state_needs(&self) -> StateNeeds {
         StateNeeds::WORK_LEFT
+    }
+
+    fn dispatch_kernel(&self) -> DispatchKernel<'_> {
+        // dispatch is least_work() over the group's contiguous hosts:
+        // leftmost-tie argmin, offset by the group's first host, no RNG
+        DispatchKernel::GroupedLeastWork {
+            cutoff: self.cutoff,
+            short: self.short_hosts,
+            end: self.hosts,
+        }
     }
 }
 
@@ -410,9 +424,15 @@ mod tests {
             SizeInterval::new(vec![1.0], "SITA-E").state_needs(),
             StateNeeds::NOTHING
         );
+        let grouped = GroupedSita::new(50.0, 4, 2, "SITA-E/LWL");
+        assert_eq!(grouped.state_needs(), StateNeeds::WORK_LEFT);
         assert_eq!(
-            GroupedSita::new(50.0, 4, 2, "SITA-E/LWL").state_needs(),
-            StateNeeds::WORK_LEFT
+            grouped.dispatch_kernel(),
+            DispatchKernel::GroupedLeastWork {
+                cutoff: 50.0,
+                short: 2,
+                end: 4
+            }
         );
     }
 

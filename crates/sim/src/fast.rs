@@ -9,7 +9,9 @@
 //!
 //! The engine is **specialized to the policy**. A policy that declares a
 //! closed form ([`DispatchKernel`]: Random, Round-Robin, SITA,
-//! Least-Work-Left) runs an inlined kernel with no per-job virtual call.
+//! Least-Work-Left, grouped SITA/LWL) runs an inlined kernel with no
+//! per-job virtual call; Least-Work-Left and grouped SITA share one
+//! work-left kernel, which takes the group of hosts a job may go to.
 //! Every other policy runs one loop body, `run_generic`, monomorphized
 //! on the two [`HostView`](crate::state::HostView) fields it declares
 //! it reads ([`Dispatcher::state_needs`](crate::state::StateNeeds)):
@@ -381,6 +383,11 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         RoundRobin,
         Sita,
         WorkLeft,
+        GroupedWorkLeft {
+            cutoff: f64,
+            short: usize,
+            end: usize,
+        },
         Generic,
     }
     let selected = match (policy.dispatch_kernel(), needs) {
@@ -394,6 +401,11 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             Selected::Sita
         }
         (DispatchKernel::LeastWorkLeft, n) if n == StateNeeds::WORK_LEFT => Selected::WorkLeft,
+        (DispatchKernel::GroupedLeastWork { cutoff, short, end }, n)
+            if n == StateNeeds::WORK_LEFT && 0 < short && short < end && end <= hosts =>
+        {
+            Selected::GroupedWorkLeft { cutoff, short, end }
+        }
         _ => Selected::Generic,
     };
 
@@ -441,7 +453,29 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
         }
         Selected::WorkLeft => {
             // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run; every path performs at most one service divide per job
-            run_work_left_kernel(trace, speeds, &mut ws.free_at, &mut ws.collector);
+            run_work_left_kernel(
+                trace,
+                speeds,
+                |_| (0, hosts),
+                &mut ws.free_at,
+                &mut ws.collector,
+            );
+        }
+        Selected::GroupedWorkLeft { cutoff, short, end } => {
+            // the policy's own `size <= cutoff` test picks the group
+            run_work_left_kernel(
+                trace,
+                speeds,
+                |size| {
+                    if size <= cutoff {
+                        (0, short)
+                    } else {
+                        (short, end)
+                    }
+                },
+                &mut ws.free_at,
+                &mut ws.collector,
+            );
         }
         Selected::Generic => {
             let rng = &mut rng;
@@ -597,15 +631,20 @@ fn run_static_kernel<S: SpeedModel, F: FnMut(f64, &mut Rng64) -> usize>(
 }
 
 /// The inlined least-work-left loop: [`argmin_work_left`] directly over
-/// the Lindley scalars — no view refresh, no virtual call.
+/// the Lindley scalars — no view refresh, no virtual call. `group` maps a
+/// job's size to the contiguous host range `lo..hi` it may go to:
+/// Least-Work-Left passes every host, grouped SITA the short or the long
+/// group. The leftmost argmin of the range's slice, offset by `lo`, is
+/// the leftmost argmin over those hosts (DESIGN.md §11.1).
 // dses-lint: divides(1)
 // dses-lint: deny(alloc)
 // dses-lint: mirrors(lindley)
 // dses-lint: hoist(service)
 // dses-lint: untraced(record_with_inv)
-fn run_work_left_kernel<S: SpeedModel>(
+fn run_work_left_kernel<S: SpeedModel, G: Fn(f64) -> (usize, usize)>(
     trace: &Trace,
     speeds: &S,
+    group: G,
     free_at: &mut [f64],
     collector: &mut Collector,
 ) {
@@ -614,7 +653,8 @@ fn run_work_left_kernel<S: SpeedModel>(
     let inv_sizes = trace.inv_sizes();
     for i in 0..arrivals.len() {
         let now = arrivals[i];
-        let target = argmin_work_left(free_at, now);
+        let (lo, hi) = group(sizes[i]);
+        let target = lo + argmin_work_left(&free_at[lo..hi], now);
         let start = now.max(free_at[target]);
         let completion = start + speeds.service(target, sizes[i]);
         free_at[target] = completion;

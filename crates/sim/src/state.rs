@@ -60,21 +60,6 @@ impl SystemState<'_> {
             // dses-lint: allow(panic-hygiene) -- engines assert hosts >= 1 before any dispatch
             .expect("at least one host")
     }
-
-    /// Like [`SystemState::least_work`] but restricted to a subset of
-    /// host indices — used by the paper's §5 grouped SITA+LWL hybrid.
-    ///
-    /// # Panics
-    /// Panics if `subset` is empty or contains an out-of-range index.
-    #[must_use]
-    pub fn least_work_among(&self, subset: &[usize]) -> usize {
-        subset
-            .iter()
-            .copied()
-            .min_by(|&a, &b| self.hosts[a].work_left.total_cmp(&self.hosts[b].work_left))
-            // dses-lint: allow(panic-hygiene) -- documented: panics on empty subset
-            .expect("subset must be non-empty")
-    }
 }
 
 /// Which [`HostView`] fields a dispatcher actually reads — the engine's
@@ -159,6 +144,21 @@ pub enum DispatchKernel<'a> {
     /// [`SystemState::least_work`]: least unfinished work, ties to the
     /// lowest host index; no RNG.
     LeastWorkLeft,
+    /// Grouped SITA with Least-Work-Left inside each group (the paper's
+    /// §5 hybrid): a job of size `<= cutoff` goes to the host of least
+    /// unfinished work among `0..short`, any other job to the one among
+    /// `short..end`, ties to the lowest host index; no RNG. The engine
+    /// inlines it only when `0 < short < end <= hosts`. `end` is the
+    /// policy's own host count, not the engine's: a policy built for
+    /// fewer hosts than it runs on never sends a job past `end`.
+    GroupedLeastWork {
+        /// Largest size routed to the short group.
+        cutoff: f64,
+        /// Hosts `0..short` form the short group.
+        short: usize,
+        /// Hosts `short..end` form the long group.
+        end: usize,
+    },
 }
 
 /// A task-assignment policy that picks a host the moment a job arrives.
@@ -273,22 +273,6 @@ mod tests {
         let hosts = views(&[(0, 4.0), (0, 4.0)]);
         let s = SystemState { now: 0.0, hosts: &hosts };
         assert_eq!(s.least_work(), 0);
-    }
-
-    #[test]
-    fn least_work_among_subset() {
-        let hosts = views(&[(0, 1.0), (0, 5.0), (0, 3.0), (0, 2.0)]);
-        let s = SystemState { now: 0.0, hosts: &hosts };
-        assert_eq!(s.least_work_among(&[1, 2, 3]), 3);
-        assert_eq!(s.least_work_among(&[1]), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn least_work_among_empty_panics() {
-        let hosts = views(&[(0, 1.0)]);
-        let s = SystemState { now: 0.0, hosts: &hosts };
-        let _ = s.least_work_among(&[]);
     }
 
     #[test]

@@ -73,76 +73,124 @@ pub struct SwfRecord {
 }
 
 /// Parse SWF text into records (no filtering).
+///
+/// A submit or run time must parse to a finite number: SWF marks an
+/// unknown value with −1, so `inf`, `nan` or a literal that overflows
+/// `f64` (`1e400`) is an error naming its line and field.
 pub fn parse_records(text: &str) -> Result<Vec<SwfRecord>, SwfError> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
+    numbered_records(text)
+        .map(|r| r.map(|(_, record)| record))
+        .collect()
+}
+
+/// The records of `text` in order, each with its 1-based line number.
+fn numbered_records(text: &str) -> impl Iterator<Item = Result<(usize, SwfRecord), SwfError>> + '_ {
+    text.lines().enumerate().filter_map(|(idx, raw)| {
         let line = raw.trim();
         if line.is_empty() || line.starts_with(';') {
-            continue;
+            return None;
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() < 11 {
-            return Err(SwfError {
-                line: line_no,
-                message: format!("expected at least 11 fields, found {}", fields.len()),
-            });
-        }
-        let get_i64 = |i: usize| -> Result<i64, SwfError> {
-            fields[i].parse::<i64>().map_err(|e| SwfError {
-                line: line_no,
-                message: format!("field {i} ({:?}) is not an integer: {e}", fields[i]),
-            })
-        };
-        let get_f64 = |i: usize| -> Result<f64, SwfError> {
-            fields[i].parse::<f64>().map_err(|e| SwfError {
-                line: line_no,
-                message: format!("field {i} ({:?}) is not a number: {e}", fields[i]),
-            })
-        };
-        out.push(SwfRecord {
-            job_number: get_i64(0)?,
-            submit: get_f64(1)?,
-            run_time: get_f64(3)?,
-            processors: get_i64(4)?,
-            requested_processors: get_i64(7)?,
-            status: get_i64(10)?,
+        Some(parse_line(idx + 1, line).map(|record| (idx + 1, record)))
+    })
+}
+
+/// One non-comment SWF line.
+fn parse_line(line_no: usize, line: &str) -> Result<SwfRecord, SwfError> {
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    if fields.len() < 11 {
+        return Err(SwfError {
+            line: line_no,
+            message: format!("expected at least 11 fields, found {}", fields.len()),
         });
     }
-    Ok(out)
+    let get_i64 = |i: usize| -> Result<i64, SwfError> {
+        fields[i].parse::<i64>().map_err(|e| SwfError {
+            line: line_no,
+            message: format!("field {i} ({:?}) is not an integer: {e}", fields[i]),
+        })
+    };
+    let get_time = |i: usize| -> Result<f64, SwfError> {
+        let value = fields[i].parse::<f64>().map_err(|e| SwfError {
+            line: line_no,
+            message: format!("field {i} ({:?}) is not a number: {e}", fields[i]),
+        })?;
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(SwfError {
+                line: line_no,
+                message: format!("field {i} ({:?}) is not a finite time", fields[i]),
+            })
+        }
+    };
+    Ok(SwfRecord {
+        job_number: get_i64(0)?,
+        submit: get_time(1)?,
+        run_time: get_time(3)?,
+        processors: get_i64(4)?,
+        requested_processors: get_i64(7)?,
+        status: get_i64(10)?,
+    })
 }
 
 /// Parse SWF text directly into a [`Trace`], applying `filter`.
 ///
 /// The job *size* is the SWF run time and the arrival is the submit time
-/// — exactly the trace-driven-simulation inputs of the paper.
+/// — exactly the trace-driven-simulation inputs of the paper. Besides
+/// [`parse_records`]' errors, it is an error when a kept job's run time
+/// is not positive (possible only with `require_positive_runtime` off),
+/// or when the kept run times sum past the largest `f64`: no load or
+/// mean size could be computed from them.
 pub fn parse_trace(text: &str, filter: SwfFilter) -> Result<Trace, SwfError> {
-    let records = parse_records(text)?;
-    let jobs: Vec<Job> = records
-        .into_iter()
-        .filter(|r| {
-            if filter.require_positive_runtime && !(r.run_time > 0.0) {
-                return false;
-            }
-            if filter.completed_only && r.status != 1 {
-                return false;
-            }
-            if let Some(p) = filter.exact_processors {
-                let procs = if r.requested_processors > 0 {
-                    r.requested_processors
-                } else {
-                    r.processors
-                };
-                if procs != i64::from(p) {
-                    return false;
-                }
-            }
-            r.submit >= 0.0
-        })
-        .enumerate()
-        .map(|(i, r)| Job::new(i as u64, r.submit, r.run_time))
-        .collect();
+    let mut jobs = Vec::new();
+    let mut work = 0.0f64;
+    for numbered in numbered_records(text) {
+        let (line, r) = numbered?;
+        if !filter.keeps(&r) {
+            continue;
+        }
+        if !(r.run_time > 0.0) {
+            return Err(SwfError {
+                line,
+                message: format!("field 3 ({:?}) is not a positive run time", r.run_time),
+            });
+        }
+        work += r.run_time;
+        if !work.is_finite() {
+            return Err(SwfError {
+                line,
+                message: format!(
+                    "field 3 ({:?}) overflows the total run time of the kept jobs",
+                    r.run_time
+                ),
+            });
+        }
+        jobs.push(Job::new(jobs.len() as u64, r.submit, r.run_time));
+    }
     Ok(Trace::new(jobs))
+}
+
+impl SwfFilter {
+    /// Whether `r` passes the filter (and has a non-negative submit time).
+    fn keeps(&self, r: &SwfRecord) -> bool {
+        if self.require_positive_runtime && !(r.run_time > 0.0) {
+            return false;
+        }
+        if self.completed_only && r.status != 1 {
+            return false;
+        }
+        if let Some(p) = self.exact_processors {
+            let procs = if r.requested_processors > 0 {
+                r.requested_processors
+            } else {
+                r.processors
+            };
+            if procs != i64::from(p) {
+                return false;
+            }
+        }
+        r.submit >= 0.0
+    }
 }
 
 /// Render a trace back out as minimal SWF (unknown fields written as −1).
@@ -239,6 +287,84 @@ mod tests {
             assert_eq!(a.arrival, b.arrival);
             assert_eq!(a.size, b.size);
         }
+    }
+
+    /// An SWF line with the given submit and run time fields.
+    fn line(submit: &str, run: &str) -> String {
+        format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
+    }
+
+    #[test]
+    fn non_finite_run_times_are_errors_naming_line_and_field() {
+        for run in ["inf", "1e400", "-inf", "nan", "NaN"] {
+            let text = format!("; header\n{}{}", line("0", "10"), line("5", run));
+            for err in [
+                parse_records(&text).unwrap_err(),
+                parse_trace(&text, SwfFilter::default()).unwrap_err(),
+            ] {
+                assert_eq!(err.line, 3, "run time {run}");
+                assert!(err.message.contains("field 3"), "run time {run}: {err}");
+                assert!(
+                    err.message.contains("not a finite time"),
+                    "run time {run}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_submit_times_are_errors_naming_line_and_field() {
+        for submit in ["inf", "1e999", "nan"] {
+            let text = format!("{}{}", line(submit, "10"), line("5", "10"));
+            let err = parse_trace(&text, SwfFilter::default()).unwrap_err();
+            assert_eq!(err.line, 1, "submit time {submit}");
+            assert!(
+                err.message.contains("field 1"),
+                "submit time {submit}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_total_run_time_past_the_largest_number_is_an_error_at_its_line() {
+        let text = format!(
+            "{}{}{}",
+            line("0", "1e308"),
+            line("1", "-1"),
+            line("2", "1e308")
+        );
+        // the dropped −1 run time on line 2 adds nothing
+        let err = parse_trace(&text, SwfFilter::default()).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("field 3 (1e308) overflows"), "{err}");
+        // records alone are fine: each value is finite
+        assert_eq!(parse_records(&text).unwrap().len(), 3);
+        // a filter that drops the first large job keeps the sum finite
+        let kept = parse_trace(
+            &text.replacen(" 8 120 ", " 4 120 ", 1),
+            SwfFilter {
+                exact_processors: Some(8),
+                ..SwfFilter::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(kept.len(), 1);
+    }
+
+    #[test]
+    fn a_kept_non_positive_run_time_is_an_error_not_a_panic() {
+        let text = format!("{}{}", line("0", "10"), line("1", "0"));
+        let keep_all = SwfFilter {
+            require_positive_runtime: false,
+            ..SwfFilter::default()
+        };
+        let err = parse_trace(&text, keep_all).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message.contains("field 3 (0.0) is not a positive"),
+            "{err}"
+        );
+        assert_eq!(parse_trace(&text, SwfFilter::default()).unwrap().len(), 1);
     }
 
     #[test]

@@ -25,9 +25,16 @@
 //! the linear prefix count to binary search — and on the adversarial
 //! SITA ladders: every job on the first host, every job on the last, and
 //! job sizes placed exactly on the cutoffs.
+//!
+//! Grouped SITA/LWL runs the same work-left kernel over one group's
+//! hosts. It is pinned with hand-picked splits whose short and long
+//! groups fall on both sides of the argmin's 16-host chunk switch, with
+//! cutoffs that load either group, on a tie-dense trace of simultaneous
+//! arrivals sized exactly at the cutoff, and with a policy built for
+//! fewer hosts than the engine runs.
 
 use dses_core::cutoffs::CutoffMethod;
-use dses_core::policies::SizeInterval;
+use dses_core::policies::{GroupedSita, SizeInterval};
 use dses_core::spec::{BuiltPolicy, PolicySpec};
 use dses_dist::Rng64;
 use dses_sim::metrics::JobRecord;
@@ -341,4 +348,143 @@ fn wide_sita_boundary_sizes_route_with_leftmost_semantics() {
             policy.host_for(rec.size)
         );
     }
+}
+
+/// The size at which the jobs of `trace` no larger than it first carry
+/// `share` of the trace's total work: a grouped cutoff that leaves that
+/// share of the load to the short group.
+fn work_share_cutoff(trace: &Trace, share: f64) -> f64 {
+    let mut sizes = trace.sizes().to_vec();
+    sizes.sort_by(f64::total_cmp);
+    let total: f64 = sizes.iter().sum();
+    let mut below = 0.0;
+    for &size in &sizes {
+        below += size;
+        if below >= share * total {
+            return size;
+        }
+    }
+    sizes[sizes.len() - 1]
+}
+
+/// Asserts that every job of size `<= cutoff` ran on `0..short` and every
+/// other job on `short..end`.
+fn assert_grouped_routing(
+    records: &[JobRecord],
+    cutoff: f64,
+    short: usize,
+    end: usize,
+    label: &str,
+) {
+    for r in records {
+        let group = if r.size <= cutoff {
+            0..short
+        } else {
+            short..end
+        };
+        assert!(
+            group.contains(&r.host),
+            "{label}: job {} of size {} ran on host {}, outside {group:?}",
+            r.id,
+            r.size,
+            r.host
+        );
+    }
+}
+
+/// Grouped SITA/LWL built directly, so the split is chosen, not solved:
+/// the grouped work-left kernel ≡ the opaque loop ≡ `ALL` ≡ the event
+/// engine. Short groups of 1 to 63 hosts at h = 64 put each group on
+/// either side of the argmin's 16-host chunk switch, and the cutoffs
+/// leave a fifth or four fifths of the work to the short group.
+#[test]
+fn grouped_sita_kernel_matches_across_engines() {
+    let splits: [(usize, &[usize]); 3] = [
+        (64, &[1, 8, 15, 16, 17, 32, 48, 63]),
+        (40, &[20]),
+        (2, &[1]),
+    ];
+    for (hosts, shorts) in splits {
+        for (i, &rho) in [0.3, 0.9].iter().enumerate() {
+            let trace = dses_workload::psc_c90().trace(4_000, rho, hosts, 71 + i as u64);
+            for share in [0.2, 0.8] {
+                let cutoff = work_share_cutoff(&trace, share);
+                for &short in shorts {
+                    let label = format!(
+                        "grouped (hosts={hosts}, short={short}, rho={rho}, short share={share})"
+                    );
+                    let records = assert_engines_identical(
+                        &trace,
+                        hosts,
+                        &|| Box::new(GroupedSita::new(cutoff, hosts, short, "grouped")),
+                        7,
+                        &label,
+                    );
+                    assert_grouped_routing(&records, cutoff, short, hosts, &label);
+                }
+            }
+        }
+    }
+}
+
+/// Batches of simultaneous arrivals with sizes on and around the cutoff:
+/// equal backlogs tie on every host of a group, many hosts go idle at
+/// once, and a size exactly at the cutoff must go short.
+#[test]
+fn grouped_sita_kernel_keeps_ties_leftmost_and_cutoff_sizes_short() {
+    let cutoff = 10.0;
+    let sizes = [
+        cutoff,
+        cutoff,
+        0.5 * cutoff,
+        2.0 * cutoff,
+        cutoff,
+        4.0 * cutoff,
+        cutoff,
+    ];
+    let mut jobs = Vec::new();
+    for batch in 0..120u32 {
+        let arrival = f64::from(batch) * 7.5;
+        for k in 0..(3 + batch % 40) as usize {
+            let id = jobs.len() as u64;
+            jobs.push(Job::new(
+                id,
+                arrival,
+                sizes[(batch as usize + k) % sizes.len()],
+            ));
+        }
+    }
+    let trace = Trace::new(jobs);
+    for (hosts, short) in [(64, 17), (64, 48), (40, 20), (17, 1), (2, 1)] {
+        let label = format!("tie-dense grouped (hosts={hosts}, short={short})");
+        let records = assert_engines_identical(
+            &trace,
+            hosts,
+            &|| Box::new(GroupedSita::new(cutoff, hosts, short, "grouped-ties")),
+            3,
+            &label,
+        );
+        assert_grouped_routing(&records, cutoff, short, hosts, &label);
+        assert!(
+            records.iter().any(|r| r.size == cutoff),
+            "{label}: no job sized exactly at the cutoff"
+        );
+    }
+}
+
+/// A grouped policy built for 4 hosts and run on 8: its long group is
+/// hosts 2–3, so hosts 4–7 stay idle in every engine. The kernel bounds
+/// the long group by the policy's own host count, not the engine's.
+#[test]
+fn grouped_sita_built_for_fewer_hosts_keeps_its_own_long_group() {
+    let trace = dses_workload::psc_c90().trace(4_000, 0.8, 4, 29);
+    let cutoff = work_share_cutoff(&trace, 0.5);
+    let records = assert_engines_identical(
+        &trace,
+        8,
+        &|| Box::new(GroupedSita::new(cutoff, 4, 2, "grouped-4-on-8")),
+        7,
+        "grouped 4-host policy on 8 hosts",
+    );
+    assert_grouped_routing(&records, cutoff, 2, 4, "grouped 4-host policy on 8 hosts");
 }

@@ -82,6 +82,19 @@ impl Dispatcher for FewestThenLeastWork {
     }
 }
 
+/// Least-Work-Left without its closed-form kernel: it declares only
+/// `WORK_LEFT`, so it runs the generic loop's `WORK_LEFT` instantiation.
+struct OpaqueLeastWork;
+
+impl Dispatcher for OpaqueLeastWork {
+    fn dispatch(&mut self, _: &Job, state: &SystemState<'_>, _: &mut Rng64) -> usize {
+        state.least_work()
+    }
+    fn state_needs(&self) -> StateNeeds {
+        StateNeeds::WORK_LEFT
+    }
+}
+
 fn build(spec: &PolicySpec, lambda: f64, hosts: usize) -> Box<dyn Dispatcher> {
     let d = dses_workload::psc_c90().size_dist;
     match spec.build(&d, lambda, hosts).unwrap() {
@@ -138,8 +151,9 @@ fn steady_state_collector_tiers_do_not_allocate() {
         ),
     ];
     // One policy per kernel class: the three closed-form static kernels
-    // and the work-left kernel, then the generic loop's instantiations —
-    // WORK_LEFT (the grouped SITA-U-fair/LWL hybrid), QUEUE_LEN
+    // and the work-left kernel over all hosts (LWL) and over one group
+    // (the grouped SITA-U-fair/LWL hybrid), then the generic loop's
+    // instantiations — WORK_LEFT (LWL without its kernel), QUEUE_LEN
     // (Shortest-Queue) and ALL (a policy that reads both view fields).
     let static_kernels = [
         PolicySpec::Random,
@@ -167,6 +181,11 @@ fn steady_state_collector_tiers_do_not_allocate() {
         for spec in &host_scans {
             runs.push((spec.name(), build(spec, lambda, hosts), scan_trace));
         }
+        runs.push((
+            "opaque-least-work".to_string(),
+            Box::new(OpaqueLeastWork),
+            scan_trace,
+        ));
         runs.push((
             "fewest-then-least-work".to_string(),
             Box::new(FewestThenLeastWork),
