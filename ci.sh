@@ -63,18 +63,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # semantic tier (transitive no-alloc/determinism over the call graph,
 # crate-layering enforcement, StateNeeds-vs-usage verification), and
 # the dataflow tier (divide budgets, loop-alloc freedom, grow-once
-# workspaces, demand monomorphism), and the mirror tier (normalized
-# float-op skeleton equivalence across every `mirrors(group)` kernel
-# pair — a reordered float expression fails here, not at a bench-time
-# bit gate; see DESIGN.md §10). Exits nonzero on any unwaived finding;
-# waivers are inline and carry reasons. The tool must stay cheap enough
-# to run on every build — the driver runs the tiers on threads, so the
-# full four-tier pass gets a 20 s budget, tighter than the old
-# sequential three-tier 30 s.
+# workspaces, demand monomorphism). Exits nonzero on any unwaived
+# finding; waivers are inline and carry reasons. Bit identity between
+# paired kernels is the runtime gates' job (`tests/kernels.rs` and the
+# digest gates above), not the linter's. The tool must stay cheap
+# enough to run on every build — the linter runs its tiers on threads,
+# so the three-tier pass gets a 20 s budget.
 lint_start=$SECONDS
-cargo run --release -q -p dses-lint -- --workspace --semantic --dataflow --mirrors
+cargo run --release -q -p dses-lint -- --workspace --semantic --dataflow
 lint_elapsed=$((SECONDS - lint_start))
-echo "ci: four-tier lint took ${lint_elapsed}s"
+echo "ci: three-tier lint took ${lint_elapsed}s"
 if [ "$lint_elapsed" -gt 20 ]; then
     echo "ci: lint exceeded the 20s budget" >&2
     exit 1

@@ -664,7 +664,8 @@ mod tests {
             );
         }
         // SWF logs whose second line holds a time no simulation can use:
-        // a non-finite run or submit time, or run times summing past f64
+        // a non-finite run or submit time, run times summing past f64, or
+        // a run time whose square is past f64 (no C² can be computed)
         let record = |submit: &str, run: &str| {
             format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
         };
@@ -674,6 +675,16 @@ mod tests {
             ("100", record("inf", "50"), "field 1"),
             ("100", record("10", "nan"), "field 3"),
             ("1e308", record("10", "1e308"), "total run time"),
+            (
+                "1",
+                record("10", "1e200"),
+                "field 3 (1e200) overflows the sum of the kept run times' squares",
+            ),
+            (
+                "1",
+                record("10", "1e160"),
+                "field 3 (1e160) overflows the sum of the kept run times' squares",
+            ),
         ];
         for (i, (first_run, second, names)) in logs.iter().enumerate() {
             let path = std::env::temp_dir().join(format!("dses_cli_bad_swf_{i}.swf"));

@@ -69,7 +69,6 @@ impl OnlineMoments {
     }
 
     /// Add one observation.
-    // dses-lint: mirrors(moments-push)
     #[inline]
     pub fn push(&mut self, x: f64) {
         // dses-lint: allow(divide-budget) -- convenience entry: one divide per observation for off-path callers (fitting, reports); measured record paths supply table reciprocals via push_with_inv
@@ -84,9 +83,6 @@ impl OnlineMoments {
     /// collector pushes four per job) can hoist the divide across all of
     /// them — `fdiv` is the one unpipelined unit on every current core,
     /// so the hot simulation loops budget divides per job, not flops.
-    // dses-lint: mirrors(moments-push)
-    // dses-lint: mirrors(welford-block, ulp)
-    // dses-lint: hoist(inv_next_n)
     #[inline]
     pub fn push_with_inv(&mut self, x: f64, inv_next_n: f64) {
         debug_assert_eq!(
@@ -144,7 +140,6 @@ impl OnlineMoments {
     /// summary in here with Chan's pairwise-merge update — two divides
     /// per *block* where per-record Welford would risk one per job.
     /// Identical in arithmetic to [`OnlineMoments::merge`].
-    // dses-lint: mirrors(welford-block, ulp)
     pub fn merge_block(&mut self, n: u64, mean: f64, m2: f64, min: f64, max: f64) {
         if n == 0 {
             return;

@@ -147,14 +147,15 @@ impl P2Quantile {
 
     /// Current estimate of the tracked quantile.
     ///
-    /// Before five observations, falls back to the exact quantile of the
-    /// buffered values (0 observations → 0).
+    /// Up to five observations, returns the exact nearest-rank quantile
+    /// of the buffered values, which are then the whole sample (0
+    /// observations → 0).
     #[must_use]
     pub fn estimate(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        if self.count < 5 {
+        if self.count <= 5 {
             // sort a stack copy — estimate() sits on the zero-allocation
             // estimates_into() path, so no `.to_vec()` here
             let n = self.count as usize;
@@ -265,6 +266,15 @@ mod tests {
         p.push(2.0);
         // median of {1,2,3} = 2
         assert_eq!(p.estimate(), 2.0);
+        // at exactly five values the buffer is still the whole sample:
+        // the tail quantiles are its maximum, not the middle marker
+        for (q, want) in [(0.5, 3.0), (0.9, 5.0), (0.95, 5.0), (0.99, 5.0)] {
+            let mut p = P2Quantile::new(q);
+            for x in [4.0, 1.0, 5.0, 2.0, 3.0] {
+                p.push(x);
+            }
+            assert_eq!(p.estimate(), want, "q = {q}");
+        }
     }
 
     #[test]

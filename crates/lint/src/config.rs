@@ -19,9 +19,9 @@
 //! blessed = ["crates/sim/src/fast.rs", "crates/dist/src/numeric.rs"]
 //! ```
 //!
-//! Unknown sections and keys are errors: a typo in the config silently
-//! disabling a rule is exactly the kind of bug this crate exists to
-//! prevent.
+//! Unknown sections (a `[rules.<id>]` naming no rule among them) and
+//! unknown keys are errors: a typo in the config silently disabling a
+//! rule is exactly the kind of bug this crate exists to prevent.
 
 use std::collections::BTreeMap;
 
@@ -114,7 +114,9 @@ impl Config {
                 section = name.trim().to_string();
                 let known = section == "workspace"
                     || section == "layering"
-                    || section.starts_with("rules.");
+                    || section
+                        .strip_prefix("rules.")
+                        .is_some_and(|r| crate::rules::RULE_IDS.contains(&r));
                 if !known {
                     return Err(format!("line {lineno}: unknown section [{section}]"));
                 }
@@ -302,6 +304,8 @@ blessed = ["crates/sim/src/fast.rs"]
         assert!(Config::parse("[workspace]\ntypo = true\n").is_err());
         assert!(Config::parse("[rules.determinism]\ncrate = [\"sim\"]\n").is_err());
         assert!(Config::parse("[rules.x]\nenabled = \"yes\"\n").is_err());
+        // a misspelled or retired rule id scopes nothing, so it is an error
+        assert!(Config::parse("[rules.determinsm]\ncrates = [\"sim\"]\n").is_err());
     }
 
     #[test]

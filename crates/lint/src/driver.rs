@@ -105,33 +105,31 @@ pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
 /// Lint the whole workspace under `root`. With `semantic`, also build
 /// the workspace item graph and run the interprocedural analyses; with
 /// `dataflow`, additionally run the per-function CFG tier (divide
-/// budgets, loop-alloc, grow-once, demand-monomorphism); with
-/// `mirrors`, additionally prove the declared mirror-group bit-identity
-/// contracts. All tiers route through the same [`Report`], so every
-/// output format renders them uniformly.
+/// budgets, loop-alloc, grow-once, demand-monomorphism). All tiers
+/// route through the same [`Report`], so every output format renders
+/// them uniformly.
 ///
 /// The tiers run concurrently on std threads: the item graph is built
 /// once and shared (directive used-flags are atomic), the per-file
 /// engine is chunked across workers, and each active workspace tier
 /// gets its own thread. Findings are merged in a fixed order (per-file
-/// by path, then semantic, dataflow, mirrors) before the final sort,
+/// by path, then semantic, dataflow) before the final sort,
 /// so the report is deterministic regardless of scheduling.
 pub fn lint_workspace(
     root: &Path,
     cfg: &Config,
     semantic: bool,
     dataflow: bool,
-    mirrors: bool,
 ) -> Result<Report, String> {
     let files = collect_workspace(root)?;
-    let graph = (semantic || dataflow || mirrors)
+    let graph = (semantic || dataflow)
         .then(|| Graph::build_scoped(&files, crate::semantic::layering_closure(cfg)));
     let workers = std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)
         .clamp(1, 8);
     let chunk = files.len().div_ceil(workers).max(1);
     let mut report = Report::default();
-    let (file_chunks, sem_out, flow_out, mirror_out) = std::thread::scope(|s| {
+    let (file_chunks, sem_out, flow_out) = std::thread::scope(|s| {
         let file_handles: Vec<_> = files
             .chunks(chunk)
             .map(|batch| {
@@ -159,9 +157,6 @@ pub fn lint_workspace(
         let flow = g
             .filter(|_| dataflow)
             .map(|g| s.spawn(move || crate::dataflow::check_graph(g, cfg)));
-        let mir = g
-            .filter(|_| mirrors)
-            .map(|g| s.spawn(move || crate::mirrors::check_graph(g, cfg)));
         let file_chunks: Vec<Vec<Vec<Finding>>> = file_handles
             .into_iter()
             // dses-lint: allow(panic-hygiene) -- a worker only panics if a rule itself panicked; propagate it
@@ -171,7 +166,7 @@ pub fn lint_workspace(
             // dses-lint: allow(panic-hygiene) -- same propagation for the tier threads
             h.map_or_else(Vec::new, |h| h.join().expect("lint tier panicked"))
         };
-        (file_chunks, take(sem), take(flow), take(mir))
+        (file_chunks, take(sem), take(flow))
     });
     for per_file in file_chunks.into_iter().flatten() {
         report.findings.extend(per_file);
@@ -179,16 +174,15 @@ pub fn lint_workspace(
     }
     report.findings.extend(sem_out);
     report.findings.extend(flow_out);
-    report.findings.extend(mirror_out);
     if let Some(g) = &graph {
-        cross_tier_unused_waivers(g, semantic, dataflow, mirrors, &mut report.findings);
+        cross_tier_unused_waivers(g, semantic, dataflow, &mut report.findings);
     }
     report.sort();
     Ok(report)
 }
 
 /// Judge waivers that name only workspace-tier rules: the per-file
-/// engine cannot see whether the semantic/dataflow/mirror analyses
+/// engine cannot see whether the semantic/dataflow analyses
 /// consumed them, but after those tiers have run over the shared graph
 /// the used-flags are authoritative. A waiver naming a rule whose tier
 /// did not run this invocation is left alone — it may well be consumed
@@ -197,13 +191,11 @@ fn cross_tier_unused_waivers(
     g: &Graph<'_>,
     semantic: bool,
     dataflow: bool,
-    mirrors: bool,
     out: &mut Vec<Finding>,
 ) {
     let ran = |tier: &str| match tier {
         "semantic" => semantic,
         "dataflow" => dataflow,
-        "mirrors" => mirrors,
         _ => false,
     };
     for pf in &g.files {

@@ -283,25 +283,6 @@ pub enum DirectiveKind {
     /// loop-weighted float `/` / `%` sites reachable through calls
     /// (checked by the dataflow tier's `divide-budget` rule).
     Divides(u32),
-    /// `mirrors(group[, ulp])` — enrols the next fn in a mirror
-    /// equivalence group (checked by the mirror tier). `ulp` marks the
-    /// group as ulp-bounded: op-set checked, order exempt.
-    Mirrors {
-        /// Group name.
-        group: String,
-        /// True for `mirrors(group, ulp)`.
-        ulp: bool,
-    },
-    /// `hoist(a, b, …)` — declares hoisted reciprocals for the next
-    /// fn: each name is either a parameter holding a precomputed
-    /// reciprocal or a call that stands for a hoisted-table divide.
-    Hoist(Vec<String>),
-    /// `inline(a, b, …)` — calls to these functions are inlined into
-    /// the next fn's skeleton before mirror comparison.
-    MirrorInline(Vec<String>),
-    /// `untraced(a, b, …)` — calls to these functions are dropped from
-    /// the next fn's skeleton (side-channel sinks like recording).
-    Untraced(Vec<String>),
 }
 
 impl Directive {
@@ -313,12 +294,7 @@ impl Directive {
                 rules.iter().any(|r| r == rule)
                     && (*file_scope || self.covers == line || self.line == line)
             }
-            DirectiveKind::DenyAlloc
-            | DirectiveKind::Divides(_)
-            | DirectiveKind::Mirrors { .. }
-            | DirectiveKind::Hoist(_)
-            | DirectiveKind::MirrorInline(_)
-            | DirectiveKind::Untraced(_) => false,
+            DirectiveKind::DenyAlloc | DirectiveKind::Divides(_) => false,
         }
     }
 }
@@ -437,51 +413,6 @@ fn parse_directive_text(
         }
         issue("only `deny(alloc)` is supported".to_string());
         return None;
-    } else if let Some(rest) = text.strip_prefix("mirrors(") {
-        let Some(close) = rest.find(')') else {
-            issue("unterminated group in `mirrors(group[, ulp])`".to_string());
-            return None;
-        };
-        let mut parts = rest[..close].split(',').map(str::trim);
-        let group = parts.next().unwrap_or("").to_string();
-        let mode = parts.next();
-        if group.is_empty()
-            || !group.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-            || parts.next().is_some()
-            || !matches!(mode, None | Some("ulp"))
-        {
-            issue("mirror group must be `mirrors(<name>)` or `mirrors(<name>, ulp)`".to_string());
-            return None;
-        }
-        return Some(DirectiveKind::Mirrors { group, ulp: mode.is_some() });
-    } else if let Some((rest, which)) = text
-        .strip_prefix("hoist(")
-        .map(|r| (r, "hoist"))
-        .or_else(|| text.strip_prefix("inline(").map(|r| (r, "inline")))
-        .or_else(|| text.strip_prefix("untraced(").map(|r| (r, "untraced")))
-    {
-        let Some(close) = rest.find(')') else {
-            issue(format!("unterminated name list in `{which}(…)`"));
-            return None;
-        };
-        let names: Vec<String> = rest[..close]
-            .split(',')
-            .map(|n| n.trim().to_string())
-            .filter(|n| !n.is_empty())
-            .collect();
-        if names.is_empty()
-            || names
-                .iter()
-                .any(|n| !n.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'))
-        {
-            issue(format!("`{which}(…)` needs a comma-separated identifier list"));
-            return None;
-        }
-        return Some(match which {
-            "hoist" => DirectiveKind::Hoist(names),
-            "inline" => DirectiveKind::MirrorInline(names),
-            _ => DirectiveKind::Untraced(names),
-        });
     } else {
         issue(format!("cannot parse directive `{text}`"));
         return None;
@@ -626,16 +557,6 @@ pub struct FnItem {
     /// parameters) — parameter-based receiver narrowing is disabled
     /// for these names.
     pub shadowed: Vec<String>,
-    /// Mirror groups this fn is enrolled in: `(group, ulp, directive
-    /// line)` per `mirrors(…)` annotation (checked by the mirror tier).
-    pub mirrors: Vec<(String, bool, u32)>,
-    /// Names declared `hoist(…)`: parameters or calls standing for a
-    /// hoisted reciprocal, with the directive line for stale reporting.
-    pub mirror_hoists: Vec<(String, u32)>,
-    /// Names declared `inline(…)` for skeleton extraction.
-    pub mirror_inlines: Vec<String>,
-    /// Names declared `untraced(…)` for skeleton extraction.
-    pub mirror_untraced: Vec<String>,
 }
 
 /// One leaf of a `use` declaration.
@@ -1096,10 +1017,6 @@ impl<'s> Walker<'s> {
             state_consts: Vec::new(),
             params,
             shadowed: Vec::new(),
-            mirrors: Vec::new(),
-            mirror_hoists: Vec::new(),
-            mirror_inlines: Vec::new(),
-            mirror_untraced: Vec::new(),
         };
         let idx = self.out.fns.len();
         self.out.fns.push(item);
@@ -1455,9 +1372,9 @@ impl<'s> Walker<'s> {
         self.out.directives.iter().any(|d| d.waives(rule, line))
     }
 
-    /// Resolve fn-scoped directives (`deny(alloc)`, `divides(N)`, and
-    /// the mirror family) onto the first fn at or after the line each
-    /// covers — same convention as the per-file engine.
+    /// Resolve fn-scoped directives (`deny(alloc)` and `divides(N)`)
+    /// onto the first fn at or after the line each covers — same
+    /// convention as the per-file engine.
     fn apply_deny_alloc(&mut self) {
         for d in &self.out.directives {
             if matches!(d.kind, DirectiveKind::Allow { .. }) {
@@ -1475,19 +1392,6 @@ impl<'s> Walker<'s> {
             match &d.kind {
                 DirectiveKind::DenyAlloc => f.deny_alloc = true,
                 DirectiveKind::Divides(n) => f.divides = Some((*n, d.line)),
-                DirectiveKind::Mirrors { group, ulp } => {
-                    f.mirrors.push((group.clone(), *ulp, d.line));
-                }
-                DirectiveKind::Hoist(names) => {
-                    f.mirror_hoists
-                        .extend(names.iter().map(|n| (n.clone(), d.line)));
-                }
-                DirectiveKind::MirrorInline(names) => {
-                    f.mirror_inlines.extend(names.iter().cloned());
-                }
-                DirectiveKind::Untraced(names) => {
-                    f.mirror_untraced.extend(names.iter().cloned());
-                }
                 DirectiveKind::Allow { .. } => unreachable!(),
             }
         }

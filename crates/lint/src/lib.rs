@@ -34,13 +34,9 @@
 //! loop-allocation freedom, grow-once workspace buffers, and
 //! demand-monomorphism of const-generic record paths.
 //!
-//! The fourth tier (`--mirrors`) proves the workspace's bit-identity
-//! contract structurally: functions annotated
-//! `// dses-lint: mirrors(group)` must share a normalized float-op
-//! skeleton ([`mirrors`]) — same ops, same order, same operand
-//! provenance — with declared hoists substituted, so a reordered float
-//! expression in one of the paired kernel copies is a lint error, not
-//! a bench-time bit diff.
+//! Bit identity between paired kernels is not a lint concern: the
+//! runtime gates (`tests/kernels.rs`, `tests/metrics_demand.rs`,
+//! `tests/cross_validation.rs`) compare their results bit for bit.
 //!
 //! ## Waivers
 //!
@@ -65,7 +61,6 @@ pub mod driver;
 pub mod graph;
 pub mod items;
 pub mod lexer;
-pub mod mirrors;
 pub mod report;
 pub mod rules;
 pub mod semantic;

@@ -3,7 +3,7 @@
 //! ```text
 //! dses-lint --workspace            # lint every crate, exit 1 on findings
 //! dses-lint --workspace --semantic # also run the workspace-wide analyses
-//! dses-lint --workspace --semantic --dataflow --mirrors # full four-tier run
+//! dses-lint --workspace --semantic --dataflow # full three-tier run
 //! dses-lint crates/sim/src/fast.rs # lint specific files
 //! dses-lint --list-rules           # print the rule catalogue
 //! ```
@@ -17,7 +17,6 @@ struct Args {
     workspace: bool,
     semantic: bool,
     dataflow: bool,
-    mirrors: bool,
     verbose: bool,
     list_rules: bool,
     root: Option<PathBuf>,
@@ -29,7 +28,6 @@ fn parse_args() -> Result<Args, String> {
         workspace: false,
         semantic: false,
         dataflow: false,
-        mirrors: false,
         verbose: false,
         list_rules: false,
         root: None,
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
             "--workspace" => args.workspace = true,
             "--semantic" => args.semantic = true,
             "--dataflow" => args.dataflow = true,
-            "--mirrors" => args.mirrors = true,
             "--verbose" | "-v" => args.verbose = true,
             "--list-rules" => args.list_rules = true,
             "--root" => {
@@ -65,9 +62,6 @@ fn parse_args() -> Result<Args, String> {
     if args.dataflow && !args.workspace {
         return Err("--dataflow needs --workspace (budgets compose across the call graph)".into());
     }
-    if args.mirrors && !args.workspace {
-        return Err("--mirrors needs --workspace (mirror groups span crates)".into());
-    }
     Ok(args)
 }
 
@@ -75,7 +69,7 @@ const HELP: &str = "\
 dses-lint — enforce determinism, no-alloc, and panic-hygiene invariants
 
 USAGE:
-    dses-lint --workspace [--semantic] [--dataflow] [--mirrors] [--verbose] [--root <dir>]
+    dses-lint --workspace [--semantic] [--dataflow] [--verbose] [--root <dir>]
     dses-lint <file>...
     dses-lint --list-rules
 
@@ -87,11 +81,6 @@ FLAGS:
     --dataflow     also recover per-function CFGs and run the hot-loop
                    dataflow analyses (divide-budget, loop-alloc,
                    grow-once, demand-monomorphism)
-    --mirrors      also prove the declared mirror groups: paired kernels
-                   annotated `mirrors(group)` must share a normalized
-                   float-op skeleton (mirror-divergence,
-                   mirror-mixed-precision, mirror-orphan,
-                   mirror-stale-hoist)
     --verbose      also print honoured waivers
     --root <dir>   workspace root (default: walk up from the cwd)
     --list-rules   print the rule catalogue and exit
@@ -110,8 +99,6 @@ fn run() -> Result<bool, String> {
                 " (semantic tier: --workspace --semantic)"
             } else if dses_lint::rules::DATAFLOW_RULES.contains(r) {
                 " (dataflow tier: --workspace --dataflow)"
-            } else if dses_lint::rules::MIRROR_RULES.contains(r) {
-                " (mirror tier: --workspace --mirrors)"
             } else {
                 ""
             };
@@ -120,8 +107,6 @@ fn run() -> Result<bool, String> {
         println!("  unused-waiver (warning only)");
         println!("opt functions into allocation checking with `// dses-lint: deny(alloc)`");
         println!("declare a kernel's divide budget with `// dses-lint: divides(N)`");
-        println!("enrol a kernel in a mirror group with `// dses-lint: mirrors(<group>[, ulp])`");
-        println!("  (plus `hoist(…)`, `inline(…)`, `untraced(…)` to normalize its skeleton)");
         return Ok(true);
     }
     let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
@@ -132,7 +117,7 @@ fn run() -> Result<bool, String> {
     };
     let cfg = dses_lint::driver::load_config(&root)?;
     let report = if args.workspace {
-        dses_lint::driver::lint_workspace(&root, &cfg, args.semantic, args.dataflow, args.mirrors)?
+        dses_lint::driver::lint_workspace(&root, &cfg, args.semantic, args.dataflow)?
     } else {
         let files: Vec<PathBuf> = args
             .files

@@ -91,10 +91,6 @@ pub const RULE_IDS: &[&str] = &[
     "loop-alloc",
     "grow-once",
     "demand-monomorphism",
-    "mirror-divergence",
-    "mirror-mixed-precision",
-    "mirror-orphan",
-    "mirror-stale-hoist",
 ];
 
 /// Rules enforced by the semantic (workspace-wide) tier. Their waivers
@@ -117,16 +113,6 @@ pub const DATAFLOW_RULES: &[&str] = &[
     "demand-monomorphism",
 ];
 
-/// Rules enforced by the mirror-equivalence tier, `--mirrors`. Their
-/// waivers are resolved workspace-wide, so the per-file engine must not
-/// judge them unused.
-pub const MIRROR_RULES: &[&str] = &[
-    "mirror-divergence",
-    "mirror-mixed-precision",
-    "mirror-orphan",
-    "mirror-stale-hoist",
-];
-
 /// Which tier enforces `rule` — for the cross-tier unused-waiver
 /// accounting.
 #[must_use]
@@ -135,8 +121,6 @@ pub fn tier_of(rule: &str) -> &'static str {
         "semantic"
     } else if DATAFLOW_RULES.contains(&rule) {
         "dataflow"
-    } else if MIRROR_RULES.contains(&rule) {
-        "mirrors"
     } else {
         "file"
     }
@@ -220,7 +204,7 @@ impl Engine<'_> {
                         );
                     }
                 }
-                // Waivers naming a semantic, dataflow, or mirror rule
+                // Waivers naming a semantic or dataflow rule
                 // are consumed by the workspace passes; this engine
                 // cannot judge them unused (the driver's cross-tier
                 // accounting does, once the owning tier has run).

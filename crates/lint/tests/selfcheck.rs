@@ -18,7 +18,7 @@ fn workspace_lints_clean() {
     let root = workspace_root();
     let cfg = dses_lint::driver::load_config(root).expect("lint.toml parses");
     let report =
-        dses_lint::driver::lint_workspace(root, &cfg, false, false, false).expect("workspace walk");
+        dses_lint::driver::lint_workspace(root, &cfg, false, false).expect("workspace walk");
     let errors: Vec<String> = report
         .unwaived()
         .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message))
@@ -46,7 +46,7 @@ fn workspace_lints_clean_under_semantic_tier() {
     let root = workspace_root();
     let cfg = dses_lint::driver::load_config(root).expect("lint.toml parses");
     let report =
-        dses_lint::driver::lint_workspace(root, &cfg, true, false, false).expect("workspace walk");
+        dses_lint::driver::lint_workspace(root, &cfg, true, false).expect("workspace walk");
     let errors: Vec<String> = report
         .unwaived()
         .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message))
@@ -61,13 +61,13 @@ fn workspace_lints_clean_under_semantic_tier() {
 /// The shipped workspace must be clean under all three tiers at once —
 /// the exact configuration `ci.sh` gates on. Every divide-budget,
 /// loop-alloc, grow-once, and demand-monomorphism finding on the real
-/// tree is fixed or carries a documented waiver.
+/// tree is fixed or carries a documented waiver, and the run reports
+/// zero unused waivers across every tier.
 #[test]
 fn workspace_lints_clean_under_all_three_tiers() {
     let root = workspace_root();
     let cfg = dses_lint::driver::load_config(root).expect("lint.toml parses");
-    let report =
-        dses_lint::driver::lint_workspace(root, &cfg, true, true, false).expect("workspace walk");
+    let report = dses_lint::driver::lint_workspace(root, &cfg, true, true).expect("workspace walk");
     let errors: Vec<String> = report
         .unwaived()
         .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message))
@@ -86,37 +86,19 @@ fn workspace_lints_clean_under_all_three_tiers() {
             .all(|f| f.rule != "divide-budget" || f.waived),
         "divide budgets must hold without unwaived findings"
     );
-}
-
-/// The configuration `ci.sh` actually gates on: all four tiers at
-/// once. Every mirror group declared on the real kernels — the Lindley
-/// updates, the work-left variants, the moments pushes, the record
-/// paths, the block-Welford ulp group — compares clean, and the run
-/// reports zero unused waivers across every tier.
-#[test]
-fn workspace_lints_clean_under_all_four_tiers() {
-    let root = workspace_root();
-    let cfg = dses_lint::driver::load_config(root).expect("lint.toml parses");
-    let report =
-        dses_lint::driver::lint_workspace(root, &cfg, true, true, true).expect("workspace walk");
-    let errors: Vec<String> = report
-        .unwaived()
-        .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message))
-        .collect();
-    assert!(
-        errors.is_empty(),
-        "workspace has unwaived findings under the four-tier run:\n{}",
-        errors.join("\n")
-    );
-    // satellite of the mirror tier: the cross-tier waiver accounting
-    // holds — no waiver in the tree suppresses nothing
+    // the cross-tier waiver accounting holds: no waiver in the tree
+    // suppresses nothing
     let stale: Vec<String> = report
         .findings
         .iter()
         .filter(|f| f.rule == "unused-waiver")
         .map(|f| format!("{}:{}: {}", f.file, f.line, f.message))
         .collect();
-    assert!(stale.is_empty(), "dead waivers in the tree:\n{}", stale.join("\n"));
+    assert!(
+        stale.is_empty(),
+        "dead waivers in the tree:\n{}",
+        stale.join("\n")
+    );
 }
 
 #[test]

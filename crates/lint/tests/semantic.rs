@@ -20,7 +20,7 @@ fn fixture_root(which: &str) -> PathBuf {
 fn lint(which: &str) -> Report {
     let root = fixture_root(which);
     let cfg = dses_lint::driver::load_config(&root).expect("fixture lint.toml parses");
-    dses_lint::driver::lint_workspace(&root, &cfg, true, false, false).expect("fixture workspace walk")
+    dses_lint::driver::lint_workspace(&root, &cfg, true, false).expect("fixture workspace walk")
 }
 
 /// One unwaived finding for `rule` whose message contains `needle`.

@@ -84,7 +84,6 @@ impl Host {
     /// Account for an accepted job (Lindley update), mirroring the fast
     /// engine's assignment arithmetic.
     // dses-lint: divides(1)
-    // dses-lint: mirrors(lindley)
     fn accept(&mut self, job: &Job, now: f64) {
         self.free_at = self.free_at.max(now) + job.size / self.speed;
     }

@@ -9,9 +9,10 @@
 //!
 //! The engine is **specialized to the policy**. A policy that declares a
 //! closed form ([`DispatchKernel`]: Random, Round-Robin, SITA,
-//! Least-Work-Left, grouped SITA/LWL) runs an inlined kernel with no
-//! per-job virtual call; Least-Work-Left and grouped SITA share one
-//! work-left kernel, which takes the group of hosts a job may go to.
+//! Least-Work-Left, grouped SITA/LWL) runs one closed-form loop,
+//! `run_kernel`, with no per-job virtual call: its host chooser is a
+//! closure the loop is monomorphized over, and it sees the job's arrival
+//! time and size, the hosts' drain times and the RNG.
 //! Every other policy runs one loop body, `run_generic`, monomorphized
 //! on the two [`HostView`](crate::state::HostView) fields it declares
 //! it reads ([`Dispatcher::state_needs`](crate::state::StateNeeds)):
@@ -412,10 +413,10 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     match selected {
         Selected::Random => {
             // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run; every path performs at most one service divide per job
-            run_static_kernel(
+            run_kernel(
                 trace,
                 speeds,
-                |_, rng| rng.below(hosts as u64) as usize,
+                |_, _, _, rng| rng.below(hosts as u64) as usize,
                 &mut rng,
                 &mut ws.free_at,
                 &mut ws.collector,
@@ -425,10 +426,10 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             // engine-owned cursor: `next % hosts` under the invariant
             // `next < hosts`, exactly the policy's arithmetic
             let mut next = 0usize;
-            run_static_kernel(
+            run_kernel(
                 trace,
                 speeds,
-                |_, _| {
+                |_, _, _, _| {
                     let t = next;
                     next = if t + 1 == hosts { 0 } else { t + 1 };
                     t
@@ -442,37 +443,42 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
             // `sita_pick` ≡ `partition_point(|c| size > c)` on strictly
             // increasing cutoffs ({c : size > c} is a prefix)
             let cuts = ws.kernel_cutoffs.as_slice();
-            run_static_kernel(
+            run_kernel(
                 trace,
                 speeds,
-                |size, _| sita_pick(cuts, size),
+                |_, size, _, _| sita_pick(cuts, size),
                 &mut rng,
                 &mut ws.free_at,
                 &mut ws.collector,
             );
         }
         Selected::WorkLeft => {
-            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run; every path performs at most one service divide per job
-            run_work_left_kernel(
+            run_kernel(
                 trace,
                 speeds,
-                |_| (0, hosts),
+                |now, _, free_at, _| argmin_work_left(free_at, now),
+                &mut rng,
                 &mut ws.free_at,
                 &mut ws.collector,
             );
         }
         Selected::GroupedWorkLeft { cutoff, short, end } => {
-            // the policy's own `size <= cutoff` test picks the group
-            run_work_left_kernel(
+            // the policy's own `size <= cutoff` test picks the group; the
+            // leftmost argmin of the group's slice, offset by its first
+            // host, is the leftmost argmin over those hosts (DESIGN.md
+            // §11.1)
+            run_kernel(
                 trace,
                 speeds,
-                |size| {
-                    if size <= cutoff {
+                |now, size, free_at, _| {
+                    let (lo, hi) = if size <= cutoff {
                         (0, short)
                     } else {
                         (short, end)
-                    }
+                    };
+                    lo + argmin_work_left(&free_at[lo..hi], now)
                 },
+                &mut rng,
                 &mut ws.free_at,
                 &mut ws.collector,
             );
@@ -583,20 +589,19 @@ fn run_generic<
     }
 }
 
-/// The inlined static-policy loop: `select` is the policy's closed-form
-/// decision rule (capturing any engine-owned cursor or cutoff state),
-/// and everything else is the bare Lindley recursion. With the virtual
-/// call gone the loop body is straight-line code the compiler can
-/// software-pipeline across iterations.
+/// The inlined closed-form loop: `pick(now, size, free_at, rng)` is the
+/// policy's decision rule — a coin flip, an engine-owned cursor, a
+/// cutoff lookup, or an argmin over the hosts' drain times — and
+/// everything else is the bare Lindley recursion. With the virtual call
+/// gone, each arm of `run_specialized` monomorphizes this body into
+/// straight-line code the compiler can software-pipeline across
+/// iterations.
 // dses-lint: divides(1)
 // dses-lint: deny(alloc)
-// dses-lint: mirrors(lindley)
-// dses-lint: hoist(service)
-// dses-lint: untraced(record_with_inv)
-fn run_static_kernel<S: SpeedModel, F: FnMut(f64, &mut Rng64) -> usize>(
+fn run_kernel<S: SpeedModel, F: FnMut(f64, f64, &[f64], &mut Rng64) -> usize>(
     trace: &Trace,
     speeds: &S,
-    mut select: F,
+    mut pick: F,
     rng: &mut Rng64,
     free_at: &mut [f64],
     collector: &mut Collector,
@@ -607,7 +612,7 @@ fn run_static_kernel<S: SpeedModel, F: FnMut(f64, &mut Rng64) -> usize>(
     for i in 0..arrivals.len() {
         let now = arrivals[i];
         let size = sizes[i];
-        let target = select(size, rng);
+        let target = pick(now, size, free_at, rng);
         debug_assert!(
             target < free_at.len(),
             "kernel selected host {target} of {}",
@@ -621,48 +626,6 @@ fn run_static_kernel<S: SpeedModel, F: FnMut(f64, &mut Rng64) -> usize>(
                 id: i as u64,
                 arrival: now,
                 size,
-                start,
-                completion,
-                host: target,
-            },
-            inv_sizes[i],
-        );
-    }
-}
-
-/// The inlined least-work-left loop: [`argmin_work_left`] directly over
-/// the Lindley scalars — no view refresh, no virtual call. `group` maps a
-/// job's size to the contiguous host range `lo..hi` it may go to:
-/// Least-Work-Left passes every host, grouped SITA the short or the long
-/// group. The leftmost argmin of the range's slice, offset by `lo`, is
-/// the leftmost argmin over those hosts (DESIGN.md §11.1).
-// dses-lint: divides(1)
-// dses-lint: deny(alloc)
-// dses-lint: mirrors(lindley)
-// dses-lint: hoist(service)
-// dses-lint: untraced(record_with_inv)
-fn run_work_left_kernel<S: SpeedModel, G: Fn(f64) -> (usize, usize)>(
-    trace: &Trace,
-    speeds: &S,
-    group: G,
-    free_at: &mut [f64],
-    collector: &mut Collector,
-) {
-    let arrivals = trace.arrivals();
-    let sizes = trace.sizes();
-    let inv_sizes = trace.inv_sizes();
-    for i in 0..arrivals.len() {
-        let now = arrivals[i];
-        let (lo, hi) = group(sizes[i]);
-        let target = lo + argmin_work_left(&free_at[lo..hi], now);
-        let start = now.max(free_at[target]);
-        let completion = start + speeds.service(target, sizes[i]);
-        free_at[target] = completion;
-        collector.record_with_inv(
-            JobRecord {
-                id: i as u64,
-                arrival: now,
-                size: sizes[i],
                 start,
                 completion,
                 host: target,

@@ -383,7 +383,6 @@ impl BlockCollector {
 /// reduction at the end fixes the summation order, making the result
 /// deterministic (and ulp-close to, but not bitwise, the sequential
 /// Welford recurrence — see the error argument in DESIGN.md §13).
-// dses-lint: mirrors(welford-block, ulp)
 fn lane_stats(x: &[f64]) -> (f64, f64, f64, f64) {
     debug_assert!(!x.is_empty() && x.len() <= BLOCK);
     let mut sums = [0.0f64; 8];
@@ -667,7 +666,6 @@ impl Collector {
     /// where the naive form issues fourteen. Divide throughput, not
     /// flops, bounds the specialized kernels (see DESIGN.md §11).
     // dses-lint: divides(1)
-    // dses-lint: mirrors(record-entry)
     #[inline]
     pub fn record(&mut self, rec: JobRecord) {
         self.record_with_inv(rec, 1.0 / rec.size);
@@ -682,8 +680,6 @@ impl Collector {
     /// pattern). This takes the metrics path to one divide per job.
     // dses-lint: divides(0)
     // dses-lint: deny(alloc)
-    // dses-lint: mirrors(record-entry)
-    // dses-lint: hoist(inv_size)
     #[inline]
     pub fn record_with_inv(&mut self, rec: JobRecord, inv_size: f64) {
         match self.path {
@@ -702,8 +698,6 @@ impl Collector {
     /// computes in exactly the pre-tier order, so demanded outputs stay
     /// bitwise identical across tiers.
     // dses-lint: divides(0)
-    // dses-lint: mirrors(record-tiers)
-    // dses-lint: inline(push_with_inv, push_mv_with_inv)
     #[inline(always)]
     fn record_core<const EXTREMA: bool, const HOST: bool, const TAIL: bool>(
         &mut self,

@@ -140,10 +140,16 @@ fn parse_line(line_no: usize, line: &str) -> Result<SwfRecord, SwfError> {
 /// [`parse_records`]' errors, it is an error when a kept job's run time
 /// is not positive (possible only with `require_positive_runtime` off),
 /// or when the kept run times sum past the largest `f64`: no load or
-/// mean size could be computed from them.
+/// mean size could be computed from them. Once two jobs are kept, it is
+/// also an error when their squares sum past the largest `f64`, since no
+/// C² could be computed; the error names the run time that took that sum
+/// past it. A lone job's C² is 0 whatever its size.
 pub fn parse_trace(text: &str, filter: SwfFilter) -> Result<Trace, SwfError> {
     let mut jobs = Vec::new();
     let mut work = 0.0f64;
+    let mut squares = 0.0f64;
+    // the line and run time at which `squares` stopped being finite
+    let mut squares_overflow = None;
     for numbered in numbered_records(text) {
         let (line, r) = numbered?;
         if !filter.keeps(&r) {
@@ -164,6 +170,19 @@ pub fn parse_trace(text: &str, filter: SwfFilter) -> Result<Trace, SwfError> {
                     r.run_time
                 ),
             });
+        }
+        squares += r.run_time * r.run_time;
+        if !squares.is_finite() {
+            let (line, run_time) = *squares_overflow.get_or_insert((line, r.run_time));
+            if !jobs.is_empty() {
+                return Err(SwfError {
+                    line,
+                    message: format!(
+                        "field 3 ({run_time:?}) overflows the sum of the kept run times' \
+                         squares: no C² can be computed"
+                    ),
+                });
+            }
         }
         jobs.push(Job::new(jobs.len() as u64, r.submit, r.run_time));
     }
@@ -349,6 +368,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!(kept.len(), 1);
+    }
+
+    #[test]
+    fn a_run_time_whose_square_overflows_is_an_error_at_its_line() {
+        // the run times sum to a finite 1e200, but 1e200² is past f64
+        let text = format!("{}{}{}", line("0", "1e200"), line("1", "1"), line("2", "5"));
+        let err = parse_trace(&text, SwfFilter::default()).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(
+            err.message
+                .contains("field 3 (1e200) overflows the sum of the kept run times' squares"),
+            "{err}"
+        );
+        // 1e160² = 1e320 is past f64 too, on whichever line it sits
+        let text = format!("{}{}", line("0", "1"), line("1", "1e160"));
+        let err = parse_trace(&text, SwfFilter::default()).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("field 3 (1e160) overflows"), "{err}");
+        // records alone are fine: each value is finite
+        assert_eq!(parse_records(&text).unwrap().len(), 2);
+        // a lone job has C² 0 whatever its size, and 1e150² is finite
+        assert_eq!(
+            parse_trace(&line("0", "1e200"), SwfFilter::default())
+                .unwrap()
+                .len(),
+            1
+        );
+        let text = format!("{}{}", line("0", "1e150"), line("1", "1"));
+        assert_eq!(parse_trace(&text, SwfFilter::default()).unwrap().len(), 2);
     }
 
     #[test]

@@ -19,19 +19,27 @@
 //! comparison at 2, 3 and 16 hosts. Central-queue policies have no
 //! dispatch form and are exercised by the event-engine tests instead.
 //!
-//! The closed-form static kernels (Random, Round-Robin, SITA) and
-//! Least-Work-Left's chunked work-left kernel are also pinned from a
-//! single host up to h = 1024 — where SITA's host lookup switches from
-//! the linear prefix count to binary search — and on the adversarial
-//! SITA ladders: every job on the first host, every job on the last, and
-//! job sizes placed exactly on the cutoffs.
+//! The closed-form kernel (Random, Round-Robin, SITA, and
+//! Least-Work-Left's chunked argmin) is also pinned from a single host
+//! up to h = 1024 — where SITA's host lookup switches from the linear
+//! prefix count to binary search — and on the adversarial SITA ladders:
+//! every job on the first host, every job on the last, and job sizes
+//! placed exactly on the cutoffs.
 //!
-//! Grouped SITA/LWL runs the same work-left kernel over one group's
-//! hosts. It is pinned with hand-picked splits whose short and long
-//! groups fall on both sides of the argmin's 16-host chunk switch, with
-//! cutoffs that load either group, on a tie-dense trace of simultaneous
-//! arrivals sized exactly at the cutoff, and with a policy built for
-//! fewer hosts than the engine runs.
+//! Grouped SITA/LWL runs the same kernel with the argmin over one
+//! group's hosts. It is pinned with hand-picked splits whose short and
+//! long groups fall on both sides of the argmin's 16-host chunk switch,
+//! with cutoffs that load either group, on a tie-dense trace of
+//! simultaneous arrivals sized exactly at the cutoff, and with a policy
+//! built for fewer hosts than the engine runs.
+//!
+//! Heterogeneous hosts (a job of size `x` runs `x / speed` on its host)
+//! get their own leg: the kernel as declared ≡ the opaque loop ≡ the
+//! event engine with the same speeds, for every roster policy on two
+//! hosts and for Least-Work-Left, SITA-E, Random, Round-Robin and
+//! grouped SITA at 4 and 64 hosts with non-dyadic speeds, so a service
+//! time computed any other way than the event engine's `size / speed`
+//! shows here.
 
 use dses_core::cutoffs::CutoffMethod;
 use dses_core::policies::{GroupedSita, SizeInterval};
@@ -39,7 +47,8 @@ use dses_core::spec::{BuiltPolicy, PolicySpec};
 use dses_dist::Rng64;
 use dses_sim::metrics::JobRecord;
 use dses_sim::{
-    simulate_dispatch, Dispatcher, EventEngine, MetricsConfig, StateNeeds, SystemState,
+    simulate_dispatch, simulate_dispatch_speeds, Dispatcher, EventEngine, MetricsConfig,
+    StateNeeds, SystemState,
 };
 use dses_workload::{Job, Trace};
 
@@ -487,4 +496,91 @@ fn grouped_sita_built_for_fewer_hosts_keeps_its_own_long_group() {
         "grouped 4-host policy on 8 hosts",
     );
     assert_grouped_routing(&records, cutoff, 2, 4, "grouped 4-host policy on 8 hosts");
+}
+
+/// Run `trace` on hosts of the given `speeds` through the policy as
+/// declared, the generic loop on its own needs, and the event engine
+/// with the same speeds — a fresh policy from `fresh` for each — and
+/// assert the three schedules are record-for-record identical.
+fn assert_engines_identical_on_speeds(
+    trace: &Trace,
+    speeds: &[f64],
+    fresh: &dyn Fn() -> Box<dyn Dispatcher>,
+    seed: u64,
+    label: &str,
+) {
+    let fast = simulate_dispatch_speeds(trace, speeds, fresh().as_mut(), seed, records_cfg());
+    let opaque = simulate_dispatch_speeds(
+        trace,
+        speeds,
+        &mut ForceOpaque(fresh()),
+        seed,
+        records_cfg(),
+    );
+    let event = EventEngine::with_speeds(speeds.to_vec(), records_cfg()).run_dispatch(
+        trace,
+        fresh().as_mut(),
+        seed,
+    );
+    let fast_records = sorted(fast.records.unwrap());
+    assert_eq!(
+        fast_records,
+        sorted(opaque.records.unwrap()),
+        "{label}: declared kernel vs opaque loop"
+    );
+    assert_eq!(
+        fast_records,
+        sorted(event.records.unwrap()),
+        "{label}: fast engine vs event engine"
+    );
+}
+
+/// Heterogeneous hosts: the kernel and the generic loop divide each size
+/// by its host's speed exactly as the event engine does. Speeds 0.7, 1.3
+/// and 2.5 have no exact reciprocal, so a service time computed as
+/// `size * (1.0 / speed)` moves bits and fails here. At 64 hosts both
+/// groups of the grouped policy and Least-Work-Left's whole host range
+/// run the argmin's chunked branch; at 2 and 4 hosts its scalar loop.
+#[test]
+fn kernels_match_the_event_engine_on_heterogeneous_speeds() {
+    let cycle = [1.0, 0.7, 1.3, 2.5];
+    for spec in dispatch_roster() {
+        for (i, &rho) in [0.3, 0.8].iter().enumerate() {
+            let trace = dses_workload::psc_c90().trace(5_000, rho, 2, 83 + i as u64);
+            let lambda = trace.arrival_rate();
+            assert_engines_identical_on_speeds(
+                &trace,
+                &[1.0, 0.7],
+                &|| build_dispatch(&spec, lambda, 2),
+                7,
+                &format!("{} (speeds [1.0, 0.7], rho={rho})", spec.name()),
+            );
+        }
+    }
+    let grouped = PolicySpec::Grouped {
+        method: CutoffMethod::Fair,
+    };
+    let wide = [
+        PolicySpec::LeastWorkLeft,
+        PolicySpec::SitaE,
+        PolicySpec::Random,
+        PolicySpec::RoundRobin,
+        grouped.clone(),
+    ];
+    for (hosts, roster) in [(4, std::slice::from_ref(&grouped)), (64, &wide[..])] {
+        let speeds: Vec<f64> = cycle.iter().copied().cycle().take(hosts).collect();
+        for (i, &rho) in [0.5, 0.9].iter().enumerate() {
+            let trace = dses_workload::psc_c90().trace(5_000, rho, hosts, 89 + i as u64);
+            let lambda = trace.arrival_rate();
+            for spec in roster {
+                assert_engines_identical_on_speeds(
+                    &trace,
+                    &speeds,
+                    &|| build_dispatch(spec, lambda, hosts),
+                    7,
+                    &format!("{} (hosts={hosts}, cycling speeds, rho={rho})", spec.name()),
+                );
+            }
+        }
+    }
 }
