@@ -542,11 +542,11 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
         .map_err(|e| ArgError(format!("{}: {e}", spec.name())))?;
     let s = trace.size_summary();
     let mut out = format!(
-        "SWF trace {path}: {} jobs, mean size {:.1}s, C^2 {:.2}, system load {:.3}\n\n",
+        "SWF trace {path}: {} jobs, mean size {}s, C^2 {:.2}, system load {}\n\n",
         trace.len(),
-        s.mean(),
+        fmt_num(s.mean()),
         s.scv(),
-        trace.system_load(hosts)
+        fmt_num(trace.system_load(hosts))
     );
     out.push_str(&render_result(&format!("{} on {hosts} hosts", spec.name()), &result));
     Ok(out)
@@ -664,13 +664,16 @@ mod tests {
             );
         }
         // SWF logs whose second line holds a time no simulation can use:
-        // a non-finite run or submit time, run times summing past f64, or
-        // a run time whose square is past f64 (no C² can be computed)
+        // a non-finite run or submit time, a run time whose reciprocal
+        // overflows (no slowdown can be computed), run times summing past
+        // f64, or a run time whose square is past f64 (no C² can be
+        // computed)
         let record = |submit: &str, run: &str| {
             format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
         };
         let logs = [
             ("100", record("10", "inf"), "field 3"),
+            ("100", record("10", "1e-310"), "field 3 (1e-310)"),
             ("100", record("10", "1e400"), "field 3"),
             ("100", record("inf", "50"), "field 1"),
             ("100", record("10", "nan"), "field 3"),
@@ -753,6 +756,25 @@ mod tests {
                 "--load",
             );
         }
+    }
+
+    #[test]
+    fn swf_summary_prints_huge_sizes_as_readable_numbers() {
+        // a valid log: 1e150² is finite, so C² can be computed
+        let text: String = [("0", "1e150"), ("10", "1"), ("20", "5")]
+            .iter()
+            .map(|(submit, run)| {
+                format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
+            })
+            .collect();
+        let path = std::env::temp_dir().join("dses_cli_huge_sizes.swf");
+        std::fs::write(&path, text).unwrap();
+        let out = run_tokens(&["swf", "--file", path.to_str().unwrap(), "--warmup", "0"]).unwrap();
+        let summary = out.lines().next().unwrap();
+        assert!(
+            summary.ends_with("3 jobs, mean size 3.333e149s, C^2 2.00, system load 1.667e148"),
+            "{summary}"
+        );
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
 
     /// Generate the Poisson trace for each target system load in `loads`
     /// ([`WorkloadBuilder::build_loads`]): the traces hold one job stream
-    /// and share its size and reciprocal columns, and trace `k` equals
+    /// and share its size column, and trace `k` equals
     /// `self.trace(loads[k])` bit for bit.
     #[must_use]
     pub fn traces(&self, loads: &[f64]) -> Vec<Trace> {
@@ -256,11 +256,11 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
     /// Each load's trace is generated **once** and shared read-only by
     /// every policy — the trace depends only on `(workload, rho, seed)`,
     /// not on the policy — and the loads' traces share one size column
-    /// and one reciprocal column ([`Experiment::traces`]). Every grid
-    /// point is a pure function of `(spec, rho, seed)` and results are
-    /// collected by grid index, never completion order, so the output is
-    /// bit-for-bit identical to running [`Experiment::sweep`] per spec
-    /// sequentially, for any thread count.
+    /// ([`Experiment::traces`]). Every grid point is a pure function of
+    /// `(spec, rho, seed)` and results are collected by grid index, never
+    /// completion order, so the output is bit-for-bit identical to
+    /// running [`Experiment::sweep`] per spec sequentially, for any
+    /// thread count.
     #[must_use]
     pub fn sweep_grid(&self, specs: &[PolicySpec], loads: &[f64]) -> Vec<LoadSweep> {
         let workers = self.workers();

@@ -15,8 +15,9 @@
 //!
 //! The walker tracks a scope stack (`mod`/`impl`/`trait`/`fn`) by brace
 //! matching. It deliberately does **not** build expression trees: calls
-//! are recognised syntactically (`name(`, `.name(`, `path::name(`),
-//! which is exactly the precision the conservative call graph wants.
+//! are recognised syntactically (`name(`, `.name(`, `path::name(`, each
+//! also with a turbofish, `name::<…>(`), which is exactly the precision
+//! the conservative call graph wants.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -123,6 +124,28 @@ impl<'s> Code<'s> {
             }
         }
         self.len()
+    }
+
+    /// Code position just past the generic argument list whose `<` is
+    /// at `open` — a `>>` token closes two levels (`f::<Vec<u8>>`) — or
+    /// `None` if no `;` or end of code comes first.
+    #[must_use]
+    pub fn generic_args_end(&self, open: usize) -> Option<usize> {
+        let mut depth = 0i32;
+        for p in open..self.len() {
+            match self.text(p) {
+                "<" => depth += 1,
+                "<<" => depth += 2,
+                ">" => depth -= 1,
+                ">>" => depth -= 2,
+                ";" => return None,
+                _ => {}
+            }
+            if depth <= 0 {
+                return Some(p + 1);
+            }
+        }
+        None
     }
 
     /// Code position of the bracket matching the one at `open`.
@@ -1169,8 +1192,18 @@ impl<'s> Walker<'s> {
             }
         }
 
+        // `name(`, or `name::<…>(`: a turbofish call calls `name` too
+        let opens_call = next == Some("(")
+            || (next == Some("::")
+                && self.code.get(p + 2) == Some("<")
+                && self
+                    .code
+                    .generic_args_end(p + 2)
+                    .and_then(|q| self.code.get(q))
+                    == Some("("));
+
         // --- bare-identifier mentions (function references by value) ---
-        if next != Some("(") && prev != Some("fn") {
+        if !opens_call && prev != Some("fn") {
             self.out
                 .mentions
                 .insert(t.trim_start_matches("r#").to_string());
@@ -1199,7 +1232,7 @@ impl<'s> Walker<'s> {
         }
 
         // --- calls ---
-        if next == Some("(") && !NON_CALL_KEYWORDS.contains(&t) {
+        if opens_call && !NON_CALL_KEYWORDS.contains(&t) {
             let target = if prev == Some(".") {
                 let recv = if p >= 2 && self.code.text(p - 2) == "self" {
                     Recv::SelfType
@@ -1434,6 +1467,42 @@ fn free() { Foo.required(); }
         ));
         assert!(!items.fns[0].has_body);
         assert!(items.fns[1].has_body);
+    }
+
+    #[test]
+    fn turbofish_calls_are_calls() {
+        let src = "
+fn drive(ws: &mut W) {
+    run::<true, false, _, _>(ws);
+    ws.record_core::<Vec<Vec<u8>>>(1);
+    crate::fast::go::<u8>();
+    let v = Vec::<f64>::with_capacity(4);
+    let n = parse::<u8> + 1;
+}
+";
+        let items = parse_file(src);
+        let targets: Vec<String> = items.fns[0]
+            .calls
+            .iter()
+            .map(|c| match &c.target {
+                CallTarget::Plain(name) => name.clone(),
+                CallTarget::Method { name, recv } => format!("{recv:?}.{name}"),
+                CallTarget::Path(segs) => segs.join("::"),
+            })
+            .collect();
+        // `Vec::<f64>` is a type path, not a call of `Vec`; a turbofish
+        // that no `(` follows is no call either
+        assert_eq!(
+            targets,
+            [
+                "run",
+                "Ident(\"ws\").record_core",
+                "crate::fast::go",
+                "with_capacity",
+            ]
+        );
+        assert!(!items.mentions.contains("run"));
+        assert!(items.mentions.contains("parse"));
     }
 
     #[test]

@@ -92,6 +92,28 @@ fn hop_three(n: usize) -> usize {
     v.capacity() + n
 }
 
+/// Hot kernel whose allocations sit behind turbofish calls, a free one
+/// and a method one with nested generics closed by `>>`.
+// dses-lint: deny(alloc)
+pub fn turbofish_kernel(g: &Grower, n: usize) -> usize {
+    boxed::<u8>(n) + g.grow::<Vec<Vec<u8>>>(n)
+}
+
+fn boxed<T>(n: usize) -> usize {
+    let b: Box<usize> = Box::new(n);
+    *b
+}
+
+/// Reached from `turbofish_kernel` through a turbofish method call.
+pub struct Grower;
+
+impl Grower {
+    fn grow<T>(&self, n: usize) -> usize {
+        let v: Vec<u16> = vec![0; n];
+        v.len()
+    }
+}
+
 /// Caches through an out-of-scope helper — transitively nondeterministic.
 pub fn cached(n: u64) -> u64 {
     dses_util::lookup(n)

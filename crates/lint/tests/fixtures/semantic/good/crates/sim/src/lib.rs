@@ -64,6 +64,26 @@ fn hop(n: usize) -> usize {
     n.saturating_add(1)
 }
 
+/// Hot kernel calling through turbofishes, free and method, into
+/// helpers that allocate nothing.
+// dses-lint: deny(alloc)
+pub fn turbofish_kernel(g: &Doubler, n: usize) -> usize {
+    widen::<u8>(n) + g.double::<Vec<Vec<u8>>>(n)
+}
+
+fn widen<T>(n: usize) -> usize {
+    n.saturating_add(std::mem::size_of::<T>())
+}
+
+/// Reached from `turbofish_kernel` through a turbofish method call.
+pub struct Doubler;
+
+impl Doubler {
+    fn double<T>(&self, n: usize) -> usize {
+        n.saturating_mul(2)
+    }
+}
+
 /// Head-of-queue accessor used by the test below, so its waiver sits
 /// on a reachable function.
 pub fn first_queue(s: &SystemState) -> usize {
@@ -79,5 +99,6 @@ mod tests {
         let s = super::SystemState { hosts: &hosts };
         assert_eq!(super::first_queue(&s), 3);
         assert_eq!(super::kernel(1), 6);
+        assert_eq!(super::turbofish_kernel(&super::Doubler, 1), 4);
     }
 }

@@ -1,11 +1,12 @@
 //! End-to-end fixtures for the semantic tier: two miniature workspaces
-//! under `tests/fixtures/semantic/`. The `bad` one seeds exactly one
-//! violation per semantic rule — a 3-hop transitive allocation, a
-//! nondeterminism source two calls deep in an out-of-scope crate, an
-//! upward dependency (manifest *and* `use`-path evidence), an
-//! under-declared and an over-declared `StateNeeds` impl, and a waiver
-//! stranded in dead code. The `good` one exercises the same surface
-//! with every declaration consistent, and must come back clean.
+//! under `tests/fixtures/semantic/`. The `bad` one seeds one violation
+//! per semantic rule — a 3-hop transitive allocation, a nondeterminism
+//! source two calls deep in an out-of-scope crate, an upward dependency
+//! (manifest *and* `use`-path evidence), an under-declared and an
+//! over-declared `StateNeeds` impl, and a waiver stranded in dead code —
+//! plus two allocations reached only through turbofish calls. The `good`
+//! one exercises the same surface with every declaration consistent,
+//! and must come back clean.
 
 use std::path::PathBuf;
 
@@ -48,6 +49,24 @@ fn bad_workspace_transitive_alloc_names_the_full_chain() {
     );
     // flagged at the root deny(alloc) fn, where the reviewer can act
     assert_eq!(f.file, "crates/sim/src/lib.rs");
+}
+
+#[test]
+fn bad_workspace_turbofish_calls_are_call_edges() {
+    let report = lint("bad");
+    // `boxed::<u8>(n)`: a free call with a turbofish
+    let free = find(&report, "no-alloc-transitive", "turbofish_kernel → boxed")
+        .expect("the allocation behind a turbofish free call is detected");
+    assert!(free.message.contains("`Box::new`"), "{}", free.message);
+    // `g.grow::<Vec<Vec<u8>>>(n)`: a method call whose generics close on `>>`
+    let method = find(
+        &report,
+        "no-alloc-transitive",
+        "turbofish_kernel → Grower::grow",
+    )
+    .expect("the allocation behind a turbofish method call is detected");
+    assert!(method.message.contains("`vec!`"), "{}", method.message);
+    assert_eq!(method.severity, Severity::Deny);
 }
 
 #[test]

@@ -357,7 +357,7 @@ pub fn simulate_dispatch_speeds_into<P: Dispatcher + ?Sized>(
 /// update `start = max(now, free_at)`, `free_at = start + service` —
 /// so the choice of loop never changes a schedule, only how much host
 /// bookkeeping is maintained between dispatches.
-// dses-lint: divides(1)
+// dses-lint: divides(2)
 // dses-lint: deny(alloc)
 fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     trace: &Trace,
@@ -412,7 +412,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
 
     match selected {
         Selected::Random => {
-            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run; every path performs at most one service divide per job
+            // dses-lint: allow(divide-budget) -- the kernel arms are mutually exclusive per run; every path performs at most two divides per job (service time, slowdown reciprocal)
             run_kernel(
                 trace,
                 speeds,
@@ -505,7 +505,10 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
 /// assignment order, whatever the policy reads, so `ALL` counts queues
 /// on them too. Expiry order across hosts cannot affect results: every
 /// entry with `completion ≤ now` is drained before the policy looks.
-// dses-lint: divides(1)
+///
+/// Two divides per job: the service time on a heterogeneous host and the
+/// slowdown reciprocal `1.0 / size` that [`Collector::record`] takes.
+// dses-lint: divides(2)
 // dses-lint: deny(alloc)
 fn run_generic<
     const WORK_LEFT: bool,
@@ -522,7 +525,6 @@ fn run_generic<
     let hosts = speeds.hosts();
     let arrivals = trace.arrivals();
     let sizes = trace.sizes();
-    let inv_sizes = trace.inv_sizes();
     let SimWorkspace {
         free_at,
         views,
@@ -575,17 +577,14 @@ fn run_generic<
             fifo.push_back(completion);
             views[target].queue_len += 1;
         }
-        collector.record_with_inv(
-            JobRecord {
-                id: i as u64,
-                arrival: now,
-                size: sizes[i],
-                start,
-                completion,
-                host: target,
-            },
-            inv_sizes[i],
-        );
+        collector.record(JobRecord {
+            id: i as u64,
+            arrival: now,
+            size: sizes[i],
+            start,
+            completion,
+            host: target,
+        });
     }
 }
 
@@ -595,8 +594,10 @@ fn run_generic<
 /// everything else is the bare Lindley recursion. With the virtual call
 /// gone, each arm of `run_specialized` monomorphizes this body into
 /// straight-line code the compiler can software-pipeline across
-/// iterations.
-// dses-lint: divides(1)
+/// iterations. It divides as [`run_generic`] does: the service time on a
+/// heterogeneous host, and the slowdown reciprocal in
+/// [`Collector::record`].
+// dses-lint: divides(2)
 // dses-lint: deny(alloc)
 fn run_kernel<S: SpeedModel, F: FnMut(f64, f64, &[f64], &mut Rng64) -> usize>(
     trace: &Trace,
@@ -608,7 +609,6 @@ fn run_kernel<S: SpeedModel, F: FnMut(f64, f64, &[f64], &mut Rng64) -> usize>(
 ) {
     let arrivals = trace.arrivals();
     let sizes = trace.sizes();
-    let inv_sizes = trace.inv_sizes();
     for i in 0..arrivals.len() {
         let now = arrivals[i];
         let size = sizes[i];
@@ -621,17 +621,14 @@ fn run_kernel<S: SpeedModel, F: FnMut(f64, f64, &[f64], &mut Rng64) -> usize>(
         let start = now.max(free_at[target]);
         let completion = start + speeds.service(target, size);
         free_at[target] = completion;
-        collector.record_with_inv(
-            JobRecord {
-                id: i as u64,
-                arrival: now,
-                size,
-                start,
-                completion,
-                host: target,
-            },
-            inv_sizes[i],
-        );
+        collector.record(JobRecord {
+            id: i as u64,
+            arrival: now,
+            size,
+            start,
+            completion,
+            host: target,
+        });
     }
 }
 

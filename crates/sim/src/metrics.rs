@@ -671,13 +671,14 @@ impl Collector {
         self.record_with_inv(rec, 1.0 / rec.size);
     }
 
-    /// [`Collector::record`] with the caller supplying `1.0 / rec.size`.
-    ///
-    /// The fast-engine kernels stream `Trace::inv_sizes`, where the
-    /// reciprocal was computed once at trace construction — the same
-    /// single IEEE divide this method would otherwise issue per job, so
-    /// results are bitwise unchanged (a `debug_assert` pins the bit
-    /// pattern). This takes the metrics path to one divide per job.
+    /// [`Collector::record`] with the caller supplying `1.0 / rec.size`,
+    /// for a caller that already holds the reciprocal (a replay over
+    /// [`Trace::inv_sizes`](dses_workload::Trace::inv_sizes), say). It is
+    /// the same single IEEE divide `record` issues, so results are
+    /// bitwise those of `record` (a `debug_assert` pins the bit pattern).
+    /// Every engine calls `record` and divides per job: a stored
+    /// reciprocal column needed a build pass and 8 bytes per job of every
+    /// trace, and did not pay end to end (DESIGN.md §9.4).
     // dses-lint: divides(0)
     // dses-lint: deny(alloc)
     #[inline]

@@ -18,11 +18,13 @@ pub struct Job {
 }
 
 impl Job {
-    /// Create a job. `arrival` must be nonnegative and `size` positive.
+    /// Create a job. `arrival` must be nonnegative and `size` positive,
+    /// with a finite reciprocal.
     ///
     /// # Panics
-    /// Panics on NaN/negative arrival or non-positive size — job streams
-    /// are internal data and malformed ones are programming errors.
+    /// Panics on NaN/negative arrival, on a non-positive size, and on a
+    /// size so small that `1.0 / size` overflows — job streams are
+    /// internal data and malformed ones are programming errors.
     #[must_use]
     pub fn new(id: u64, arrival: f64, size: f64) -> Self {
         Self {
@@ -44,11 +46,17 @@ impl Job {
     }
 
     /// [`Job::new`]'s size check: returns `size` if it is finite and
-    /// positive, and panics otherwise.
+    /// positive and `1.0 / size` is finite, and panics otherwise. Every
+    /// slowdown is `response · (1.0 / size)`, so a size below about
+    /// 5.6e-309 (a subnormal) would turn the slowdown means into NaN.
     pub(crate) fn checked_size(id: u64, size: f64) -> f64 {
         assert!(
             size > 0.0 && size.is_finite(),
             "job {id}: size {size} must be finite and positive"
+        );
+        assert!(
+            (1.0 / size).is_finite(),
+            "job {id}: size {size:e} must have a finite reciprocal"
         );
         size
     }
@@ -82,5 +90,20 @@ mod tests {
     #[should_panic(expected = "size")]
     fn rejects_nan_size() {
         let _ = Job::new(0, 0.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 4: size 1e-310 must have a finite reciprocal")]
+    fn rejects_a_size_whose_reciprocal_overflows() {
+        let _ = Job::new(4, 0.0, 1e-310);
+    }
+
+    #[test]
+    fn keeps_the_smallest_sizes_with_a_finite_reciprocal() {
+        // 5.56268464626801e-309 is the smallest double whose reciprocal is
+        // finite
+        for size in [f64::MIN_POSITIVE, 1e-308, 5.562_684_646_268_01e-309] {
+            assert_eq!(Job::new(0, 0.0, size).size, size);
+        }
     }
 }

@@ -139,7 +139,9 @@ fn parse_line(line_no: usize, line: &str) -> Result<SwfRecord, SwfError> {
 /// — exactly the trace-driven-simulation inputs of the paper. Besides
 /// [`parse_records`]' errors, it is an error when a kept job's run time
 /// is not positive (possible only with `require_positive_runtime` off),
-/// or when the kept run times sum past the largest `f64`: no load or
+/// when it is so small that its reciprocal overflows (a subnormal such
+/// as `1e-310`: no slowdown could be computed), or when the kept run
+/// times sum past the largest `f64`: no load or
 /// mean size could be computed from them. Once two jobs are kept, it is
 /// also an error when their squares sum past the largest `f64`, since no
 /// C² could be computed; the error names the run time that took that sum
@@ -159,6 +161,16 @@ pub fn parse_trace(text: &str, filter: SwfFilter) -> Result<Trace, SwfError> {
             return Err(SwfError {
                 line,
                 message: format!("field 3 ({:?}) is not a positive run time", r.run_time),
+            });
+        }
+        if !(1.0 / r.run_time).is_finite() {
+            return Err(SwfError {
+                line,
+                message: format!(
+                    "field 3 ({:?}) is a run time whose reciprocal overflows: no slowdown \
+                     can be computed",
+                    r.run_time
+                ),
             });
         }
         work += r.run_time;
@@ -396,6 +408,28 @@ mod tests {
             1
         );
         let text = format!("{}{}", line("0", "1e150"), line("1", "1"));
+        assert_eq!(parse_trace(&text, SwfFilter::default()).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_run_time_whose_reciprocal_overflows_is_an_error_at_its_line() {
+        // 1 / 1e-310 is +inf: every slowdown of the run would be NaN
+        let text = format!(
+            "{}{}{}{}",
+            line("0", "1e-310"),
+            line("1", "1"),
+            line("2", "5"),
+            line("3", "7")
+        );
+        let err = parse_trace(&text, SwfFilter::default()).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(
+            err.message
+                .contains("field 3 (1e-310) is a run time whose reciprocal overflows"),
+            "{err}"
+        );
+        // the smallest run time with a finite reciprocal is kept
+        let text = format!("{}{}", line("0", "1"), line("1", "5.56268464626801e-309"));
         assert_eq!(parse_trace(&text, SwfFilter::default()).unwrap().len(), 2);
     }
 

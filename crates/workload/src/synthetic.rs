@@ -2,7 +2,7 @@
 
 use crate::arrivals::ArrivalProcess;
 use crate::job::Job;
-use crate::trace::{reciprocals, Trace};
+use crate::trace::Trace;
 use dses_dist::par::{available_workers, join};
 use dses_dist::prelude::*;
 use std::sync::Arc;
@@ -36,30 +36,28 @@ pub const CONCURRENT_BUILD_MIN_JOBS: usize = 4_096;
 ///
 /// # How a trace is generated
 ///
-/// The builder writes the [`Trace`]'s three columns directly, in arrival
+/// The builder writes the [`Trace`]'s two columns directly, in arrival
 /// order. Job `i`'s size is the `i`-th draw from stream 1 of
-/// `Rng64::seed_from(seed)`, its reciprocal is `1.0 / size`, and its
-/// arrival is the running sum `t += gap` of the first `i + 1` gaps,
-/// drawn from stream 2. No [`Job`] records are built and nothing is
-/// sorted, yet every job passes [`Job::new`]'s checks. [`Trace::new`]'s
-/// stable sort runs only if an explicit arrival process yields a
-/// decreasing arrival, which no built-in process does.
+/// `Rng64::seed_from(seed)`, and its arrival is the running sum `t +=
+/// gap` of the first `i + 1` gaps, drawn from stream 2. No [`Job`]
+/// records are built and nothing is sorted, yet every job passes
+/// [`Job::new`]'s checks. [`Trace::new`]'s stable sort runs only if an
+/// explicit arrival process yields a decreasing arrival, which no
+/// built-in process does.
 ///
 /// A Poisson gap is `e / λ`, with `e` a unit exponential and `λ = ρ·h /
-/// E[X]`. The sizes, reciprocals and unit exponentials depend on the
-/// seed but not on the load. [`WorkloadBuilder::build_loads`] therefore
-/// draws them once for a whole load sweep: its traces share one size
-/// column and one reciprocal column and differ only in their arrivals.
-/// [`WorkloadBuilder::build`] under [`WorkloadBuilder::poisson_load`] is
-/// its one-load case.
+/// E[X]`. The sizes and unit exponentials depend on the seed but not on
+/// the load. [`WorkloadBuilder::build_loads`] therefore draws them once
+/// for a whole load sweep: its traces share one size column and differ
+/// only in their arrivals. [`WorkloadBuilder::build`] under
+/// [`WorkloadBuilder::poisson_load`] is its one-load case.
 ///
 /// The two streams share nothing, so from [`CONCURRENT_BUILD_MIN_JOBS`]
-/// jobs a Poisson build draws them side by side: the sizes and
-/// reciprocals on the calling thread, the arrival columns on a helper of
-/// the worker pool when one is free (up to [`available_workers`]). Each
-/// column is still a pure function of the seed, `n`, the distribution
-/// and the rates, so a trace has the same bits on any thread and at any
-/// worker count. An explicit arrival process is not `Send`, so its
+/// jobs a Poisson build draws them side by side: the sizes on the calling
+/// thread, the arrival columns on a helper of the worker pool when one
+/// is free (up to [`available_workers`]). Each column is still a pure
+/// function of the seed, `n`, the distribution and the rates, so a trace
+/// has the same bits on any thread and at any worker count. An explicit arrival process is not `Send`, so its
 /// traces are always drawn on the caller.
 #[derive(Debug)]
 pub struct WorkloadBuilder<D: Distribution> {
@@ -149,11 +147,11 @@ impl<D: Distribution> WorkloadBuilder<D> {
             }
             LoadSpec::Process(mut process) => {
                 let root = Rng64::seed_from(self.seed);
-                let (sizes, inv_sizes) = size_columns(&self.size_dist, self.n_jobs, root.stream(1));
+                let sizes = size_column(&self.size_dist, self.n_jobs, root.stream(1));
                 let mut gap_rng = root.stream(2);
                 process.reset();
                 let arrivals = arrival_column(self.n_jobs, |_| process.next_gap(&mut gap_rng));
-                Trace::from_columns(arrivals, sizes, inv_sizes)
+                Trace::from_columns(arrivals, sizes)
             }
         }
     }
@@ -164,10 +162,11 @@ impl<D: Distribution> WorkloadBuilder<D> {
     /// process set on the builder.
     ///
     /// Trace `k` equals `poisson_load(loads[k], hosts).build()` bit for
-    /// bit. The sizes, their reciprocals and the unit exponentials are
-    /// drawn once, and every trace shares the one size column and the one
-    /// reciprocal column: a k-load sweep of n jobs holds (2 + k)·8·n
-    /// bytes of columns where k separate builds would hold k·24·n.
+    /// bit. The sizes and the unit exponentials are drawn once, and every
+    /// trace shares the one size column. The unit exponentials are not
+    /// kept: each block of them advances every load's arrival sum as soon
+    /// as it is drawn. A k-load sweep of n jobs allocates (1 + k)·8·n bytes
+    /// of columns, where k separate builds would allocate k·16·n.
     #[must_use]
     pub fn build_loads(self, loads: &[f64], hosts: usize) -> Vec<Trace> {
         assert!(
@@ -183,10 +182,10 @@ impl<D: Distribution> WorkloadBuilder<D> {
             let (rng, rates) = (root.stream(2), rates.clone());
             move || arrival_columns(rng, n, &rates)
         };
-        let sizes = || size_columns(&self.size_dist, n, root.stream(1));
+        let sizes = || size_column(&self.size_dist, n, root.stream(1));
         // Sizes first, as in the serial order: their check panics before
         // any rate or arrival check does.
-        let (arrivals, (sizes, inv_sizes)) = if n >= CONCURRENT_BUILD_MIN_JOBS {
+        let (arrivals, sizes) = if n >= CONCURRENT_BUILD_MIN_JOBS {
             join(available_workers(), gaps, sizes)
         } else {
             let sizes = sizes();
@@ -198,38 +197,55 @@ impl<D: Distribution> WorkloadBuilder<D> {
         );
         arrivals
             .into_iter()
-            .map(|arrivals| Trace::from_columns(arrivals, Arc::clone(&sizes), Arc::clone(&inv_sizes)))
+            .map(|arrivals| Trace::from_columns(arrivals, Arc::clone(&sizes)))
             .collect()
     }
 }
 
-/// The load-invariant columns of a generated trace: `n` sizes drawn from
-/// `rng` (stream 1 of the seed), each passing [`Job::new`]'s size check,
-/// and their reciprocals.
-fn size_columns<D: Distribution>(dist: &D, n: usize, mut rng: Rng64) -> (Arc<[f64]>, Arc<[f64]>) {
-    let sizes: Arc<[f64]> = (0..n)
+/// The load-invariant column of a generated trace: `n` sizes drawn from
+/// `rng` (stream 1 of the seed), each passing [`Job::new`]'s size check.
+fn size_column<D: Distribution>(dist: &D, n: usize, mut rng: Rng64) -> Arc<[f64]> {
+    (0..n)
         .map(|i| Job::checked_size(i as u64, dist.sample(&mut rng)))
-        .collect();
-    let inv_sizes = reciprocals(&sizes);
-    (sizes, inv_sizes)
+        .collect()
 }
+
+/// Unit exponentials [`arrival_columns`] draws at a time. A block of them
+/// (2 KiB) stays in L1 while every load's running sum advances over it;
+/// DESIGN.md §9.4 compares it with a stored column and a per-job pass.
+const UNIT_BLOCK: usize = 256;
 
 /// The Poisson arrival column of each rate, in order, from `rng` (stream
 /// 2 of the seed); it stops before the first rate that is not positive
-/// and finite, which the caller rejects. One load draws its unit
-/// exponentials as it sums them; a sweep draws them once into a column
-/// that every load rescales, and each load allocates its own arrival
-/// column: once per trace, never per job.
+/// and finite, which the caller rejects. The unit exponentials `e` are
+/// drawn once, [`UNIT_BLOCK`] at a time, and each load's running sum
+/// takes `t += e / rate` over every block: each load sums the terms of its
+/// one-load build in the same order, and no column of the `e`s is kept.
+/// Each column is allocated once, before the pass.
 fn arrival_columns(mut rng: Rng64, n: usize, rates: &[f64]) -> Vec<Vec<f64>> {
-    let valid = rates.iter().take_while(|&&rate| rate > 0.0 && rate.is_finite());
-    if rates.len() > 1 {
-        let units: Vec<f64> = (0..n).map(|_| rng.standard_exponential()).collect();
-        valid.map(|&rate| arrival_column(n, |i| units[i] / rate)).collect()
-    } else {
-        valid
-            .map(|&rate| arrival_column(n, |_| rng.standard_exponential() / rate))
-            .collect()
+    let valid = rates
+        .iter()
+        .take_while(|&&rate| rate > 0.0 && rate.is_finite())
+        .count();
+    if valid == 0 {
+        return Vec::new();
     }
+    let mut columns: Vec<Vec<f64>> = std::iter::repeat_n(n, valid)
+        .map(Vec::with_capacity)
+        .collect();
+    let mut block = [0.0; UNIT_BLOCK];
+    for start in (0..n).step_by(UNIT_BLOCK) {
+        let units = &mut block[..UNIT_BLOCK.min(n - start)];
+        units.fill_with(|| rng.standard_exponential());
+        for (column, &rate) in columns.iter_mut().zip(rates) {
+            let mut t = column.last().copied().unwrap_or(0.0);
+            column.extend(units.iter().enumerate().map(|(j, &e)| {
+                t += e / rate;
+                Job::checked_arrival((start + j) as u64, t)
+            }));
+        }
+    }
+    columns
 }
 
 /// Arrival times as the running sum `t += gap(i)` from `t = 0`, each

@@ -5,31 +5,27 @@ use crate::job::Job;
 use dses_dist::Summary;
 use std::sync::Arc;
 
-/// An arrival-ordered job trace, stored as three columns.
+/// An arrival-ordered job trace, stored as two columns.
 ///
 /// Job `i` is `(arrivals[i], sizes[i])` with id `i`; nothing else is
-/// stored, so a trace costs 24 bytes per job. The simulation hot loops
+/// stored, so a trace costs 16 bytes per job. The simulation hot loops
 /// stream through the contiguous `f64` columns (one cache line holds 8
 /// jobs' worth of each), and the API that wants a [`Job`] —
 /// [`Trace::job`], [`Trace::jobs`], a `Dispatcher` — gets one built by
-/// value from the columns. The reciprocal column turns the per-job
-/// `1/size` slowdown divide in the metrics path into a load: `1.0 /
-/// size` is one IEEE operation, so computing it once here is
-/// bit-identical to computing it per record.
+/// value from the columns. The engines compute each job's `1.0 / size`
+/// as they record it, so no reciprocal column is kept.
 ///
-/// The size and reciprocal columns are `Arc<[f64]>`: they do not depend
-/// on the arrival times, so the traces of one load sweep
+/// The size column is an `Arc<[f64]>`: it does not depend on the arrival
+/// times, so the traces of one load sweep
 /// ([`crate::WorkloadBuilder::build_loads`]) and a trace and its
-/// rescaled copy ([`Trace::scale_interarrivals`]) share one buffer of
-/// each. [`Trace::new`] sorts its jobs by arrival; every other
-/// constructor checks that its arrivals are in order and falls back to
-/// that stable sort if they are not, so the columns can never fall out
-/// of step.
+/// rescaled copy ([`Trace::scale_interarrivals`]) share one buffer.
+/// [`Trace::new`] sorts its jobs by arrival; every other constructor
+/// checks that its arrivals are in order and falls back to that stable
+/// sort if they are not, so the columns can never fall out of step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     arrivals: Vec<f64>,
     sizes: Arc<[f64]>,
-    inv_sizes: Arc<[f64]>,
 }
 
 /// Why a [`Trace`] cannot be rescaled ([`Trace::scale_interarrivals`],
@@ -82,11 +78,6 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// `1.0 / size` for every size: the reciprocal column.
-pub(crate) fn reciprocals(sizes: &[f64]) -> Arc<[f64]> {
-    sizes.iter().map(|&s| 1.0 / s).collect()
-}
-
 impl Trace {
     /// Build a trace from jobs, sorting by arrival time and renumbering
     /// ids in arrival order (stable for ties) — the constructor for
@@ -95,25 +86,19 @@ impl Trace {
     #[must_use]
     pub fn new(mut jobs: Vec<Job>) -> Self {
         jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-        let sizes: Arc<[f64]> = jobs.iter().map(|j| j.size).collect();
         Self {
             arrivals: jobs.iter().map(|j| j.arrival).collect(),
-            inv_sizes: reciprocals(&sizes),
-            sizes,
+            sizes: jobs.iter().map(|j| j.size).collect(),
         }
     }
 
     /// Assemble a trace from columns of equal length. Columns already in
     /// arrival order are kept as they are — a stable sort of sorted input
     /// is the identity — and anything else takes [`Trace::new`]'s sort.
-    pub(crate) fn from_columns(
-        arrivals: Vec<f64>,
-        sizes: Arc<[f64]>,
-        inv_sizes: Arc<[f64]>,
-    ) -> Self {
-        debug_assert!(arrivals.len() == sizes.len() && sizes.len() == inv_sizes.len());
+    pub(crate) fn from_columns(arrivals: Vec<f64>, sizes: Arc<[f64]>) -> Self {
+        debug_assert_eq!(arrivals.len(), sizes.len());
         if arrivals.is_sorted_by(|a, b| a.total_cmp(b).is_le()) {
-            Self { arrivals, sizes, inv_sizes }
+            Self { arrivals, sizes }
         } else {
             Self::new(
                 arrivals
@@ -214,13 +199,13 @@ impl Trace {
         &self.sizes
     }
 
-    /// The reciprocal job sizes (`1.0 / size`) in arrival order,
-    /// precomputed once at construction so the metrics hot path replaces
-    /// its per-job slowdown divide with a load. Bitwise equal to
-    /// `1.0 / sizes()[i]` by construction.
+    /// The reciprocal job sizes `1.0 / sizes()[i]` in arrival order,
+    /// computed on each call: a trace stores no reciprocal column. For a
+    /// caller that replays records through
+    /// `Collector::record_with_inv`; the engines divide as they record.
     #[must_use]
-    pub fn inv_sizes(&self) -> &[f64] {
-        &self.inv_sizes
+    pub fn inv_sizes(&self) -> Vec<f64> {
+        self.sizes.iter().map(|&s| 1.0 / s).collect()
     }
 
     /// Split into (first half, second half) by arrival order — the paper
@@ -237,11 +222,7 @@ impl Trace {
             .enumerate()
             .map(|(i, &a)| Job::checked_arrival(i as u64, a - offset))
             .collect();
-        let second = Trace::from_columns(
-            arrivals,
-            self.sizes[mid..].into(),
-            self.inv_sizes[mid..].into(),
-        );
+        let second = Trace::from_columns(arrivals, self.sizes[mid..].into());
         (first, second)
     }
 
@@ -249,7 +230,7 @@ impl Trace {
     /// (> 0). This is the paper's §6 operation: take the (bursty)
     /// empirical arrival sequence and scale it to produce a target load,
     /// preserving its correlation structure. The copy shares this trace's
-    /// size and reciprocal columns.
+    /// size column.
     ///
     /// # Errors
     /// [`TraceError::InvalidFactor`] unless `factor > 0`, and
@@ -268,11 +249,7 @@ impl Trace {
         if !arrivals.iter().all(|a| a.is_finite()) {
             return Err(TraceError::Overflow { factor });
         }
-        Ok(Trace::from_columns(
-            arrivals,
-            Arc::clone(&self.sizes),
-            Arc::clone(&self.inv_sizes),
-        ))
+        Ok(Trace::from_columns(arrivals, Arc::clone(&self.sizes)))
     }
 
     /// Return a copy scaled so the *system* load on `hosts` hosts equals
@@ -302,11 +279,7 @@ impl Trace {
     #[must_use]
     pub fn truncate(&self, n: usize) -> Trace {
         let n = n.min(self.len());
-        Trace::from_columns(
-            self.arrivals[..n].to_vec(),
-            self.sizes[..n].into(),
-            self.inv_sizes[..n].into(),
-        )
+        Trace::from_columns(self.arrivals[..n].to_vec(), self.sizes[..n].into())
     }
 
     /// A per-host backlog capacity hint for simulation buffers (completion
@@ -394,9 +367,8 @@ mod tests {
         let t = toy();
         let s = t.scale_interarrivals(3.0).unwrap();
         assert_eq!(s.sizes(), t.sizes());
-        // the rescaled copy shares the size and reciprocal columns
+        // the rescaled copy shares the size column
         assert_eq!(s.sizes().as_ptr(), t.sizes().as_ptr());
-        assert_eq!(s.inv_sizes().as_ptr(), t.inv_sizes().as_ptr());
     }
 
     #[test]
@@ -451,7 +423,7 @@ mod tests {
     fn inv_sizes_are_bitwise_reciprocals() {
         let t = toy();
         assert_eq!(t.inv_sizes().len(), t.len());
-        for (&s, &inv) in t.sizes().iter().zip(t.inv_sizes()) {
+        for (&s, inv) in t.sizes().iter().zip(t.inv_sizes()) {
             assert_eq!(inv.to_bits(), (1.0 / s).to_bits());
         }
     }

@@ -1,6 +1,7 @@
-//! Trace construction allocates its columns and nothing else: 24 bytes
-//! per job for one trace, (2 + k)·8 per job for a k-load sweep plus its
-//! transient column of unit exponentials.
+//! Trace construction allocates its two columns and nothing else: 16
+//! bytes per job for one trace, and (1 + k)·8 per job for a k-load sweep,
+//! whose traces share one size column. No reciprocal column and no
+//! transient column of unit exponentials is allocated.
 //!
 //! From `CONCURRENT_BUILD_MIN_JOBS` jobs a generated trace draws its
 //! arrival columns on a helper of the worker pool, so the count is
@@ -51,7 +52,7 @@ fn bytes_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
 }
 
 #[test]
-fn one_trace_allocates_its_three_columns() {
+fn one_trace_allocates_its_two_columns() {
     let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let n = 100_000;
     let builder = || {
@@ -64,10 +65,10 @@ fn one_trace_allocates_its_three_columns() {
     let builder = builder();
     let (trace, bytes) = bytes_of(|| builder.build());
     assert_eq!(trace.len(), n);
-    assert!(bytes >= 24 * n, "{bytes} bytes cannot hold three columns");
+    assert!(bytes >= 16 * n, "{bytes} bytes cannot hold two columns");
     assert!(
-        bytes <= 24 * n + 1024,
-        "{bytes} bytes for {n} jobs: more than 24 per job"
+        bytes <= 16 * n + 1024,
+        "{bytes} bytes for {n} jobs: more than 16 per job"
     );
 
     let builder = WorkloadBuilder::new(dses_workload::psc_c90().size_dist)
@@ -75,7 +76,7 @@ fn one_trace_allocates_its_three_columns() {
         .arrivals(Mmpp2::bursty(1.0e-3, 10.0, 20.0))
         .seed(1997);
     let (_, bytes) = bytes_of(|| builder.build());
-    assert!(bytes <= 24 * n + 1024, "{bytes} bytes for {n} MMPP jobs");
+    assert!(bytes <= 16 * n + 1024, "{bytes} bytes for {n} MMPP jobs");
 }
 
 #[test]
@@ -93,13 +94,11 @@ fn a_sweep_allocates_one_arrival_column_per_load() {
     let builder = builder();
     let (traces, bytes) = bytes_of(|| builder.build_loads(&loads, 2));
     assert_eq!(traces.len(), k);
-    // shared sizes and reciprocals, k arrival columns, and the
-    // transient column of unit exponentials
-    let columns = (2 + k) * 8 * n;
-    let units = 8 * n;
+    // one shared size column and k arrival columns
+    let columns = (1 + k) * 8 * n;
     assert!(bytes >= columns, "{bytes} bytes cannot hold the columns");
     assert!(
-        bytes <= columns + units + 4096,
+        bytes <= columns + 4096,
         "{bytes} bytes for a {k}-load sweep of {n} jobs"
     );
 }
