@@ -666,8 +666,9 @@ mod tests {
         // SWF logs whose second line holds a time no simulation can use:
         // a non-finite run or submit time, a run time whose reciprocal
         // overflows (no slowdown can be computed), run times summing past
-        // f64, or a run time whose square is past f64 (no C² can be
-        // computed)
+        // f64, a run time whose square is past f64 (no C² can be
+        // computed), or a run time so small beside the total that a
+        // slowdown can overflow
         let record = |submit: &str, run: &str| {
             format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
         };
@@ -687,6 +688,11 @@ mod tests {
                 "1",
                 record("10", "1e160"),
                 "field 3 (1e160) overflows the sum of the kept run times' squares",
+            ),
+            (
+                "1e10",
+                record("1", "1e-300"),
+                "field 3 (1e-300) is so small beside the kept run times' total",
             ),
         ];
         for (i, (first_run, second, names)) in logs.iter().enumerate() {

@@ -71,7 +71,7 @@ impl OnlineMoments {
     /// Add one observation.
     #[inline]
     pub fn push(&mut self, x: f64) {
-        // dses-lint: allow(divide-budget) -- convenience entry: one divide per observation for off-path callers (fitting, reports); measured record paths supply table reciprocals via push_with_inv
+        // dses-lint: allow(divide-budget) -- one divide per observation; the measured record paths count it in their own budgets (the collector's fairness bin and class streams push here)
         let inv = 1.0 / (self.n + 1) as f64;
         self.push_with_inv(x, inv);
     }
@@ -80,9 +80,11 @@ impl OnlineMoments {
     ///
     /// The mean update rescales by that reciprocal instead of dividing,
     /// and a caller feeding several accumulators in lockstep (the metrics
-    /// collector pushes four per job) can hoist the divide across all of
+    /// collector pushes four per job) can share one divide across all of
     /// them — `fdiv` is the one unpipelined unit on every current core,
     /// so the hot simulation loops budget divides per job, not flops.
+    /// The caller computes the reciprocal as [`OnlineMoments::push`]
+    /// does, `1.0 / (count() + 1) as f64`, so both give the same bits.
     #[inline]
     pub fn push_with_inv(&mut self, x: f64, inv_next_n: f64) {
         debug_assert_eq!(

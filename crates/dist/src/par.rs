@@ -463,7 +463,7 @@ where
 
 /// Spin iterations (about 20 µs on the 2-vCPU Xeon) a
 /// [`HelperTask::offer`] waits for the last offer's helper to let go of
-/// the task before it declines.
+/// the task before it yields its time slice between checks.
 const OFFER_SPINS: usize = 1024;
 
 /// A one-index pool task offered again and again from one allocation:
@@ -474,9 +474,9 @@ const OFFER_SPINS: usize = 1024;
 ///
 /// The task runs at most once per offer. Between offers the pool holds
 /// no clone of it, so re-arming writes nothing a helper could still be
-/// reading: `offer` declines while a helper that admitted itself to an
-/// earlier offer has not yet let go of the batch (it then finds the
-/// index claimed and returns without running the task).
+/// reading: `offer` waits while a helper that admitted itself to an
+/// earlier offer has not yet let go of the batch (it has finished the
+/// task, or it finds the index claimed and returns without running it).
 pub struct HelperTask {
     batch: Arc<Batch>,
 }
@@ -506,21 +506,26 @@ impl HelperTask {
     }
 
     /// Offer the task to `pool`'s helpers, starting one pool thread if
-    /// the pool has none. Returns `false`, offering nothing, if a helper
-    /// still holds the batch from an earlier offer after a short spin.
+    /// the pool has none.
     ///
-    /// Every accepted offer must be ended by [`HelperTask::claim_back`]
-    /// before the next one.
-    pub fn offer(&self, pool: &WorkerPool) -> bool {
-        // A helper that finished the last offer lets go of the batch
-        // right after reporting completion: give it a moment.
+    /// Every offer must be ended by [`HelperTask::claim_back`] (and, if
+    /// a helper had the task, [`HelperTask::wait`]) before the next one.
+    /// A helper of the last offer may still hold the batch then: it has
+    /// finished the task, or found its index claimed, and only has to let
+    /// go. The offer waits for that, spinning for about 20 µs and then
+    /// yielding between checks. The wait ends: the claim-back took the
+    /// batch off the queue, so no helper can pick it up again, and no
+    /// holder waits for the owner.
+    pub fn offer(&self, pool: &WorkerPool) {
+        debug_assert!(self.batch.drained(), "the last offer was not claimed back");
         let mut spins = 0;
         while Arc::strong_count(&self.batch) > 1 {
-            if spins == OFFER_SPINS {
-                return false;
+            if spins < OFFER_SPINS {
+                std::hint::spin_loop();
+                spins += 1;
+            } else {
+                std::thread::yield_now();
             }
-            std::hint::spin_loop();
-            spins += 1;
         }
         // pairs with the release decrement of the last helper's clone:
         // whatever it did to the batch happens before the re-arm
@@ -533,7 +538,6 @@ impl HelperTask {
         // the index opens last, after the accounting it completes into
         self.batch.next.store(0, Ordering::Release);
         pool.submit(Arc::clone(&self.batch), 1);
-        true
     }
 
     /// End the current offer: `true` if no helper had started the task
@@ -730,15 +734,6 @@ mod tests {
         true
     }
 
-    /// Offer `task`, retrying while the last offer's helper still holds
-    /// it.
-    fn offer(task: &HelperTask, pool: &WorkerPool) {
-        assert!(
-            eventually(|| task.offer(pool)),
-            "the offer was declined for ten seconds"
-        );
-    }
-
     /// Occupy every helper of a fresh `pool` (it gets one) with a task
     /// that waits for the returned flag; returns once the helper is in.
     fn hold_the_helper(pool: &Arc<WorkerPool>) -> (Arc<AtomicUsize>, std::thread::JoinHandle<()>) {
@@ -775,7 +770,7 @@ mod tests {
         };
         let mut on_helpers = 0;
         for round in 0..40 {
-            offer(&task, &pool);
+            task.offer(&pool);
             if round % 2 == 1 {
                 // let a helper take this one
                 assert!(eventually(|| runs.load(Ordering::SeqCst) == on_helpers + 1));
@@ -805,7 +800,7 @@ mod tests {
                 ran.fetch_add(1, Ordering::SeqCst);
             })
         };
-        offer(&task, &pool);
+        task.offer(&pool);
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(
             task.claim_back(&pool),
@@ -817,7 +812,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         // and the task can be offered again
-        offer(&task, &pool);
+        task.offer(&pool);
         assert!(eventually(|| ran.load(Ordering::SeqCst) == 1));
         assert!(!task.claim_back(&pool));
         task.wait().expect("the task does not panic");
@@ -834,7 +829,7 @@ mod tests {
                 panic!("in the helper task");
             })
         };
-        offer(&task, &pool);
+        task.offer(&pool);
         assert!(eventually(|| started.load(Ordering::SeqCst) == 1));
         assert!(!task.claim_back(&pool));
         let payload = task.wait().expect_err("the helper's panic comes back");
@@ -844,7 +839,7 @@ mod tests {
         );
         // the pool and the task survive it
         assert_eq!(pool.run_indexed(4, 2, |i| i * 2), vec![0, 2, 4, 6]);
-        offer(&task, &pool);
+        task.offer(&pool);
         assert!(eventually(|| started.load(Ordering::SeqCst) == 2));
         assert!(!task.claim_back(&pool));
         assert!(task.wait().is_err());
@@ -861,7 +856,7 @@ mod tests {
             })
         };
         for expected in 1..=5 {
-            offer(&task, &pool);
+            task.offer(&pool);
             assert!(eventually(|| runs.load(Ordering::SeqCst) == expected));
             assert!(!task.claim_back(&pool));
             task.wait().expect("the task does not panic");

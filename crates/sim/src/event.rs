@@ -220,11 +220,11 @@ impl EventEngine {
     /// (allocation-free in steady state, like
     /// [`crate::fast::simulate_dispatch_into`]).
     ///
-    /// Three divides per job: the Lindley update in `Host::accept`,
-    /// the completion time in `Host::start_service`, and the
-    /// collector's slowdown reciprocal — the oracle engine pays for
-    /// clarity what the fast kernels hoist.
-    // dses-lint: divides(3)
+    /// Five static divide sites: the Lindley update in `Host::accept`,
+    /// the completion time in `Host::start_service`, and the three of
+    /// [`Collector::record`](crate::metrics::Collector::record) — the oracle
+    /// engine pays for clarity what the fast kernels hoist.
+    // dses-lint: divides(5)
     // dses-lint: deny(alloc)
     pub fn run_dispatch_into<P: Dispatcher + ?Sized>(
         &self,
@@ -318,7 +318,11 @@ impl EventEngine {
     }
 
     /// [`EventEngine::run_central_queue`] through caller-owned buffers.
-    // dses-lint: divides(2)
+    ///
+    /// Four static divide sites: the completion time in
+    /// `Host::start_service` and the three of
+    /// [`Collector::record`](crate::metrics::Collector::record).
+    // dses-lint: divides(4)
     // dses-lint: deny(alloc)
     pub fn run_central_queue_into(
         &self,

@@ -487,13 +487,6 @@ pub struct Collector {
     pipe: Option<Box<PercentilePipe>>,
     slo_violations: u64,
     records: Option<Vec<JobRecord>>,
-    /// `inv_n[k] = 1.0 / (k + 1)` for the first `expected_jobs` counts —
-    /// the same single IEEE divide [`Collector::record_with_inv`] would
-    /// issue per job, precomputed once at reset so the steady-state
-    /// record path performs **zero** divides. Grow-once: reset extends
-    /// but never shrinks, and counts past the table fall back to the
-    /// live divide (bitwise the same value).
-    inv_n: Vec<f64>,
     /// The monomorphized record path resolved from `cfg` at reset.
     path: RecordPath,
     /// `Demand::PER_HOST` requested (the batched flush consults it; the
@@ -517,9 +510,10 @@ impl Collector {
     /// Create a collector for `hosts` hosts, pre-sizing the record buffer
     /// for `expected_jobs` completions (engines pass the trace length so
     /// full-record runs never pay repeated reallocation). Streaming mode
-    /// uses the hint to size its reciprocal table and to decide whether
-    /// the percentile pushes take the pipe; without one
-    /// ([`Collector::new`]) they stay on the recording thread.
+    /// reads the hint only to decide whether the percentile pushes take
+    /// the pipe; without one ([`Collector::new`]) they stay on the
+    /// recording thread. A streaming collector holds nothing per job: its
+    /// state grows with hosts and fairness bins, never with the trace.
     #[must_use]
     pub fn with_job_hint(hosts: usize, cfg: MetricsConfig, expected_jobs: usize) -> Self {
         let mut c = Self {
@@ -538,7 +532,6 @@ impl Collector {
             pipe: None,
             slo_violations: 0,
             records: None,
-            inv_n: Vec::new(),
             path: RecordPath::Full,
             host_on: true,
             eff_split: None,
@@ -558,6 +551,10 @@ impl Collector {
     /// every growable buffer (per-host stats, the fairness histogram when
     /// its layout is unchanged, the record vector, the block lanes, the
     /// percentile pipe) keeps its allocation.
+    ///
+    /// `expected_jobs` sizes nothing but the record buffer of a run that
+    /// collects records; a streaming run reads it only to pick the
+    /// percentile route.
     ///
     /// A run the previous owner abandoned (no `finish`) has its pipe
     /// closed here, so the pool helper that served it is free again.
@@ -620,9 +617,6 @@ impl Collector {
                 other => *other = Some(Box::new(BlockCollector::empty())),
             }
         }
-        if self.inv_n.len() < expected_jobs {
-            self.inv_n.extend((self.inv_n.len()..expected_jobs).map(|k| 1.0 / (k + 1) as f64));
-        }
         if self.percentiles.is_some()
             && expected_jobs.saturating_sub(cfg.warmup_jobs) >= PIPE_MIN_JOBS
             && available_workers() >= 2
@@ -632,7 +626,7 @@ impl Collector {
                 none => none.insert(PercentilePipe::new()),
             };
             if let Some(set) = self.percentiles.take() {
-                self.percentiles = pipe.start(set);
+                pipe.start(set);
             }
         }
     }
@@ -663,9 +657,12 @@ impl Collector {
     /// The four always-on moment streams advance in lockstep (same count
     /// after every call), so one `1/n` reciprocal serves all four pushes,
     /// and one `1/size` serves both slowdown ratios — two divides per job
-    /// where the naive form issues fourteen. Divide throughput, not
-    /// flops, bounds the specialized kernels (see DESIGN.md §11).
-    // dses-lint: divides(1)
+    /// where the naive form issues fourteen, plus one for each of the
+    /// fairness bin and class stream the job lands in, which advance on
+    /// their own counts. Divide throughput, not flops, bounds the
+    /// specialized kernels (see DESIGN.md §11). Three static divide sites:
+    /// `1/size` here and the two of [`Collector::record_with_inv`].
+    // dses-lint: divides(3)
     #[inline]
     pub fn record(&mut self, rec: JobRecord) {
         self.record_with_inv(rec, 1.0 / rec.size);
@@ -678,8 +675,11 @@ impl Collector {
     /// bitwise those of `record` (a `debug_assert` pins the bit pattern).
     /// Every engine calls `record` and divides per job: a stored
     /// reciprocal column needed a build pass and 8 bytes per job of every
-    /// trace, and did not pay end to end (DESIGN.md §9.4).
-    // dses-lint: divides(0)
+    /// trace, and did not pay end to end (DESIGN.md §9.4). The collector
+    /// divides for its own `1/n` too, so a run holds no per-job table
+    /// (DESIGN.md §12.4): two static divide sites, the lockstep `1/n` and
+    /// [`OnlineMoments::push`]'s for the fairness bin and class streams.
+    // dses-lint: divides(2)
     // dses-lint: deny(alloc)
     #[inline]
     pub fn record_with_inv(&mut self, rec: JobRecord, inv_size: f64) {
@@ -698,7 +698,12 @@ impl Collector {
     /// percentiles, SLO counter, record buffer). Every demanded field
     /// computes in exactly the pre-tier order, so demanded outputs stay
     /// bitwise identical across tiers.
-    // dses-lint: divides(0)
+    ///
+    /// The fairness bin and the class stream a job lands in advance on
+    /// their own counts, not the lockstep one, so they take
+    /// [`OnlineMoments::push`], which divides for its `1/n` exactly as
+    /// the lockstep streams' shared divide does.
+    // dses-lint: divides(2)
     #[inline(always)]
     fn record_core<const EXTREMA: bool, const HOST: bool, const TAIL: bool>(
         &mut self,
@@ -717,14 +722,9 @@ impl Collector {
         if self.seen <= self.cfg.warmup_jobs as u64 {
             return;
         }
-        let count = self.slowdown.count() as usize;
-        // Table hit in every engine run (reset sizes it to the trace);
-        // the fallback divide computes the identical bit pattern for
-        // hand-built collectors that outgrow their hint.
-        let inv_n = match self.inv_n.get(count) {
-            Some(&v) => v,
-            None => 1.0 / (count + 1) as f64,
-        };
+        // One `1/n` for the four lockstep streams. It depends only on the
+        // count, so it issues off the Welford chain.
+        let inv_n = 1.0 / (self.slowdown.count() + 1) as f64;
         let response = rec.completion - rec.arrival;
         let waiting = rec.start - rec.arrival;
         let s = response * inv_size;
@@ -746,7 +746,7 @@ impl Collector {
         }
         if TAIL {
             if let Some(f) = &mut self.fairness {
-                push_own_count(&self.inv_n, f.bin_mut(rec.size), s);
+                f.bin_mut(rec.size).push(s);
             }
             if let Some(cutoff) = self.eff_split {
                 let m = if rec.size <= cutoff {
@@ -754,7 +754,7 @@ impl Collector {
                 } else {
                     &mut self.long_slowdown
                 };
-                push_own_count(&self.inv_n, m, s);
+                m.push(s);
             }
             if let Some(p) = &mut self.percentiles {
                 p.push(s);
@@ -976,21 +976,6 @@ impl Collector {
     }
 }
 
-/// Push `x` into a stream that advances on its own — a fairness bin or a
-/// class stream (a job lands in one bin, and is short or long, never
-/// both), where the collector's lockstep count is the wrong one. The
-/// same `inv_n` table serves, indexed by the stream's own count: the
-/// bits the divide in [`OnlineMoments::push`] would produce.
-#[inline(always)]
-fn push_own_count(inv_n: &[f64], m: &mut OnlineMoments, x: f64) {
-    let k = m.count() as usize;
-    let inv = match inv_n.get(k) {
-        Some(&v) => v,
-        None => 1.0 / (k + 1) as f64,
-    };
-    m.push_with_inv(x, inv);
-}
-
 /// Slowdowns per chunk the percentile pipe hands over at once.
 const PIPE_CHUNK: usize = 1024;
 /// Queued chunks past which the producer withdraws an offer no helper
@@ -1198,25 +1183,18 @@ impl PercentilePipe {
     }
 
     /// Lend the pipe the estimators and offer the consumer to a free
-    /// pool helper. `Some(set)` hands them back when the pool still
-    /// holds the task from an earlier run; the run then pushes inline.
-    fn start(&mut self, set: QuantileSet) -> Option<QuantileSet> {
+    /// pool helper.
+    fn start(&mut self, set: QuantileSet) {
         {
             let mut st = lock_pipe(&self.shared);
             st.set = Some(set);
             st.open = true;
             st.failed = false;
         }
-        if self.task.offer(WorkerPool::global()) {
-            self.running = true;
-            self.offer = Offer::Out;
-            self.fill = 0;
-            None
-        } else {
-            let mut st = lock_pipe(&self.shared);
-            st.open = false;
-            st.set.take()
-        }
+        self.task.offer(WorkerPool::global());
+        self.running = true;
+        self.offer = Offer::Out;
+        self.fill = 0;
     }
 
     /// Queue one measured slowdown; `Some` hands the estimators back
@@ -1749,6 +1727,14 @@ mod pipe_tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
+    /// The tests of this binary that use the global pool's helper take
+    /// this lock, so each finds the helper free rather than serving
+    /// another test's pipe.
+    fn pool_helper() -> MutexGuard<'static, ()> {
+        static HELPER: Mutex<()> = Mutex::new(());
+        HELPER.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Whether `cond` holds within ten seconds.
     fn eventually(cond: impl Fn() -> bool) -> bool {
         let start = Instant::now();
@@ -1820,6 +1806,7 @@ mod pipe_tests {
 
     #[test]
     fn a_long_percentile_run_takes_the_pipe_when_a_second_worker_exists() {
+        let _helper = pool_helper();
         let recs = records(12_000);
         let cfg = percentile_cfg();
         let mut c = Collector::with_job_hint(4, cfg, recs.len());
@@ -1846,6 +1833,7 @@ mod pipe_tests {
 
     #[test]
     fn a_collector_dropped_mid_run_releases_its_helper() {
+        let _helper = pool_helper();
         if available_workers() < 2 {
             return;
         }
@@ -1883,6 +1871,7 @@ mod pipe_tests {
 
     #[test]
     fn a_reset_after_an_abandoned_run_gives_the_fresh_result() {
+        let _helper = pool_helper();
         let recs = records(12_000);
         let cfg = percentile_cfg();
         let mut reused = Collector::with_job_hint(4, cfg, recs.len());

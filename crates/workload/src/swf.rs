@@ -146,12 +146,21 @@ fn parse_line(line_no: usize, line: &str) -> Result<SwfRecord, SwfError> {
 /// also an error when their squares sum past the largest `f64`, since no
 /// C² could be computed; the error names the run time that took that sum
 /// past it. A lone job's C² is 0 whatever its size.
+///
+/// Last, it is an error when the kept run times' total divided by the
+/// smallest of them is not finite; the error names that smallest run
+/// time's line. A host never idles while it holds work, so no job waits
+/// longer than the total run time, and `total / size + 1` bounds every
+/// slowdown: past `f64`, a slowdown could be `+inf` and every slowdown
+/// mean NaN.
 pub fn parse_trace(text: &str, filter: SwfFilter) -> Result<Trace, SwfError> {
     let mut jobs = Vec::new();
     let mut work = 0.0f64;
     let mut squares = 0.0f64;
     // the line and run time at which `squares` stopped being finite
     let mut squares_overflow = None;
+    // the line and run time of the first smallest kept run time
+    let mut smallest: Option<(usize, f64)> = None;
     for numbered in numbered_records(text) {
         let (line, r) = numbered?;
         if !filter.keeps(&r) {
@@ -196,7 +205,19 @@ pub fn parse_trace(text: &str, filter: SwfFilter) -> Result<Trace, SwfError> {
                 });
             }
         }
+        if smallest.is_none_or(|(_, min)| r.run_time < min) {
+            smallest = Some((line, r.run_time));
+        }
         jobs.push(Job::new(jobs.len() as u64, r.submit, r.run_time));
+    }
+    if let Some((line, run_time)) = smallest.filter(|&(_, min)| !(work / min).is_finite()) {
+        return Err(SwfError {
+            line,
+            message: format!(
+                "field 3 ({run_time:?}) is so small beside the kept run times' total \
+                 ({work:?}) that a slowdown can overflow"
+            ),
+        });
     }
     Ok(Trace::new(jobs))
 }
@@ -430,6 +451,29 @@ mod tests {
         );
         // the smallest run time with a finite reciprocal is kept
         let text = format!("{}{}", line("0", "1"), line("1", "5.56268464626801e-309"));
+        assert_eq!(parse_trace(&text, SwfFilter::default()).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_run_time_tiny_beside_the_total_is_an_error_at_its_line() {
+        // 1e-300 has a finite reciprocal, but it may wait for up to the
+        // 1e10 s ahead of it: (1e10 + 5) / 1e-300 is past f64
+        let text = format!("{}{}{}", line("0", "1e10"), line("1", "1e-300"), line("2", "5"));
+        let err = parse_trace(&text, SwfFilter::default()).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message.contains("field 3 (1e-300) is so small beside the kept run times' total"),
+            "{err}"
+        );
+        // records alone are fine: each value is finite
+        assert_eq!(parse_records(&text).unwrap().len(), 3);
+        // the first of equal smallest run times is named
+        let text = format!("{}{}{}", line("0", "1e-300"), line("1", "1e10"), line("2", "1e-300"));
+        assert_eq!(parse_trace(&text, SwfFilter::default()).unwrap_err().line, 1);
+        // a lone tiny job bounds its own slowdown at 2
+        assert_eq!(parse_trace(&line("0", "1e-300"), SwfFilter::default()).unwrap().len(), 1);
+        // a total 1e10 times the smallest run time is fine
+        let text = format!("{}{}", line("0", "1e10"), line("1", "1"));
         assert_eq!(parse_trace(&text, SwfFilter::default()).unwrap().len(), 2);
     }
 

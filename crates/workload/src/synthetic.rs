@@ -204,10 +204,17 @@ impl<D: Distribution> WorkloadBuilder<D> {
 
 /// The load-invariant column of a generated trace: `n` sizes drawn from
 /// `rng` (stream 1 of the seed), each passing [`Job::new`]'s size check.
+///
+/// The draws come first and the check is a second pass over the finished
+/// column, which panics at the first bad job with `Job::new`'s message.
+/// Inside the draw loop its two asserts nearly doubled the column's cost
+/// (DESIGN.md §9.4).
 fn size_column<D: Distribution>(dist: &D, n: usize, mut rng: Rng64) -> Arc<[f64]> {
-    (0..n)
-        .map(|i| Job::checked_size(i as u64, dist.sample(&mut rng)))
-        .collect()
+    let sizes: Arc<[f64]> = (0..n).map(|_| dist.sample(&mut rng)).collect();
+    for (i, &size) in sizes.iter().enumerate() {
+        Job::checked_size(i as u64, size);
+    }
+    sizes
 }
 
 /// Unit exponentials [`arrival_columns`] draws at a time. A block of them

@@ -1,16 +1,21 @@
 //! Trace construction allocates its two columns and nothing else: 16
 //! bytes per job for one trace, and (1 + k)·8 per job for a k-load sweep,
 //! whose traces share one size column. No reciprocal column and no
-//! transient column of unit exponentials is allocated.
+//! transient column of unit exponentials is allocated. A streaming
+//! collector allocates nothing per job either, so a run holds its trace
+//! and state that grows with hosts and bins, never with jobs.
 //!
 //! From `CONCURRENT_BUILD_MIN_JOBS` jobs a generated trace draws its
 //! arrival columns on a helper of the worker pool, so the count is
 //! process-wide: every thread's bytes enter it. These gates therefore
 //! live in a binary of their own and take one lock, so that no other
 //! test's allocations fall inside a measured build. Each gate first runs
-//! a concurrent build of the same shape, so the pool's threads and queue
-//! exist before the measurement starts.
+//! a build of the same shape (a concurrent trace build, or a piped
+//! collector), so the pool's threads and queue exist before the
+//! measurement starts.
 
+use dses_sim::metrics::Collector;
+use dses_sim::MetricsConfig;
 use dses_workload::{Mmpp2, WorkloadBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,5 +105,34 @@ fn a_sweep_allocates_one_arrival_column_per_load() {
     assert!(
         bytes <= columns + 4096,
         "{bytes} bytes for a {k}-load sweep of {n} jobs"
+    );
+}
+
+#[test]
+fn a_streaming_full_collector_allocates_nothing_per_job() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    // the full tier: fairness bins, a class split, an SLO and percentiles
+    // (which take the pool helper's pipe from 8 192 measured jobs)
+    let cfg = MetricsConfig {
+        fairness_bins: 12,
+        split_cutoff: Some(1_000.0),
+        slo_slowdown: Some(10.0),
+        slowdown_percentiles: true,
+        ..MetricsConfig::streaming()
+    };
+    drop(Collector::with_job_hint(64, cfg, 20_000));
+    // The warm-up starts the pool's helper, whose own start-up
+    // allocations may land in a later window. They only add bytes, so
+    // each size counts the least of three constructions.
+    let least = |jobs: usize| {
+        (0..3)
+            .map(|_| bytes_of(|| Collector::with_job_hint(64, cfg, jobs)).1)
+            .min()
+            .expect("three constructions")
+    };
+    let (small, large) = (least(20_000), least(1_600_000));
+    assert!(
+        large <= small,
+        "{large} bytes for 1.6 M jobs against {small} for 20 000: the collector grows with jobs"
     );
 }
