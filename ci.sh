@@ -16,12 +16,23 @@ cargo build --release
 cargo test -q --no-fail-fast
 
 # The percentile pipe's tests and the allocation gate again in release:
-# there the pool helper overlaps the recording thread far more often than
-# in a debug build, so the handoffs between them run in other orders. The
-# kernel ≡ generic loop ≡ event engine gates run here too: the chunked
-# argmin lanes are autovectorized only in optimized builds (~4 s).
+# there the pool helper pushes a chunk in about the time the recording
+# thread takes to fill the next, so a hand-off finds the last offer
+# unstarted, running or done in other proportions than in a debug build.
+# The kernel ≡ generic loop ≡ event engine gates run here too: the
+# chunked argmin lanes are autovectorized only in optimized builds (~4 s).
 cargo test --release --offline -q -p dses-integration --test metrics_alloc --test full_collector --test kernels
 cargo test --release --offline -q -p dses-dist -p dses-sim --lib
+
+# Each hand-off order is a race, so one passing run proves little: the
+# pipe's unit tests and `full_collector`'s two piped tests run five more
+# times in release (~5 s), so an order that fails one run in five fails
+# here.
+for round in 1 2 3 4 5; do
+    echo "ci: piped tests, round $round of 5"
+    cargo test --release --offline -q -p dses-sim --lib pipe_tests
+    cargo test --release --offline -q -p dses-integration --test full_collector percentile_runs
+done
 
 # The repo benchmark (`perfbench/`, its own cargo workspace) builds
 # against the public APIs of `crates/`, and its tests compare the

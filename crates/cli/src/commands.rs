@@ -537,6 +537,15 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
         .hosts(hosts)
         .warmup_jobs(warmup)
         .seed(args.get_u64("seed", 0)?);
+    // like a --load of 1 or more, an overloaded log has no steady state
+    // to measure
+    let rho = trace.system_load(hosts);
+    if args.get("load").is_none() && (rho >= 1.0 || !rho.is_finite()) {
+        return Err(ArgError(format!(
+            "{path} has system load {} on {hosts} hosts, not below 1; --load <rho> rescales the log",
+            fmt_num(rho)
+        )));
+    }
     let result = experiment
         .try_run_on_trace(&spec, &trace)
         .map_err(|e| ArgError(format!("{}: {e}", spec.name())))?;
@@ -546,7 +555,7 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
         trace.len(),
         fmt_num(s.mean()),
         s.scv(),
-        fmt_num(trace.system_load(hosts))
+        fmt_num(rho)
     );
     out.push_str(&render_result(&format!("{} on {hosts} hosts", spec.name()), &result));
     Ok(out)
@@ -704,6 +713,25 @@ mod tests {
                 assert_rejected(&tokens, names);
             }
         }
+        // a valid log that overloads its hosts: three jobs of 100 s each
+        // submitted a second apart, system load 50 on two hosts, is
+        // rejected unless --load rescales it
+        let path = std::env::temp_dir().join("dses_cli_overloaded.swf");
+        std::fs::write(
+            &path,
+            record("0", "100") + &record("1", "100") + &record("2", "100"),
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        assert_rejected(
+            &["swf", "--file", path, "--hosts", "2", "--warmup", "0"],
+            "system load 50.000 on 2 hosts",
+        );
+        assert_rejected(
+            &["swf", "--file", path, "--warmup", "0"],
+            "--load <rho> rescales",
+        );
+        assert!(run_tokens(&["swf", "--file", path, "--warmup", "0", "--load", "0.5"]).is_ok());
     }
 
     #[test]
@@ -766,19 +794,31 @@ mod tests {
 
     #[test]
     fn swf_summary_prints_huge_sizes_as_readable_numbers() {
-        // a valid log: 1e150² is finite, so C² can be computed
-        let text: String = [("0", "1e150"), ("10", "1"), ("20", "5")]
-            .iter()
-            .map(|(submit, run)| {
-                format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
-            })
-            .collect();
-        let path = std::env::temp_dir().join("dses_cli_huge_sizes.swf");
-        std::fs::write(&path, text).unwrap();
-        let out = run_tokens(&["swf", "--file", path.to_str().unwrap(), "--warmup", "0"]).unwrap();
+        // valid logs: 1e150² is finite, so C² can be computed
+        let log = |name: &str, submits: [&str; 3]| {
+            let text: String = submits
+                .iter()
+                .zip(["1e150", "1", "5"])
+                .map(|(submit, run)| {
+                    format!("1 {submit} 0 {run} 8 -1 -1 8 120 -1 1 1 1 -1 1 -1 -1 -1\n")
+                })
+                .collect();
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        // submitted 10 s apart, the log overloads its hosts, and the
+        // error prints its load in exponent notation
+        let packed = log("dses_cli_huge_sizes.swf", ["0", "10", "20"]);
+        assert_rejected(
+            &["swf", "--file", &packed, "--warmup", "0"],
+            "system load 1.667e148",
+        );
+        let spread = log("dses_cli_huge_sizes_spread.swf", ["0", "1e151", "2e151"]);
+        let out = run_tokens(&["swf", "--file", &spread, "--warmup", "0"]).unwrap();
         let summary = out.lines().next().unwrap();
         assert!(
-            summary.ends_with("3 jobs, mean size 3.333e149s, C^2 2.00, system load 1.667e148"),
+            summary.ends_with("3 jobs, mean size 3.333e149s, C^2 2.00, system load 0.017"),
             "{summary}"
         );
     }

@@ -474,12 +474,6 @@ impl LoadSweep {
     pub fn slowdown_series(&self) -> Vec<(f64, f64)> {
         self.points.iter().map(|p| (p.rho, p.mean_slowdown)).collect()
     }
-
-    /// The variance-of-slowdown series.
-    #[must_use]
-    pub fn variance_series(&self) -> Vec<(f64, f64)> {
-        self.points.iter().map(|p| (p.rho, p.var_slowdown)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -1,84 +1,10 @@
-//! Fixed-bin and logarithmic histograms.
+//! Logarithmic histograms.
 //!
 //! [`LogHistogram`] is what the fairness analysis uses: job sizes span six
 //! orders of magnitude, so the "slowdown as a function of job size" curves
 //! in the SITA-U-fair evaluation bin jobs by log-size.
 
 use crate::moments::OnlineMoments;
-
-/// A histogram with uniform bins over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` uniform bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record a value.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            // dses-lint: allow(divide-budget) -- one divide per diagnostic histogram record; bin boundaries are bit-pinned in exhibits, so the span reciprocal is not hoisted
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.counts.len() as f64) as usize;
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Total count, including under/overflow.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Per-bin counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Count of values below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of values at or above the range end.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The `(lo, hi)` edges of bin `i`.
-    #[must_use]
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-}
 
 /// A histogram whose bins are uniform in `log10(x)`, with a per-bin
 /// [`OnlineMoments`] accumulator for an associated metric.
@@ -260,30 +186,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.5);
-        h.record(9.99);
-        h.record(-1.0);
-        h.record(10.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn bin_edges_cover_range() {
-        let h = Histogram::new(2.0, 4.0, 4);
-        assert_eq!(h.bin_edges(0), (2.0, 2.5));
-        assert_eq!(h.bin_edges(3), (3.5, 4.0));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_rejected() {
-        let _ = Histogram::new(0.0, 1.0, 0);
+        let _ = LogHistogram::new(1.0, 10.0, 0);
     }
 
     #[test]

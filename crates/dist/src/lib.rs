@@ -68,7 +68,7 @@ pub use distributions::{
     Pareto, Scaled, Uniform, Weibull,
 };
 pub use empirical::Empirical;
-pub use histogram::{Histogram, LogHistogram};
+pub use histogram::LogHistogram;
 pub use moments::{Moments, OnlineMoments};
 pub use quantile::{P2Quantile, QuantileSet};
 pub use rng::{derive_seed, Rng64, SplitMix64};
@@ -82,7 +82,7 @@ pub mod prelude {
         Pareto, Scaled, Uniform, Weibull,
     };
     pub use crate::empirical::Empirical;
-    pub use crate::histogram::{Histogram, LogHistogram};
+    pub use crate::histogram::LogHistogram;
     pub use crate::moments::{Moments, OnlineMoments};
     pub use crate::quantile::{P2Quantile, QuantileSet};
     pub use crate::rng::{derive_seed, Rng64, SplitMix64};

@@ -89,7 +89,6 @@ impl OnlineMoments {
     pub fn push_with_inv(&mut self, x: f64, inv_next_n: f64) {
         debug_assert_eq!(
             inv_next_n.to_bits(),
-            // dses-lint: allow(divide-budget) -- debug_assert reciprocal pin: compiled out of release builds, never on the measured path
             (1.0 / (self.n + 1) as f64).to_bits(),
             "inv_next_n must be exactly 1/(count()+1)"
         );

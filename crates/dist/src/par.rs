@@ -50,9 +50,10 @@
 //! own. Results and panics are those of the sequential order.
 //!
 //! [`HelperTask`] is `join`'s one-index batch kept for reuse: its owner
-//! offers it to a free helper once per run and claims it back at the
-//! end, with no allocation after the first offer. The full collector's
-//! percentile pipe is its one user.
+//! offers it to a free helper again and again, and settles each offer
+//! (claims it back, or waits for the helper that took it) before the
+//! next, with no allocation after the first offer. The full collector's
+//! percentile pipe is its one user: one offer per chunk of slowdowns.
 
 use std::any::Any;
 use std::collections::VecDeque;

@@ -9,8 +9,6 @@ use crate::moments::OnlineMoments;
 pub struct Summary {
     sorted: Vec<f64>,
     moments: OnlineMoments,
-    raw2: f64,
-    raw3: f64,
 }
 
 impl Summary {
@@ -28,18 +26,7 @@ impl Summary {
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
         let moments = values.iter().copied().collect();
-        // raw sample moments, accumulated smallest-first for stability
-        // (the batch is already in hand here; the streaming accumulator
-        // deliberately doesn't carry them — see crate::moments)
-        let n = sorted.len().max(1) as f64;
-        let raw2 = sorted.iter().map(|x| x * x).sum::<f64>() / n;
-        let raw3 = sorted.iter().map(|x| x * x * x).sum::<f64>() / n;
-        Self {
-            sorted,
-            moments,
-            raw2,
-            raw3,
-        }
+        Self { sorted, moments }
     }
 
     /// Number of values.
@@ -77,18 +64,6 @@ impl Summary {
     #[must_use]
     pub fn max(&self) -> f64 {
         self.moments.max()
-    }
-
-    /// Raw second moment `E[X²]`.
-    #[must_use]
-    pub fn raw_moment2(&self) -> f64 {
-        self.raw2
-    }
-
-    /// Raw third moment `E[X³]`.
-    #[must_use]
-    pub fn raw_moment3(&self) -> f64 {
-        self.raw3
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation between order
@@ -143,12 +118,6 @@ impl Summary {
         }
         let cutoff = self.quantile(1.0 - frac);
         (cutoff, self.tail_load_fraction(cutoff))
-    }
-
-    /// Access the sorted values.
-    #[must_use]
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
     }
 
     /// Render a one-line Table-1 style row:

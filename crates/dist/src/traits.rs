@@ -336,10 +336,6 @@ fn quantile_space_lanes<const N: usize, D: Distribution + ?Sized>(
     total
 }
 
-/// A boxed, dynamically typed distribution — handy for heterogeneous
-/// workload configuration tables.
-pub type DynDistribution = Box<dyn Distribution>;
-
 impl Distribution for Box<dyn Distribution> {
     fn sample(&self, rng: &mut Rng64) -> f64 {
         self.as_ref().sample(rng)

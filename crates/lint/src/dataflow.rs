@@ -20,12 +20,18 @@
 //! root when it can execute once per loop iteration (per job): it sits
 //! on a CFG cycle or inside a closure, or it is reached through a call
 //! edge that does. A reciprocal hoisted above the loop costs nothing;
-//! the same divide inside it counts. Budgets compose: a call to another
+//! the same divide inside it counts. A root with no CFG cycle of its own
+//! (a per-record helper) runs whole once per call, that is once per
+//! job, so every live site in it and in the unannotated callees it
+//! reaches counts. Sites inside `debug_assert*!(…)` never count: release
+//! builds do not run them. Budgets compose: a call to another
 //! annotated function contributes that function's declared budget
 //! instead of being traversed (its own annotation is verified
-//! separately), and call edges into once-per-run functions (`new`,
-//! `reset*`, `with_*`, `warmup*`, `finish*`) are not followed — the
-//! warmup/reset/finalize paths run once per run, not per job. The token stream has no types, so `/`
+//! separately), a call waived for `divide-budget` is not followed (its
+//! reason covers the callee), and call edges into once-per-run functions
+//! (`new`, `reset*`, `with_*`, `warmup*`, `finish*`) are not followed —
+//! the warmup/reset/finalize paths run once per run, not per job. The
+//! token stream has no types, so `/`
 //! and `%` are assumed floating unless an operand is an integer
 //! literal; integer index arithmetic inside an annotated kernel is
 //! waived with a reason, which keeps it visible.
@@ -140,6 +146,9 @@ struct Flow {
     idents: BTreeMap<(u32, String), (bool, bool)>,
     divides: Vec<DivSite>,
     grows: Vec<GrowSite>,
+    /// A live CFG cycle: the body loops (closures it passes on do not
+    /// count).
+    cyclic: bool,
 }
 
 impl Flow {
@@ -197,7 +206,12 @@ fn flow_of(code: &Code<'_>, open: usize, close: usize) -> Flow {
     let cfg = Cfg::build(code, open, close);
     let reach = cfg.reachable();
     let iters = cfg.iterating();
-    let mut flow = Flow::default();
+    let mut flow = Flow {
+        cyclic: (0..reach.len()).any(|n| reach[n] && iters[n]),
+        ..Flow::default()
+    };
+    // token ranges of `debug_assert*!(…)` arguments: not in release builds
+    let mut debug_only = Vec::new();
     let at = |p: usize| -> (bool, bool) {
         match cfg.node_at(p) {
             Some(n) => (reach[n], iters[n] || cfg.closure_depth(p) > 0),
@@ -205,6 +219,11 @@ fn flow_of(code: &Code<'_>, open: usize, close: usize) -> Flow {
         }
     };
     for p in open + 1..close {
+        if code.text(p).starts_with("debug_assert") && code.get(p + 1) == Some("!") {
+            if let Some(end) = code.match_bracket(p + 2, "(", ")") {
+                debug_only.push(p + 2..end);
+            }
+        }
         let (live, hot) = at(p);
         let e = flow.lines.entry(code.line(p)).or_insert((false, false));
         e.0 |= live;
@@ -223,7 +242,7 @@ fn flow_of(code: &Code<'_>, open: usize, close: usize) -> Flow {
             // an immediate operand is an integer literal
             let int_ctx = (p > open + 1 && code.kind(p - 1) == TokenKind::Int)
                 || (p + 1 < close && code.kind(p + 1) == TokenKind::Int);
-            if !int_ctx {
+            if !int_ctx && !debug_only.iter().any(|r| r.contains(&p)) {
                 let prev = if p > open + 1 { code.text(p - 1) } else { "" };
                 let next = if p + 1 < close { code.text(p + 1) } else { "" };
                 flow.divides.push(DivSite {
@@ -315,13 +334,16 @@ fn divide_budget(g: &Graph<'_>, flows: &Flows, cfg: &Config, out: &mut Vec<Findi
                 });
             }
         }
-        // worklist over (fn, reached-through-a-loop) states
+        // worklist over (fn, reached-through-a-loop) states; a root with
+        // no CFG cycle runs whole once per call (per job), so it starts
+        // hot
+        let loop_free = flows.of(root).is_some_and(|f| !f.cyclic);
         let mut contributions: Vec<Contribution> = Vec::new();
         let mut seen: BTreeMap<FnId, u8> = BTreeMap::new(); // bit 1: cold, bit 2: hot
         let mut parents: BTreeMap<FnId, Option<(FnId, u32)>> = BTreeMap::new();
         parents.insert(root, None);
-        let mut work: Vec<(FnId, bool)> = vec![(root, false)];
-        seen.insert(root, 1);
+        let mut work: Vec<(FnId, bool)> = vec![(root, loop_free)];
+        seen.insert(root, if loop_free { 2 } else { 1 });
         while let Some((f, hot)) = work.pop() {
             let Some(flow) = flows.of(f) else { continue };
             let f_file = g.fns_file(f);
@@ -355,12 +377,15 @@ fn divide_budget(g: &Graph<'_>, flows: &Flows, cfg: &Config, out: &mut Vec<Findi
                 if is_setup(&citem.name) {
                     continue; // warmup/reset path: once per run, not per job
                 }
+                if waived(g, f_file, RULE, cline) {
+                    continue; // a waived call: its reason covers the callee
+                }
                 if callee != root {
                     if let Some((cbudget, _)) = citem.divides {
                         // annotated callee: trust its declared budget
                         // (verified from its own root) instead of
                         // traversing into it
-                        if cbudget > 0 && !waived(g, f_file, RULE, cline) {
+                        if cbudget > 0 {
                             contributions.push(Contribution {
                                 cost: cbudget,
                                 desc: format!(

@@ -1,12 +1,15 @@
 //! End-to-end fixtures for the dataflow tier: two miniature workspaces
-//! under `tests/fixtures/dataflow/`. The `bad` one seeds exactly one
-//! violation per dataflow rule — a per-iteration divide under a
-//! `divides(0)` annotation, a `Vec` built per job on a record path, a
-//! workspace resize reachable from a dispatch root outside the reset
-//! boundary, and a `Demand` bitset read inside a const-generic body.
-//! The `good` one repairs each violation the idiomatic way (hoisted
-//! reciprocal, caller-owned buffer, reset-confined growth, tier decided
-//! before monomorphization) and must come back clean.
+//! under `tests/fixtures/dataflow/`. The `bad` one seeds one violation
+//! per dataflow rule — a per-iteration divide under a `divides(0)`
+//! annotation, a `Vec` built per job on a record path, a workspace
+//! resize reachable from a dispatch root outside the reset boundary,
+//! and a `Demand` bitset read inside a const-generic body — plus a
+//! second divide-budget one: a divide in a loop-free `divides(0)`
+//! function, which runs once per job. The `good` one repairs each
+//! violation the idiomatic way (hoisted or caller-held reciprocal, with
+//! a `debug_assert!` pin the rule skips, caller-owned buffer,
+//! reset-confined growth, tier decided before monomorphization) and
+//! must come back clean.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -57,6 +60,19 @@ fn bad_workspace_divide_in_marched_loop_breaks_the_declared_budget() {
     assert!(
         find(&report, "divide-budget", "dispatch").is_none(),
         "a divide within budget must not be flagged"
+    );
+}
+
+#[test]
+fn bad_workspace_divide_in_a_loop_free_function_breaks_its_budget() {
+    let report = lint("bad");
+    let f = find(&report, "divide-budget", "slowdown")
+        .expect("a loop-free function's divide counts against divides(0)");
+    assert_eq!(f.severity, Severity::Deny);
+    assert!(
+        f.message.contains("response / size"),
+        "the finding should show the offending divide: {}",
+        f.message
     );
 }
 

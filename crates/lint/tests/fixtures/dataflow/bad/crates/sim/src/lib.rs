@@ -1,7 +1,9 @@
 //! Bad dataflow fixture: each dataflow rule has one seeded violation.
 //!
 //! - `march` declares `divides(0)` but divides per iteration of the
-//!   marched-chain loop (divide-budget).
+//!   marched-chain loop (divide-budget), and `slowdown`, which has no
+//!   loop of its own and so runs whole once per job, declares
+//!   `divides(0)` but divides (divide-budget again).
 //! - `record_all` constructs a `Vec` per job on the record path
 //!   (loop-alloc).
 //! - `dispatch` reaches `SimWorkspace::ensure`, which resizes a
@@ -52,6 +54,15 @@ pub fn march(sizes: &[f64], speed: f64, out: &mut [f64]) {
         clock += s / speed;
         *o = clock;
     }
+}
+
+/// Per-job slowdown that declares itself division-free, but divides:
+/// with no loop of its own it runs once per job, so every divide in it
+/// counts — the loop-free divide-budget violation.
+// dses-lint: divides(0)
+#[must_use]
+pub fn slowdown(response: f64, size: f64) -> f64 {
+    response / size
 }
 
 /// Record path that allocates one row per job — the loop-alloc

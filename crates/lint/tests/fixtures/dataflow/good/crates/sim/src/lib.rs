@@ -3,6 +3,8 @@
 //!
 //! - `march` hoists the speed reciprocal above the loop, so its
 //!   `divides(0)` annotation is honest (the cold divide costs nothing).
+//! - `slowdown` multiplies by a caller-held reciprocal; its only divide
+//!   is a `debug_assert!` pin, which release builds do not run.
 //! - `record_all_into` reuses a caller-provided buffer: no allocation
 //!   in the loop.
 //! - Workspace growth happens only in `SimWorkspace::reset`, behind the
@@ -55,6 +57,14 @@ pub fn march(sizes: &[f64], speed: f64, out: &mut [f64]) {
         clock += s * inv;
         *o = clock;
     }
+}
+
+/// Per-job slowdown from the caller's reciprocal: no divide per job.
+// dses-lint: divides(0)
+#[must_use]
+pub fn slowdown(response: f64, size: f64, inv_size: f64) -> f64 {
+    debug_assert_eq!(inv_size.to_bits(), (1.0 / size).to_bits());
+    response * inv_size
 }
 
 /// Record path writing into a caller-owned buffer — nothing allocates

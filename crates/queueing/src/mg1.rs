@@ -158,12 +158,6 @@ impl Mg1 {
         self.mean_waiting() + self.service.m1
     }
 
-    /// Variance of response time (`W ⟂ X` for the tagged job).
-    #[must_use]
-    pub fn response_variance(&self) -> f64 {
-        self.waiting_variance() + (self.service.m2 - self.service.m1 * self.service.m1)
-    }
-
     /// Mean queue length `E[Q] = λ·E[W]` (jobs waiting, excluding in
     /// service).
     #[must_use]

@@ -374,6 +374,7 @@ fn run_specialized<P: Dispatcher + ?Sized, S: SpeedModel>(
     policy.reset();
     let needs = policy.state_needs();
     let mut rng = Rng64::seed_from(seed).stream(0xD15);
+    // dses-lint: allow(divide-budget) -- backlog_hint's integer divide sizes the workspace once per run, never per job
     ws.reset_fast(hosts, trace.backlog_hint(hosts), needs);
     ws.collector.reset(hosts, cfg, trace.len());
 

@@ -6,8 +6,7 @@
 //! all of them, plus the per-host load shares that Figure 5's
 //! "fraction of load on Host 1" series needs.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dses_dist::par::{available_workers, HelperTask, WorkerPool};
 use dses_dist::{LogHistogram, Moments, OnlineMoments, QuantileSet};
@@ -153,12 +152,12 @@ pub struct MetricsConfig {
     /// Track streaming slowdown percentiles (p50/p90/p95/p99) via the
     /// P² estimator — O(1) memory, no record buffering.
     ///
-    /// A run of at least 8 192 measured jobs on a machine with two or
-    /// more workers hands its estimator pushes to a free pool helper
-    /// through a bounded chunk pipe, whatever `Experiment::threads` says
-    /// (that count sizes a grid's lanes, and a single run is not a grid).
-    /// The estimates are bit for bit those of the inline pushes: one
-    /// thread at a time pushes, in job order (DESIGN.md §13.7).
+    /// A run of at least 16 384 measured jobs on a machine with two or
+    /// more workers hands its estimator pushes to a free pool helper,
+    /// one 16 384-slowdown chunk at a time, whatever `Experiment::threads`
+    /// says (that count sizes a grid's lanes, and a single run is not a
+    /// grid). The estimates are bit for bit those of the inline pushes:
+    /// one thread at a time pushes, in job order (DESIGN.md §13.7).
     pub slowdown_percentiles: bool,
     /// If set, count jobs whose slowdown exceeds this service-level
     /// threshold — "predictable slowdown" (§1.2) as an SLO violation
@@ -215,12 +214,6 @@ impl MetricsConfig {
             collect_records: true,
             ..Self::default()
         }
-    }
-
-    /// Whether any per-job buffering happens (false ⇒ O(1) memory).
-    #[must_use]
-    pub fn buffers_records(&self) -> bool {
-        self.collect_records
     }
 }
 
@@ -511,9 +504,11 @@ impl Collector {
     /// for `expected_jobs` completions (engines pass the trace length so
     /// full-record runs never pay repeated reallocation). Streaming mode
     /// reads the hint only to decide whether the percentile pushes take
-    /// the pipe; without one ([`Collector::new`]) they stay on the
-    /// recording thread. A streaming collector holds nothing per job: its
-    /// state grows with hosts and fairness bins, never with the trace.
+    /// the pipe, which they do when the hint past the warm-up is at least
+    /// one 16 384-slowdown chunk; without one ([`Collector::new`]) they
+    /// stay on the recording thread. A streaming collector holds nothing
+    /// per job: its state grows with hosts and fairness bins (a piped
+    /// run adds two fixed 128 KB chunks), never with the trace.
     #[must_use]
     pub fn with_job_hint(hosts: usize, cfg: MetricsConfig, expected_jobs: usize) -> Self {
         let mut c = Self {
@@ -556,8 +551,9 @@ impl Collector {
     /// collects records; a streaming run reads it only to pick the
     /// percentile route.
     ///
-    /// A run the previous owner abandoned (no `finish`) has its pipe
-    /// closed here, so the pool helper that served it is free again.
+    /// A run the previous owner abandoned (no `finish`) has its pipe's
+    /// last offer settled here, so the pool helper that served it is free
+    /// again.
     ///
     /// Every allocation here is a grow-once site, waived with its
     /// reason; `deny(alloc)` keeps any other out.
@@ -618,12 +614,13 @@ impl Collector {
             }
         }
         if self.percentiles.is_some()
-            && expected_jobs.saturating_sub(cfg.warmup_jobs) >= PIPE_MIN_JOBS
+            && expected_jobs.saturating_sub(cfg.warmup_jobs) >= PIPE_CHUNK
             && available_workers() >= 2
         {
             let pipe = match &mut self.pipe {
-                Some(pipe) => pipe,
-                none => none.insert(PercentilePipe::new()),
+                // a pipe whose helper panicked is rebuilt
+                Some(pipe) if !pipe.pending.is_poisoned() => pipe,
+                other => other.insert(PercentilePipe::new()),
             };
             if let Some(set) = self.percentiles.take() {
                 pipe.start(set);
@@ -631,24 +628,19 @@ impl Collector {
         }
     }
 
-    /// End a piped run: with `drain`, push what is still queued (the
-    /// helper may share the work) and the producer's last partial chunk;
-    /// without, drop them (the run was abandoned). Either way the pipe
-    /// closes, the pool helper is released, and the estimators come back
-    /// to `percentiles`. A panic on the helper re-raises here when
-    /// draining; the panicked consumer took the estimators and a chunk
-    /// with it, so the pipe is rebuilt on its next run.
+    /// End a piped run: with `drain`, push the chunk still on offer (or
+    /// wait for the helper pushing it) and the last partial chunk;
+    /// without, drop them (the run was abandoned). Either way the pool
+    /// helper is released and the estimators come back to
+    /// `percentiles`. A panic on the helper re-raises here when draining.
     fn end_pipe_run(&mut self, drain: bool) {
         let Some(pipe) = self.pipe.as_deref_mut().filter(|p| p.running) else {
             return;
         };
         let (set, outcome) = pipe.end_run(drain);
         self.percentiles = set;
-        if let Err(payload) = outcome {
-            self.pipe = None;
-            if drain {
-                std::panic::resume_unwind(payload);
-            }
+        if let (true, Err(payload)) = (drain, outcome) {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -687,6 +679,7 @@ impl Collector {
             RecordPath::Full => self.record_core::<true, true, true>(rec, inv_size),
             RecordPath::MeansHost => self.record_core::<false, true, false>(rec, inv_size),
             RecordPath::Means => self.record_core::<false, false, false>(rec, inv_size),
+            // dses-lint: allow(divide-budget) -- the opt-in batched tier divides once per 64-record block (lane_stats, merge_block), not per job; no engine default or exhibit takes it
             RecordPath::Batched => self.record_batched(rec, inv_size),
         }
     }
@@ -777,13 +770,8 @@ impl Collector {
     /// without the pipe.
     #[inline(never)]
     fn write_piped(&mut self, s: f64) {
-        let Some(pipe) = self.pipe.as_deref_mut() else {
-            return;
-        };
-        // a withdrawn offer hands the estimators back: push inline from
-        // the next job on
-        if let Some(set) = pipe.write(s) {
-            self.percentiles = Some(set);
+        if let Some(pipe) = self.pipe.as_deref_mut() {
+            pipe.write(s);
         }
     }
 
@@ -875,45 +863,29 @@ impl Collector {
         }
     }
 
-    /// Finish the run.
+    /// Finish the run: [`Collector::finish_into`] a fresh result.
     ///
-    /// Consumes the collector; a piped run's queued slowdowns are pushed
-    /// and, on the batched tier, any partially filled block is flushed
-    /// first. Undemanded fields come out as
-    /// deterministic empties (`None`, zeroed tallies, extrema
-    /// sentinels) regardless of what the config switches asked for.
+    /// Consumes the collector; a piped run's last chunks are pushed and,
+    /// on the batched tier, any partially filled block is flushed first.
+    /// Undemanded fields come out as deterministic empties (`None`,
+    /// zeroed tallies, extrema sentinels) regardless of what the config
+    /// switches asked for.
     #[must_use]
     pub fn finish(mut self) -> SimResult {
-        self.end_pipe_run(true);
-        self.flush_block();
-        let d = self.cfg.demand.normalized();
-        let measured = self.slowdown.count();
-        let mut per_host = std::mem::take(&mut self.per_host);
-        if !d.includes(Demand::PER_HOST) {
-            per_host.iter_mut().for_each(|h| *h = HostStats::default());
-        }
-        SimResult {
-            slowdown: self.demanded_moments(&self.slowdown),
-            queueing_slowdown: self.demanded_moments(&self.queueing_slowdown),
-            response: self.demanded_moments(&self.response),
-            waiting: self.demanded_moments(&self.waiting),
-            per_host,
-            makespan: self.makespan,
-            measured,
-            skipped: self.seen - measured,
-            fairness: self.fairness,
-            short_slowdown: self.eff_split.map(|_| self.short_slowdown.finish()),
-            long_slowdown: self.eff_split.map(|_| self.long_slowdown.finish()),
-            slowdown_percentiles: self.percentiles.map(|p| p.estimates()),
-            slo_violations: self.eff_slo.map(|t| (self.slo_violations, t)),
-            records: self.records,
-        }
+        let mut out = SimResult {
+            // a buffer to swap with, so the records move uncopied
+            records: self.records.as_ref().map(|_| Vec::new()),
+            ..SimResult::empty()
+        };
+        self.finish_into(&mut out);
+        out
     }
 
     /// Finish the run into an existing result, reusing its buffers.
     ///
-    /// Writes exactly what [`Collector::finish`] would return, but keeps
-    /// the collector alive (it is workspace state). The per-host tallies
+    /// The one end-of-run path: [`Collector::finish`] calls it on a fresh
+    /// result. It keeps the collector alive (it is workspace state),
+    /// ready for the next `reset`. The per-host tallies
     /// and record buffer are *moved* into the result by `mem::swap` —
     /// zero copies, zero allocations — so the collector's own copies are
     /// stale afterwards; every engine entry point calls `reset` before
@@ -976,337 +948,143 @@ impl Collector {
     }
 }
 
-/// Slowdowns per chunk the percentile pipe hands over at once.
-const PIPE_CHUNK: usize = 1024;
-/// Queued chunks past which the producer withdraws an offer no helper
-/// has started, and pushes the oldest chunks itself while the helper
-/// sleeps.
-const PIPE_SOFT_BOUND: usize = 4;
-/// Queued chunks at which the producer runs out of buffers: it pushes
-/// chunks itself if the estimators are free, and otherwise (the helper
-/// is mid-chunk) sleeps until the helper has freed half the buffers.
-/// Room for a descheduled helper to fall behind by 32 k slowdowns.
-const PIPE_HARD_BOUND: usize = 32;
-/// Queued chunks at which a sleeping helper is woken: waking it for
-/// every chunk would cost about as much CPU as the wait it saves.
-const PIPE_WAKE: usize = 2;
-/// Measured jobs from which a percentile run takes the pipe: below it,
-/// waking a parked helper costs more than the pushes it takes over
-/// (DESIGN.md §13.7).
-const PIPE_MIN_JOBS: usize = 8_192;
+/// Slowdowns per chunk the percentile pipe hands over at once, and the
+/// measured jobs from which a run takes the pipe: a shorter run would
+/// never hand a chunk off (DESIGN.md §13.7).
+const PIPE_CHUNK: usize = 16_384;
 
 type Chunk = Box<[f64; PIPE_CHUNK]>;
 
-/// What the producer and the helper share, under one lock.
-struct PipeState {
-    /// The estimators while no thread pushes into them. Whoever takes
-    /// them pushes the oldest queued chunks and puts them back, so the
-    /// pushes stay one thread at a time and in job order. `None` while
-    /// chunks are being pushed (or after a consumer panic lost them).
+/// The chunk on offer and the estimators it goes into. Whoever holds the
+/// lock pushes; a poisoned lock means the helper panicked mid-chunk.
+struct Pending {
     set: Option<QuantileSet>,
-    /// Full chunks, oldest first.
-    full: VecDeque<Chunk>,
-    /// Empty chunk buffers.
-    free: Vec<Chunk>,
-    /// A run is in flight: the consumer keeps waiting for chunks.
-    open: bool,
-    /// The consumer panicked mid-chunk; nobody waits for the estimators.
-    failed: bool,
-    /// The consumer is blocked on `changed`: past the soft bound the
-    /// producer does its work instead of waiting for it to wake.
-    consumer_asleep: bool,
-    /// Threads blocked on `changed` (a change with none skips the wake).
-    sleepers: usize,
+    chunk: Chunk,
 }
 
-struct PipeShared {
-    state: Mutex<PipeState>,
-    /// Signalled on the changes of the state a thread may wait for.
-    changed: Condvar,
+/// Lock `pending`, poisoned or not: estimators a panicking push left
+/// half-updated are never read, since the run ends with the panic and
+/// the next one gets a fresh pipe.
+fn lock_pending(pending: &Mutex<Pending>) -> MutexGuard<'_, Pending> {
+    pending.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl PipeState {
-    /// Return every queued chunk's buffer to the free list, unpushed.
-    fn drop_queued(&mut self) {
-        self.free.extend(self.full.drain(..));
-    }
-}
-
-/// Lock the pipe state. No estimator push runs under the lock, so it is
-/// never poisoned by one.
-fn lock_pipe(shared: &PipeShared) -> MutexGuard<'_, PipeState> {
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Wake the threads waiting for a change made under the lock `st`, if
-/// any: `notify_all` with a waiter costs about 5 µs.
-fn signal(shared: &PipeShared, st: &PipeState) {
-    if st.sleepers > 0 {
-        shared.changed.notify_all();
-    }
-}
-
-/// Block until the next change. The caller has checked, under this
-/// lock, that it has nothing to do.
-fn sleep_pipe<'a>(
-    shared: &'a PipeShared,
-    mut st: MutexGuard<'a, PipeState>,
-) -> MutexGuard<'a, PipeState> {
-    st.sleepers += 1;
-    let mut st = shared
-        .changed
-        .wait(st)
-        .unwrap_or_else(PoisonError::into_inner);
-    st.sleepers -= 1;
-    st
-}
-
-/// Take the estimators and push the oldest queued chunks, in order and
-/// outside the lock, until at most `keep` remain; then put the
-/// estimators back. Each buffer returns to the free list as soon as its
-/// chunk is pushed; the producer, if it sleeps for buffers, is woken
-/// once half of them are free.
-fn push_chunks<'a>(
-    shared: &'a PipeShared,
-    mut st: MutexGuard<'a, PipeState>,
-    keep: usize,
-) -> MutexGuard<'a, PipeState> {
-    let Some(mut set) = st.set.take() else {
-        return st;
-    };
-    let on_unwind = LostOnUnwind(shared);
-    while st.full.len() > keep {
-        let Some(chunk) = st.full.pop_front() else {
-            break;
-        };
-        drop(st);
-        for &s in chunk.iter() {
+/// Push `values` into the estimators, in order, if a run lent them.
+fn push_all(set: &mut Option<QuantileSet>, values: &[f64]) {
+    if let Some(set) = set {
+        for &s in values {
             set.push(s);
         }
-        st = lock_pipe(shared);
-        st.free.push(chunk);
-        if st.free.len() == PIPE_HARD_BOUND / 2 {
-            signal(shared, &st);
-        }
-    }
-    drop(on_unwind);
-    st.set = Some(set);
-    signal(shared, &st);
-    st
-}
-
-/// Marks the pipe failed if a push unwinds, so no thread waits for the
-/// estimators the panic took with it.
-struct LostOnUnwind<'a>(&'a PipeShared);
-
-impl Drop for LostOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut st = lock_pipe(self.0);
-            st.failed = true;
-            signal(self.0, &st);
-        }
     }
 }
 
-/// The helper's side of the pipe: push queued chunks, oldest first,
-/// whenever the estimators are free, until the run ends; sleep while
-/// there is nothing to push.
-fn consume(shared: &PipeShared) {
-    let mut st = lock_pipe(shared);
-    while st.open {
-        if st.set.is_some() && !st.full.is_empty() {
-            st = push_chunks(shared, st, 0);
-        } else {
-            st.consumer_asleep = true;
-            st = sleep_pipe(shared, st);
-            st.consumer_asleep = false;
-        }
-    }
-}
-
-/// Whether the current run's helper task is still on offer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Offer {
-    /// nothing on offer: no run, or the offer was claimed back unstarted
-    None,
-    /// offered and not yet claimed back
-    Out,
-    /// a helper started it (a claim-back said so): wait for it at the end
-    Taken,
-}
-
-/// The full collector's percentile pipe (DESIGN.md §13.7): the recording
-/// thread writes each measured slowdown into a fixed chunk, full chunks
-/// queue up, and a free pool helper — or the producer itself, while the
-/// helper is away — pushes them in order.
+/// The full collector's percentile pipe (DESIGN.md §13.7), a double
+/// buffer: the recording thread fills `chunk` while a free pool helper
+/// pushes the previous one, `pending`'s, so at most one chunk is ever on
+/// offer.
 struct PercentilePipe {
-    shared: Arc<PipeShared>,
-    /// The consumer, offered to the pool once per run.
+    pending: Arc<Mutex<Pending>>,
+    /// Pushes the pending chunk; offered to the pool once per hand-off.
     task: HelperTask,
-    /// The chunk the producer is filling.
+    /// The chunk the recording thread is filling.
     chunk: Chunk,
     fill: usize,
     /// A piped run is in flight (between `start` and `end_run`).
     running: bool,
-    offer: Offer,
+    /// `task` is on offer and not yet settled.
+    offered: bool,
 }
 
 impl PercentilePipe {
-    /// Build the shared state, `PIPE_HARD_BOUND + 2` chunk buffers (the
-    /// producer's, a full queue, and the helper's) and the pool task,
-    /// once per collector.
+    /// Build the two chunk buffers and the pool task, once per collector.
     fn new() -> Box<Self> {
         // dses-lint: allow(no-alloc-transitive) -- grow-once: Collector::reset builds the pipe on its first piped run, then re-arms it
         let buffer = || Box::new([0.0; PIPE_CHUNK]);
-        let shared = Arc::new(PipeShared {
-            state: Mutex::new(PipeState {
-                set: None,
-                full: VecDeque::with_capacity(PIPE_HARD_BOUND + 1),
-                free: (0..=PIPE_HARD_BOUND).map(|_| buffer()).collect(),
-                open: false,
-                failed: false,
-                consumer_asleep: false,
-                sleepers: 0,
-            }),
-            changed: Condvar::new(),
-        });
-        let consumer = Arc::clone(&shared);
+        let pending = Arc::new(Mutex::new(Pending {
+            set: None,
+            chunk: buffer(),
+        }));
+        let shared = Arc::clone(&pending);
         Box::new(Self {
-            shared,
-            task: HelperTask::new(move || consume(&consumer)),
+            pending,
+            task: HelperTask::new(move || {
+                let p = &mut *lock_pending(&shared);
+                push_all(&mut p.set, &p.chunk[..]);
+            }),
             chunk: buffer(),
             fill: 0,
             running: false,
-            offer: Offer::None,
+            offered: false,
         })
     }
 
-    /// Lend the pipe the estimators and offer the consumer to a free
-    /// pool helper.
+    /// Lend the pipe the estimators for a run.
     fn start(&mut self, set: QuantileSet) {
-        {
-            let mut st = lock_pipe(&self.shared);
-            st.set = Some(set);
-            st.open = true;
-            st.failed = false;
-        }
-        self.task.offer(WorkerPool::global());
+        lock_pending(&self.pending).set = Some(set);
         self.running = true;
-        self.offer = Offer::Out;
         self.fill = 0;
     }
 
-    /// Queue one measured slowdown; `Some` hands the estimators back
-    /// when the offer was withdrawn (the run pushes inline from then on).
+    /// Buffer one measured slowdown.
     #[inline(always)]
-    fn write(&mut self, s: f64) -> Option<QuantileSet> {
+    fn write(&mut self, s: f64) {
         self.chunk[self.fill] = s;
         self.fill += 1;
         if self.fill == PIPE_CHUNK {
-            self.hand_off()
-        } else {
-            None
+            self.hand_off();
         }
     }
 
-    /// Queue the full chunk and take an empty buffer, then apply the
-    /// bounds: past the soft one, withdraw an offer no helper has
-    /// started (returning the estimators, every queued chunk pushed)
-    /// or push chunks while the helper sleeps; out of buffers, push
-    /// chunks if the estimators are free and otherwise sleep until the
-    /// helper has freed half the buffers.
+    /// Settle the last offer, so its chunk is pushed in full, then make
+    /// the full chunk the pending one and offer it. A helper's panic
+    /// ends the run here.
     #[cold]
     #[inline(never)]
-    fn hand_off(&mut self) -> Option<QuantileSet> {
-        let shared = &*self.shared;
-        let mut st = lock_pipe(shared);
-        if st.free.is_empty() {
-            while !st.failed && st.set.is_none() && st.free.len() < PIPE_HARD_BOUND / 2 {
-                st = sleep_pipe(shared, st);
-            }
-            if st.failed {
-                st.drop_queued();
-            } else if st.set.is_some() && st.free.is_empty() {
-                st = push_chunks(shared, st, PIPE_SOFT_BOUND);
-            }
+    fn hand_off(&mut self) {
+        if let Err(payload) = self.settle(true) {
+            self.running = false;
+            std::panic::resume_unwind(payload);
         }
-        let Some(empty) = st.free.pop() else {
-            unreachable!(
-                "{} buffers: a full queue and the helper's chunk leave one free",
-                PIPE_HARD_BOUND + 2
-            )
-        };
-        st.full.push_back(std::mem::replace(&mut self.chunk, empty));
+        std::mem::swap(&mut self.chunk, &mut lock_pending(&self.pending).chunk);
         self.fill = 0;
-        if st.full.len() >= PIPE_WAKE {
-            signal(shared, &st);
-        }
-        if st.full.len() <= PIPE_SOFT_BOUND {
-            return None;
-        }
-        if self.offer == Offer::Out {
-            if self.task.claim_back(WorkerPool::global()) {
-                // no helper came: push what is queued and go inline
-                self.offer = Offer::None;
-                self.running = false;
-                st.open = false;
-                st = push_chunks(shared, st, 0);
-                return st.set.take();
-            }
-            self.offer = Offer::Taken;
-        }
-        if st.set.is_some() && st.consumer_asleep {
-            drop(push_chunks(shared, st, PIPE_SOFT_BOUND));
-        }
-        None
+        self.task.offer(WorkerPool::global());
+        self.offered = true;
     }
 
-    /// End the run (see `Collector::end_pipe_run`): claim back an offer
-    /// nobody started, push or drop what is queued, close the pipe, wait
-    /// for a helper that has the task, and return the estimators with
-    /// the helper's outcome.
+    /// End the last offer: claim it back if no helper started it (and,
+    /// with `push`, push its chunk on this thread), or else wait for the
+    /// helper and return how its task ended.
+    fn settle(&mut self, push: bool) -> std::thread::Result<()> {
+        if !std::mem::take(&mut self.offered) {
+            return Ok(());
+        }
+        if !self.task.claim_back(WorkerPool::global()) {
+            return self.task.wait();
+        }
+        if push {
+            let p = &mut *lock_pending(&self.pending);
+            push_all(&mut p.set, &p.chunk[..]);
+        }
+        Ok(())
+    }
+
+    /// End the run (see `Collector::end_pipe_run`): settle the offer,
+    /// with `drain` push the pending and the partial chunk, and return
+    /// the estimators with the helper's outcome.
     fn end_run(&mut self, drain: bool) -> (Option<QuantileSet>, std::thread::Result<()>) {
-        let helper_has_task = match self.offer {
-            Offer::Out => !self.task.claim_back(WorkerPool::global()),
-            Offer::Taken => true,
-            Offer::None => false,
-        };
-        let shared = &*self.shared;
-        let mut st = lock_pipe(shared);
-        while drain && !st.failed && (st.set.is_none() || !st.full.is_empty()) {
-            st = if st.set.is_some() {
-                push_chunks(shared, st, 0)
-            } else {
-                // the helper is pushing
-                sleep_pipe(shared, st)
-            };
+        let outcome = self.settle(drain);
+        let mut p = lock_pending(&self.pending);
+        if drain && outcome.is_ok() {
+            push_all(&mut p.set, &self.chunk[..self.fill]);
         }
-        st.open = false;
-        st.drop_queued();
-        signal(shared, &st);
-        drop(st);
-        let outcome = if helper_has_task {
-            self.task.wait()
-        } else {
-            Ok(())
-        };
-        self.offer = Offer::None;
         self.running = false;
-        let mut set = lock_pipe(shared).set.take();
-        if let Some(set) = set.as_mut().filter(|_| drain) {
-            for &s in &self.chunk[..self.fill] {
-                set.push(s);
-            }
-        }
-        self.fill = 0;
-        (set, outcome)
+        (p.set.take(), outcome)
     }
 }
 
 impl Drop for PercentilePipe {
-    /// Close a run nobody finished, so the helper serving it returns to
-    /// the pool instead of waiting for chunks forever.
+    /// Settle the offer of a run nobody finished, so the helper serving
+    /// it returns to the pool.
     fn drop(&mut self) {
         if self.running {
             let _ = self.end_run(false);
@@ -1318,7 +1096,7 @@ impl std::fmt::Debug for PercentilePipe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PercentilePipe")
             .field("running", &self.running)
-            .field("offer", &self.offer)
+            .field("offered", &self.offered)
             .field("fill", &self.fill)
             .finish_non_exhaustive()
     }
@@ -1807,7 +1585,8 @@ mod pipe_tests {
     #[test]
     fn a_long_percentile_run_takes_the_pipe_when_a_second_worker_exists() {
         let _helper = pool_helper();
-        let recs = records(12_000);
+        // two whole chunks and part of a third after the warm-up
+        let recs = records(100 + 2 * PIPE_CHUNK + 500);
         let cfg = percentile_cfg();
         let mut c = Collector::with_job_hint(4, cfg, recs.len());
         assert_eq!(running(&c), available_workers() >= 2);
@@ -1818,7 +1597,7 @@ mod pipe_tests {
         assert_same_bits(&piped, &inline(cfg, &recs));
         assert!(piped.slowdown_percentiles.is_some());
         // short runs, and runs that do not track percentiles, never pipe
-        let short = Collector::with_job_hint(4, cfg, PIPE_MIN_JOBS + cfg.warmup_jobs - 1);
+        let short = Collector::with_job_hint(4, cfg, PIPE_CHUNK + cfg.warmup_jobs - 1);
         assert!(!running(&short));
         let untracked = Collector::with_job_hint(
             4,
@@ -1837,25 +1616,20 @@ mod pipe_tests {
         if available_workers() < 2 {
             return;
         }
-        let recs = records(12_000);
+        let recs = records(100 + 3 * PIPE_CHUNK);
         let mut c = Collector::with_job_hint(4, percentile_cfg(), recs.len());
         assert!(running(&c));
-        // two chunks: below the soft bound, so only a helper empties the
-        // queue
+        // two chunks: the second is on offer when the collector goes
         for &r in &recs[..100 + 2 * PIPE_CHUNK] {
             c.record(r);
         }
-        let shared = Arc::clone(&c.pipe.as_ref().expect("piped run").shared);
-        assert!(
-            eventually(|| lock_pipe(&shared).full.is_empty()),
-            "a pool helper takes the consumer"
-        );
-        let state = Arc::downgrade(&shared);
-        drop(shared);
+        let pipe = c.pipe.as_ref().expect("piped run");
+        assert!(pipe.offered);
+        let state = Arc::downgrade(&pipe.pending);
         drop(c);
         assert!(
             eventually(|| state.upgrade().is_none()),
-            "the helper lets go of the closed pipe"
+            "the helper lets go of the pending chunk"
         );
         // both workers of a two-worker batch meet: the helper is free
         let met = Arc::new(AtomicUsize::new(0));
@@ -1872,10 +1646,11 @@ mod pipe_tests {
     #[test]
     fn a_reset_after_an_abandoned_run_gives_the_fresh_result() {
         let _helper = pool_helper();
-        let recs = records(12_000);
+        let recs = records(2 * PIPE_CHUNK + 1_000);
         let cfg = percentile_cfg();
         let mut reused = Collector::with_job_hint(4, cfg, recs.len());
-        for &r in &recs[..7_000] {
+        // abandoned with one chunk on offer and a partial one
+        for &r in &recs[..PIPE_CHUNK + 7_000] {
             reused.record(r);
         }
         let next = MetricsConfig {

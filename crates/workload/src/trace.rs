@@ -208,24 +208,6 @@ impl Trace {
         self.sizes.iter().map(|&s| 1.0 / s).collect()
     }
 
-    /// Split into (first half, second half) by arrival order — the paper
-    /// fits cutoffs on one half of the trace and evaluates on the other
-    /// (§4.1).
-    #[must_use]
-    pub fn split_half(&self) -> (Trace, Trace) {
-        let mid = self.len() / 2;
-        let first = self.truncate(mid);
-        // re-zero the second half's clock so both halves start at t ≈ 0
-        let offset = self.arrivals.get(mid).map_or(0.0, |&a| a);
-        let arrivals = self.arrivals[mid..]
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| Job::checked_arrival(i as u64, a - offset))
-            .collect();
-        let second = Trace::from_columns(arrivals, self.sizes[mid..].into());
-        (first, second)
-    }
-
     /// Return a copy with every interarrival time multiplied by `factor`
     /// (> 0). This is the paper's §6 operation: take the (bursty)
     /// empirical arrival sequence and scale it to produce a target load,
@@ -343,17 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn split_half_preserves_jobs_and_rezeros() {
-        let t = toy();
-        let (a, b) = t.split_half();
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.arrivals(), [0.0, 2.0]);
-        assert_eq!(b.sizes(), [2.0, 1.0]);
-        assert_eq!(b.job(1), Job::new(1, 2.0, 1.0));
-    }
-
-    #[test]
     fn scaling_interarrivals_scales_load() {
         let t = toy();
         let slow = t.scale_interarrivals(2.0).unwrap();
@@ -446,13 +417,6 @@ mod tests {
 }
 
 impl Trace {
-    /// Keep only jobs whose size lies in `(lo, hi]` — e.g. to study one
-    /// SITA band of a real trace in isolation.
-    #[must_use]
-    pub fn filter_sizes(&self, lo: f64, hi: f64) -> Trace {
-        Trace::new(self.jobs().filter(|j| j.size > lo && j.size <= hi).collect())
-    }
-
     /// Keep only jobs arriving in `[t0, t1)`, re-zeroing the clock — e.g.
     /// to cut a month out of a year-long SWF log.
     #[must_use]
@@ -488,14 +452,6 @@ mod manipulation_tests {
     }
 
     #[test]
-    fn filter_sizes_is_half_open() {
-        let t = toy().filter_sizes(1.0, 10.0);
-        // keeps sizes in (1, 10]: 10, 3, 10
-        assert_eq!(t.len(), 3);
-        assert!(t.sizes().iter().all(|&s| s > 1.0 && s <= 10.0));
-    }
-
-    #[test]
     fn window_rezeros_clock() {
         let t = toy().window(2.0, 6.0);
         assert_eq!(t.len(), 2);
@@ -517,16 +473,5 @@ mod manipulation_tests {
         assert_eq!(m.arrivals(), [1.0, 3.0, 5.0]);
         let ids: Vec<u64> = m.jobs().map(|j| j.id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn band_of_trace_matches_sita_routing() {
-        // filtering at a cutoff reproduces what a SITA host would see
-        let t = toy();
-        let short = t.filter_sizes(0.0, 3.0);
-        let long = t.filter_sizes(3.0, f64::INFINITY);
-        assert_eq!(short.len() + long.len(), t.len());
-        assert!(short.sizes().iter().all(|&s| s <= 3.0));
-        assert!(long.sizes().iter().all(|&s| s > 3.0));
     }
 }

@@ -11,10 +11,10 @@
 //! either change. No exhibit prints a fairness profile, so these digests
 //! (and perfbench's `wide_full`) are the fairness profile's bit gate.
 //!
-//! A run long enough hands its percentile pushes to a pool helper
-//! through a chunk pipe. The last tests hold piped runs to the same
-//! records pushed inline, on a free helper and with every helper held
-//! busy, which forces the two paths that push on the recording thread.
+//! A run long enough hands its percentile pushes to a pool helper, one
+//! chunk at a time. The last tests hold piped runs to the same records
+//! pushed inline, on a free helper and with every helper held busy,
+//! which forces every chunk back onto the recording thread.
 
 use dses_core::cutoffs::CutoffMethod;
 use dses_core::spec::BuiltPolicy;
@@ -427,13 +427,9 @@ fn a_support_outside_the_default_fairness_range_still_bins_every_job() {
     }
 }
 
-/// Measured jobs from which a run takes the percentile pipe, and the
-/// pipe's chunk length (`crates/sim/src/metrics.rs`).
-const PIPE_MIN_JOBS: usize = 8_192;
-const PIPE_CHUNK: usize = 1_024;
-/// Full chunks the queue may hold before the recording thread withdraws
-/// an offer no helper has started.
-const PIPE_SOFT_BOUND: usize = 4;
+/// The percentile pipe's chunk length, and the measured jobs from which
+/// a run takes the pipe (`crates/sim/src/metrics.rs`).
+const PIPE_CHUNK: usize = 16_384;
 
 /// The full collector's tail as `wide_full` runs it, with `warmup`
 /// jobs discarded.
@@ -451,7 +447,7 @@ fn tail_cfg(warmup: usize) -> MetricsConfig {
 
 /// The records of a C90 LWL run of `warmup + measured` jobs at `hosts`
 /// hosts, and the run's result through the engine (which pipes the
-/// percentiles from `PIPE_MIN_JOBS` measured jobs).
+/// percentiles from `PIPE_CHUNK` measured jobs).
 fn records_and_engine_run(
     hosts: usize,
     warmup: usize,
@@ -505,17 +501,16 @@ fn assert_same_bits(what: &str, a: &SimResult, b: &SimResult) {
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
 }
 
-/// Job counts around the pipe's edges: below and at the threshold, a
-/// whole number of chunks and one job more, each after a short warm-up,
-/// and a warm-up longer than one chunk.
+/// Job counts around the pipe's edges: runs that hand off zero, one and
+/// two whole chunks and one that ends a job past a whole chunk, each
+/// after a short warm-up, and a warm-up longer than one chunk.
 fn edge_cases() -> [(usize, usize); 5] {
-    let chunks = 12 * PIPE_CHUNK;
     [
-        (100, PIPE_MIN_JOBS - 1),
-        (100, PIPE_MIN_JOBS),
-        (100, chunks),
-        (100, chunks + 1),
-        (PIPE_CHUNK + 500, 12_000),
+        (100, PIPE_CHUNK - 1),
+        (100, PIPE_CHUNK),
+        (100, 2 * PIPE_CHUNK),
+        (100, 2 * PIPE_CHUNK + 1),
+        (PIPE_CHUNK + 500, PIPE_CHUNK + 3_000),
     ]
 }
 
@@ -561,13 +556,17 @@ fn hold_every_helper() -> (Arc<AtomicUsize>, std::thread::JoinHandle<()>) {
 
 #[test]
 fn percentile_runs_with_every_helper_busy_push_on_the_recording_thread() {
-    // the records first, while the pool is free
-    let withdrawn_at_the_soft_bound = [
-        (2, 100, PIPE_MIN_JOBS),
-        (8, PIPE_CHUNK + 500, 12_000),
-        (64, 100, 12 * PIPE_CHUNK + 1),
+    // Engine runs whose offers no helper can start: each hand-off claims
+    // the last offer back and pushes its chunk on the recording thread,
+    // and `finish` claims back the last one. They hand off one, two and
+    // three chunks.
+    let engine_runs = [
+        (2, 100, PIPE_CHUNK + 500),
+        (8, PIPE_CHUNK + 500, 2 * PIPE_CHUNK),
+        (64, 100, 3 * PIPE_CHUNK + 1),
     ];
-    let runs: Vec<_> = withdrawn_at_the_soft_bound
+    // the records first, while the pool is free
+    let runs: Vec<_> = engine_runs
         .iter()
         .map(|&(hosts, warmup, measured)| {
             (
@@ -577,12 +576,11 @@ fn percentile_runs_with_every_helper_busy_push_on_the_recording_thread() {
             )
         })
         .collect();
-    // A run with a job hint past the threshold that ends before its
-    // queue passes the soft bound: `finish` claims the unstarted offer
-    // back and pushes the queue itself.
-    let short = (PIPE_SOFT_BOUND + 1) * PIPE_CHUNK - 1;
-    let claimed_back_at_finish = [(8, 100, short), (64, 0, PIPE_SOFT_BOUND * PIPE_CHUNK)];
-    let short_runs: Vec<_> = claimed_back_at_finish
+    // Collectors whose job hint overstates their run: they take the pipe,
+    // but the run ends before a chunk fills, so nothing is ever offered
+    // and `finish` pushes the partial chunk.
+    let overstated = [(8, 100, PIPE_CHUNK - 1), (64, 0, PIPE_CHUNK / 2)];
+    let short_runs: Vec<_> = overstated
         .iter()
         .map(|&(hosts, warmup, measured)| {
             (
@@ -593,23 +591,21 @@ fn percentile_runs_with_every_helper_busy_push_on_the_recording_thread() {
         })
         .collect();
     let (release, holder) = hold_every_helper();
-    // every other path pushes on the recording thread: the engine run
-    // (whose offer no helper can start) is withdrawn at the soft bound
-    let results: Vec<_> = withdrawn_at_the_soft_bound
+    let results: Vec<_> = engine_runs
         .iter()
         .map(|&(hosts, warmup, measured)| {
             (
-                format!("h = {hosts}, {warmup} + {measured} jobs, withdrawn"),
+                format!("h = {hosts}, {warmup} + {measured} jobs, claimed back"),
                 records_and_engine_run(hosts, warmup, measured).1,
             )
         })
         .chain(short_runs.iter().map(|(hosts, warmup, records)| {
             (
                 format!(
-                    "h = {hosts}, {warmup} + {} jobs, claimed back",
+                    "h = {hosts}, {warmup} + {} jobs, never offered",
                     records.len() - warmup
                 ),
-                collect(*hosts, *warmup, PIPE_MIN_JOBS + warmup, records),
+                collect(*hosts, *warmup, PIPE_CHUNK + warmup, records),
             )
         }))
         .collect();

@@ -11,7 +11,9 @@
 //! the generic loop's views, FIFO deques and expiry heap all live in
 //! the grow-once workspace. The batched tier's SoA lanes are a grow-once
 //! boxed block owned by the collector; once built they are reused
-//! forever.
+//! forever, as are the percentile pipe's two chunks and pool task, which
+//! a long percentile run hands its P² pushes through (the count is
+//! process-wide, so the pool helper's allocations enter it too).
 //!
 //! This gate lives in its own test binary: the default harness runs a
 //! binary's tests on multiple threads, and any concurrent test would
@@ -193,27 +195,46 @@ fn steady_state_collector_tiers_do_not_allocate() {
         ));
         for (name, mut policy, trace) in runs {
             for (tier, cfg) in &tiers {
-                // warm-up run grows every buffer (and the block lanes) to
-                // this shape
-                simulate_dispatch_into(trace, hosts, policy.as_mut(), 1, *cfg, &mut ws, &mut out);
-                let (_, allocs) = alloc_count_of(|| {
-                    for seed in 2..6 {
-                        simulate_dispatch_into(
-                            trace,
-                            hosts,
-                            policy.as_mut(),
-                            seed,
-                            *cfg,
-                            &mut ws,
-                            &mut out,
-                        );
-                    }
-                });
-                assert_eq!(
-                    allocs, 0,
-                    "{name}: {tier} tier allocated in steady state at h={hosts}"
+                let what = format!("{name}: {tier} tier at h={hosts}");
+                assert_steady(
+                    &what,
+                    trace,
+                    hosts,
+                    policy.as_mut(),
+                    *cfg,
+                    &mut ws,
+                    &mut out,
                 );
             }
         }
     }
+    // The percentile pipe: a full+tail run of 40 000 jobs hands two whole
+    // 16 384-slowdown chunks to a pool helper and ends with part of a
+    // third, through the static kernel and the work-left kernel.
+    let piped = dses_workload::psc_c90().trace(40_000, 0.7, 8, 23);
+    for spec in [PolicySpec::SitaE, PolicySpec::LeastWorkLeft] {
+        let mut policy = build(&spec, piped.arrival_rate(), 8);
+        let what = format!("{}: piped full+tail tier at h=8", spec.name());
+        assert_steady(&what, &piped, 8, policy.as_mut(), tail, &mut ws, &mut out);
+    }
+}
+
+/// A warm-up run grows every buffer (the block lanes, the pipe's chunks)
+/// to this shape; four more runs must then allocate nothing.
+fn assert_steady(
+    what: &str,
+    trace: &Trace,
+    hosts: usize,
+    policy: &mut dyn Dispatcher,
+    cfg: MetricsConfig,
+    ws: &mut SimWorkspace,
+    out: &mut SimResult,
+) {
+    simulate_dispatch_into(trace, hosts, policy, 1, cfg, ws, out);
+    let (_, allocs) = alloc_count_of(|| {
+        for seed in 2..6 {
+            simulate_dispatch_into(trace, hosts, policy, seed, cfg, ws, out);
+        }
+    });
+    assert_eq!(allocs, 0, "{what}: allocated in steady state");
 }

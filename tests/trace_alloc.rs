@@ -112,7 +112,7 @@ fn a_sweep_allocates_one_arrival_column_per_load() {
 fn a_streaming_full_collector_allocates_nothing_per_job() {
     let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // the full tier: fairness bins, a class split, an SLO and percentiles
-    // (which take the pool helper's pipe from 8 192 measured jobs)
+    // (which take the pool helper's pipe from 16 384 measured jobs)
     let cfg = MetricsConfig {
         fairness_bins: 12,
         split_cutoff: Some(1_000.0),
