@@ -95,11 +95,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # workspaces, demand monomorphism). Exits nonzero on any unwaived
 # finding; waivers are inline and carry reasons. Bit identity between
 # paired kernels is the runtime gates' job (`tests/kernels.rs` and the
-# digest gates above), not the linter's. The tool must stay cheap
-# enough to run on every build — the linter runs its tiers on threads,
-# so the three-tier pass gets a 20 s budget.
+# digest gates above), not the linter's. The linter itself only warns
+# on a waiver that suppresses nothing; here any warning fails too, so a
+# deleted path cannot leave a stale waiver behind. The tool must stay
+# cheap enough to run on every build — the linter runs its tiers on
+# threads, so the three-tier pass gets a 20 s budget.
 lint_start=$SECONDS
-cargo run --release -q -p dses-lint -- --workspace --semantic --dataflow
+lint_out=$(cargo run --release -q -p dses-lint -- --workspace --semantic --dataflow) || {
+    echo "$lint_out"
+    exit 1
+}
+echo "$lint_out"
+if ! grep -q ' 0 error(s), 0 warning(s),' <<<"$lint_out"; then
+    echo "ci: the three-tier lint reported warnings" >&2
+    exit 1
+fi
 lint_elapsed=$((SECONDS - lint_start))
 echo "ci: three-tier lint took ${lint_elapsed}s"
 if [ "$lint_elapsed" -gt 20 ]; then

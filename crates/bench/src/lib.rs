@@ -18,8 +18,9 @@ use dses_workload::WorkloadPreset;
 /// when the flag is absent — means one worker per available core.
 /// Exhibits are bit-for-bit identical for every value; the flag only
 /// changes wall-clock time. Any other argument, a missing value or one
-/// that is not a non-negative integer is an error naming it. The first
-/// `--threads` wins.
+/// that is not a non-negative integer is an error naming it, and so is
+/// a value above 256: a fan-out starts up to `threads − 1` pool threads
+/// at once. The first `--threads` wins.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<usize, String> {
     let mut threads = None;
     let mut args = args.into_iter();
@@ -36,6 +37,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<usize, Stri
         let n = value.parse().map_err(|_| {
             format!("invalid --threads value {value:?}; expected a non-negative integer")
         })?;
+        if n > MAX_THREADS {
+            return Err(format!("--threads must be at most {MAX_THREADS}, got {n}"));
+        }
         threads.get_or_insert(n);
     }
     Ok(threads.unwrap_or(0))
@@ -62,6 +66,9 @@ pub fn threads_arg() -> usize {
 }
 
 static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+
+/// The largest `--threads` value [`parse_args`] accepts.
+const MAX_THREADS: usize = 256;
 
 /// The worker count [`threads_arg`] resolves to (`0` → all cores).
 #[must_use]
@@ -164,6 +171,7 @@ mod tests {
         assert_eq!(args(&[]), Ok(0));
         assert_eq!(args(&["--threads", "3"]), Ok(3));
         assert_eq!(args(&["--threads=0"]), Ok(0));
+        assert_eq!(args(&["--threads", "256"]), Ok(256));
         assert_eq!(
             args(&["--threads=2", "--threads", "5"]),
             Ok(2),
@@ -177,6 +185,8 @@ mod tests {
             (&["--threads", "-1"], "\"-1\""),
             (&["--threads=x"], "\"x\""),
             (&["--threads"], "--threads needs a value"),
+            (&["--threads", "257"], "--threads must be at most 256"),
+            (&["--threads=5000"], "got 5000"),
         ] {
             let err = args(bad).expect_err("rejected");
             assert!(err.contains(named), "{bad:?}: {err}");

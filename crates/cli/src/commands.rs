@@ -221,6 +221,71 @@ fn hosts_and_load(args: &Args) -> Result<(usize, f64), ArgError> {
     Ok((hosts(args)?, load(args)?))
 }
 
+/// `--jobs` (default 100 000).
+fn jobs(args: &Args) -> Result<usize, ArgError> {
+    args.get_usize("jobs", 100_000)
+}
+
+/// The most worker threads `--threads` may ask for. A grid or a set of
+/// replications starts up to `threads − 1` pool threads at once, so an
+/// unbounded value could ask the system for thousands of them.
+const MAX_THREADS: usize = 256;
+
+/// `--threads` (default 0, one worker per core), at most
+/// [`MAX_THREADS`].
+fn threads(args: &Args) -> Result<usize, ArgError> {
+    let threads = args.get_usize("threads", 0)?;
+    if threads > MAX_THREADS {
+        return Err(ArgError(format!(
+            "--threads must be at most {MAX_THREADS}, got {threads}"
+        )));
+    }
+    Ok(threads)
+}
+
+/// The coarsest step of the arrival clock a run may take, as a share of
+/// its smallest job. Past it, a response time (completion − arrival)
+/// keeps fewer digits than the four significant ones the CLI prints, so
+/// a slowdown can read 0 or below 1; far past it, the arrival times
+/// overflow and the trace cannot be built at all.
+const CLOCK_RESOLUTION: f64 = 1e-4;
+
+/// Reject a run whose last arrival, near `horizon` seconds, falls where
+/// one ulp of the arrival clock exceeds [`CLOCK_RESOLUTION`] of the
+/// smallest job, `min_size` seconds. `what` names the flag that set the
+/// horizon.
+fn check_clock(what: &str, horizon: f64, min_size: f64) -> Result<(), ArgError> {
+    let step = horizon.next_up() - horizon;
+    if step <= CLOCK_RESOLUTION * min_size {
+        return Ok(());
+    }
+    Err(ArgError(if horizon.is_finite() {
+        format!(
+            "{what} puts the last arrival near {} s, where the arrival clock steps by {} s, more than {CLOCK_RESOLUTION:e} of the smallest job ({} s)",
+            fmt_num(horizon),
+            fmt_num(step),
+            fmt_num(min_size)
+        )
+    } else {
+        format!("{what} puts the last arrival past the largest finite time")
+    }))
+}
+
+/// [`check_clock`] for a preset run at load `rho`, before any trace is
+/// built: `jobs` Poisson arrivals at load ρ on h hosts end near
+/// `jobs·E[X]/(ρ·h)`, and the preset's support starts at its smallest
+/// job.
+fn check_preset_clock(
+    args: &Args,
+    experiment: &Experiment<Mixture>,
+    flag: &str,
+    rho: f64,
+) -> Result<(), ArgError> {
+    let d = experiment.dist();
+    let horizon = jobs(args)? as f64 * d.mean() / (rho * experiment.num_hosts() as f64);
+    check_clock(&format!("--{flag} {rho:?}"), horizon, d.support().0)
+}
+
 /// Warm-up must leave jobs to measure: a run that discards every job
 /// reports zeros, not a result.
 fn check_warmup(warmup: usize, jobs: usize) -> Result<(), ArgError> {
@@ -236,7 +301,7 @@ fn check_warmup(warmup: usize, jobs: usize) -> Result<(), ArgError> {
 /// `--hosts`, `--jobs`, `--warmup` and `--seed`.
 fn experiment_from(args: &Args) -> Result<Experiment<Mixture>, ArgError> {
     let preset = names::workload(args.get_or("workload", "c90"))?;
-    let jobs = args.get_usize("jobs", 100_000)?;
+    let jobs = jobs(args)?;
     let warmup = args.get_usize("warmup", 1_000)?;
     check_warmup(warmup, jobs)?;
     Ok(Experiment::new(preset.size_dist.clone())
@@ -320,6 +385,7 @@ fn simulate(args: &Args) -> Result<String, ArgError> {
         None => experiment,
     };
     let load = load(args)?;
+    check_preset_clock(args, &experiment, "load", load)?;
     let spec = names::policy(args.get_or("policy", "sita-u-fair"))?;
     let result = experiment
         .try_run(&spec, load)
@@ -368,9 +434,12 @@ fn analyze(args: &Args) -> Result<String, ArgError> {
 }
 
 fn sweep(args: &Args) -> Result<String, ArgError> {
-    let experiment = experiment_from(args)?.threads(args.get_usize("threads", 0)?);
+    let experiment = experiment_from(args)?.threads(threads(args)?);
     let specs = names::policy_list(args.get_or("policies", "random,lwl,sita-e,sita-u-fair"))?;
     let loads = loads(args)?;
+    for &rho in &loads {
+        check_preset_clock(args, &experiment, "loads", rho)?;
+    }
     // The whole policy × load grid fans out over --threads workers with
     // one shared trace per load; failed points carry NaN, which fmt_num
     // renders as "-" exactly like the old per-run loop did.
@@ -394,8 +463,9 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
 }
 
 fn replicate(args: &Args) -> Result<String, ArgError> {
-    let experiment = experiment_from(args)?.threads(args.get_usize("threads", 0)?);
+    let experiment = experiment_from(args)?.threads(threads(args)?);
     let load = load(args)?;
+    check_preset_clock(args, &experiment, "load", load)?;
     let specs = names::policy_list(args.get_or("policies", "lwl,sita-e,sita-u-fair"))?;
     let reps = args.get_usize("reps", 5)?;
     if reps == 0 {
@@ -520,9 +590,15 @@ fn swf_cmd(args: &Args) -> Result<String, ArgError> {
     }
     let (hosts, load) = hosts_and_load(args)?;
     let trace: Trace = match args.get("load") {
-        Some(text) => trace
-            .scale_to_load(hosts, load)
-            .map_err(|e| ArgError(format!("cannot scale {path} to --load {text}: {e}")))?,
+        Some(text) => {
+            let scaled = trace
+                .scale_to_load(hosts, load)
+                .map_err(|e| ArgError(format!("cannot scale {path} to --load {text}: {e}")))?;
+            let smallest = scaled.sizes().iter().copied().fold(f64::INFINITY, f64::min);
+            let last = scaled.arrivals().last().copied().unwrap_or(0.0);
+            check_clock(&format!("--load {text}"), last, smallest)?;
+            scaled
+        }
         None => trace,
     };
     let warmup = args.get_usize("warmup", 0)?;
@@ -778,6 +854,59 @@ mod tests {
             assert_rejected(&[cmd, "--hosts", "0"], "--hosts");
         }
         assert_rejected(&["swf", "--file", &path, "--hosts", "0"], "--hosts");
+    }
+
+    #[test]
+    fn a_load_too_small_for_the_arrival_clock_is_rejected() {
+        // at 1e-300 the last arrival overflows, and at 1e-20 the arrival
+        // clock steps by far more than a job's size, so a slowdown read 0
+        // (or below 1 on an SWF log); the preset check runs before any
+        // trace is built
+        for load in ["1e-300", "1e-20"] {
+            let run = ["--jobs", "2000", "--warmup", "0"];
+            assert_rejected(
+                &[&["simulate", "--load", load][..], &run].concat(),
+                "--load",
+            );
+            assert_rejected(
+                &[&["replicate", "--load", load, "--reps", "2"][..], &run].concat(),
+                "--load",
+            );
+            let loads = format!("{load},0.5");
+            assert_rejected(
+                &[&["sweep", "--loads", &loads][..], &run].concat(),
+                "--loads",
+            );
+        }
+        let path = swf_file("dses_cli_tiny_load_clock.swf", 200);
+        assert_rejected(
+            &[
+                "swf", "--file", &path, "--hosts", "2", "--policy", "lwl", "--load", "1e-20",
+            ],
+            "--load 1e-20 puts the last arrival near",
+        );
+        // the bound: a 60 s job keeps 1e-4 of its size up to a clock
+        // step of 2^-8 s, which holds below 2^45 s
+        assert_eq!(
+            check_clock("--load", 2f64.powi(45).next_down(), 60.0),
+            Ok(())
+        );
+        let e = check_clock("--load", 2f64.powi(45), 60.0).unwrap_err().0;
+        assert!(e.contains("steps by 0.008 s"), "{e}");
+    }
+
+    #[test]
+    fn threads_above_the_ceiling_are_rejected() {
+        // the parser alone: no command runs, so no pool thread starts
+        let threads_of =
+            |n: &str| threads(&Args::parse(["sweep", "--threads", n].map(String::from)).unwrap());
+        assert_eq!(threads_of("0"), Ok(0));
+        assert_eq!(threads_of("8"), Ok(8));
+        assert_eq!(threads_of("256"), Ok(256));
+        for n in ["257", "5000"] {
+            let e = threads_of(n).unwrap_err().0;
+            assert!(e.contains("--threads must be at most 256"), "{e}");
+        }
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl<D: Distribution + Clone + 'static> Experiment<D> {
             slowdown_percentiles: self.percentiles,
             slo_slowdown: self.slo_slowdown,
             demand: reads,
-            batched: false,
+            ..MetricsConfig::default()
         }
     }
 

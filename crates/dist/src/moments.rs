@@ -126,48 +126,14 @@ impl OnlineMoments {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        self.merge_block(other.n, other.mean, other.m2, other.min, other.max);
-    }
-
-    /// Merge a finalized block summary — `n` observations with mean
-    /// `mean`, centered second moment `m2 = Σ(x − mean)²`, and extrema —
-    /// without constructing an intermediate accumulator.
-    ///
-    /// This is the back half of block-batched accumulation (DESIGN.md
-    /// §13): the block collector reduces 64 buffered records to
-    /// `(n, mean, m2, min, max)` in vectorizable passes, then folds the
-    /// summary in here with Chan's pairwise-merge update — two divides
-    /// per *block* where per-record Welford would risk one per job.
-    /// Identical in arithmetic to [`OnlineMoments::merge`].
-    pub fn merge_block(&mut self, n: u64, mean: f64, m2: f64, min: f64, max: f64) {
-        if n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = Self { n, mean, m2, min, max };
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = n as f64;
-        let nt = n1 + n2;
-        let delta = mean - self.mean;
-        self.mean += delta * n2 / nt;
-        self.m2 += m2 + delta * delta * n1 * n2 / nt;
-        self.min = self.min.min(min);
-        self.max = self.max.max(max);
-        self.n += n;
-    }
-
     /// Number of observations so far.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.n
     }
 
-    /// Centered second moment `Σ (x − mean)²` — the raw quantity
-    /// [`OnlineMoments::merge_block`] consumes.
+    /// Centered second moment `Σ (x − mean)²`, the raw quantity behind
+    /// [`OnlineMoments::variance`].
     #[must_use]
     pub fn m2(&self) -> f64 {
         self.m2
@@ -287,21 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let a_data = [1.0, 2.0, 3.0, 10.0];
-        let b_data = [4.0, 5.0, 0.5];
-        let mut merged: OnlineMoments = a_data.iter().copied().collect();
-        let b: OnlineMoments = b_data.iter().copied().collect();
-        merged.merge(&b);
-        let all: OnlineMoments = a_data.iter().chain(b_data.iter()).copied().collect();
-        assert_eq!(merged.count(), all.count());
-        assert!((merged.mean() - all.mean()).abs() < 1e-12);
-        assert!((merged.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(merged.min(), all.min());
-        assert_eq!(merged.max(), all.max());
-    }
-
-    #[test]
     fn push_mv_matches_push_on_mean_and_variance() {
         let data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         let mut full = OnlineMoments::new();
@@ -317,48 +268,6 @@ mod tests {
         // extrema intentionally untracked: the empty-stream sentinels
         assert_eq!(mv.min(), f64::INFINITY);
         assert_eq!(mv.max(), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn merge_block_equals_merge() {
-        let a_data = [3.0, 1.0, 4.0];
-        let b_data = [1.0, 5.0, 9.0, 2.0];
-        let mut via_merge: OnlineMoments = a_data.iter().copied().collect();
-        let b: OnlineMoments = b_data.iter().copied().collect();
-        via_merge.merge(&b);
-        let mut via_block: OnlineMoments = a_data.iter().copied().collect();
-        via_block.merge_block(b.count(), b.mean(), b.m2(), b.min(), b.max());
-        assert_eq!(via_block.count(), via_merge.count());
-        assert_eq!(via_block.mean().to_bits(), via_merge.mean().to_bits());
-        assert_eq!(via_block.variance().to_bits(), via_merge.variance().to_bits());
-        assert_eq!(via_block.min(), via_merge.min());
-        assert_eq!(via_block.max(), via_merge.max());
-    }
-
-    #[test]
-    fn merge_block_into_empty_adopts_summary() {
-        let mut om = OnlineMoments::new();
-        om.merge_block(3, 2.0, 8.0, 1.0, 4.0);
-        assert_eq!(om.count(), 3);
-        assert_eq!(om.mean(), 2.0);
-        assert!((om.variance() - 8.0 / 3.0).abs() < 1e-12);
-        assert_eq!(om.min(), 1.0);
-        assert_eq!(om.max(), 4.0);
-        let mut noop = om;
-        noop.merge_block(0, f64::NAN, f64::NAN, f64::NAN, f64::NAN);
-        assert_eq!(noop, om);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let a: OnlineMoments = [1.0, 2.0].iter().copied().collect();
-        let mut b = a;
-        b.merge(&OnlineMoments::new());
-        assert_eq!(a, b);
-        let mut c = OnlineMoments::new();
-        c.merge(&a);
-        assert_eq!(a.mean(), c.mean());
-        assert_eq!(a.count(), c.count());
     }
 
     #[test]

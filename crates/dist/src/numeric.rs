@@ -1,7 +1,7 @@
 //! Numerical routines shared across the workspace.
 //!
-//! Root finding (bisection, Brent), scalar minimisation (golden section),
-//! and quadrature (composite Gauss–Legendre, adaptive Simpson). These are
+//! Root finding (bisection), scalar minimisation (golden section), and
+//! quadrature (composite Gauss–Legendre). These are
 //! used by the distribution default implementations (generic quantiles and
 //! partial moments) and by the SITA cutoff solvers in `dses-queueing`.
 
@@ -77,83 +77,6 @@ pub fn bisect<F: FnMut(f64) -> f64>(
         }
     }
     Ok(0.5 * (lo + hi))
-}
-
-/// Find a root of `f` in `[lo, hi]` by Brent's method.
-///
-/// Faster than bisection on smooth functions, with the same guarantee.
-pub fn brent<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a0: f64,
-    b0: f64,
-    tol: f64,
-) -> Result<f64, NumericError> {
-    let (mut a, mut b) = (a0, b0);
-    let mut fa = f(a);
-    let mut fb = f(b);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() || !fa.is_finite() || !fb.is_finite() {
-        return Err(NumericError::BadBracket { lo: a0, hi: b0 });
-    }
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut d = b - a;
-    let mut mflag = true;
-    for _ in 0..200 {
-        if fb == 0.0 || (b - a).abs() < tol {
-            return Ok(b);
-        }
-        let mut s = if fa != fc && fb != fc {
-            // inverse quadratic interpolation
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // secant
-            b - fb * (b - a) / (fb - fa)
-        };
-        let between = {
-            let lo = (3.0 * a + b) / 4.0;
-            let (lo, hi) = if lo < b { (lo, b) } else { (b, lo) };
-            s > lo && s < hi
-        };
-        let cond = !between
-            || (mflag && (s - b).abs() >= (b - c).abs() / 2.0)
-            || (!mflag && (s - b).abs() >= d.abs() / 2.0)
-            || (mflag && (b - c).abs() < tol)
-            || (!mflag && d.abs() < tol);
-        if cond {
-            s = 0.5 * (a + b);
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-        let fs = f(s);
-        d = b - c;
-        c = b;
-        fc = fb;
-        if fa.signum() != fs.signum() {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Ok(b)
 }
 
 /// Minimise a unimodal function on `[lo, hi]` by golden-section search.
@@ -237,17 +160,6 @@ pub fn gl16_nodes(a: f64, b: f64) -> [(f64, f64); 16] {
     out
 }
 
-/// Integrate `f` over `[a, b]` with a single 16-point Gauss–Legendre rule.
-pub fn gauss_legendre_16<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64) -> f64 {
-    let c = 0.5 * (a + b);
-    let h = 0.5 * (b - a);
-    let mut acc = 0.0;
-    for i in 0..8 {
-        acc += GL16_W[i] * (f(c + h * GL16_X[i]) + f(c - h * GL16_X[i]));
-    }
-    acc * h
-}
-
 /// Integrate `f` over `[a, b]` with a composite 16-point Gauss–Legendre
 /// rule over `panels` equal panels. Exact for polynomials of degree ≤ 31
 /// per panel; `panels = 64` is ample for every integrand in this workspace.
@@ -278,7 +190,7 @@ pub(crate) fn integrate_lanes<const N: usize, F: FnMut(f64, &mut [f64; N])>(
     let w = (b - a) / panels as f64;
     let (mut up, mut down) = ([0.0; N], [0.0; N]);
     for i in 0..panels {
-        // one `gauss_legendre_16` panel per lane
+        // one 16-point Gauss–Legendre panel per lane
         let lo = a + w * i as f64;
         let hi = lo + w;
         let c = 0.5 * (lo + hi);
@@ -296,52 +208,6 @@ pub(crate) fn integrate_lanes<const N: usize, F: FnMut(f64, &mut [f64; N])>(
         }
     }
     acc
-}
-
-/// Adaptive Simpson quadrature with absolute tolerance `tol`.
-///
-/// Used where the integrand may be sharply peaked (e.g. densities of
-/// high-variance lognormals).
-pub fn adaptive_simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> f64 {
-    fn simpson(fa: f64, fm: f64, fb: f64, a: f64, b: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-    #[allow(clippy::too_many_arguments)] // textbook adaptive-Simpson state
-    fn recurse<F: FnMut(f64) -> f64>(
-        f: &mut F,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: u32,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = simpson(fa, flm, fm, a, m);
-        let right = simpson(fm, frm, fb, m, b);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-        }
-    }
-    if a == b {
-        return 0.0;
-    }
-    let fa = f(a);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let fb = f(b);
-    let whole = simpson(fa, fm, fb, a, b);
-    recurse(&mut f, a, b, fa, fm, fb, whole, tol, 40)
 }
 
 #[cfg(test)]
@@ -369,18 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn brent_matches_bisect_but_faster_functions() {
-        let r = brent(|x| x.cos() - x, 0.0, 1.0, 1e-13).unwrap();
-        assert!((r - 0.739_085_133_215_160_6).abs() < 1e-9, "r = {r}");
-    }
-
-    #[test]
-    fn brent_on_cubic() {
-        let r = brent(|x| (x - 3.0) * (x * x + 1.0), 0.0, 10.0, 1e-13).unwrap();
-        assert!((r - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn golden_section_finds_parabola_min() {
         let x = golden_section_min(|x| (x - 1.7) * (x - 1.7) + 3.0, -10.0, 10.0, 1e-10);
         assert!((x - 1.7).abs() < 1e-7, "x = {x}");
@@ -394,8 +248,8 @@ mod tests {
 
     #[test]
     fn gauss_legendre_exact_on_polynomials() {
-        // degree-9 polynomial is integrated exactly by a 16-point rule
-        let val = gauss_legendre_16(|x| 10.0 * x.powi(9) + x.powi(4), 0.0, 1.0);
+        // degree-9 polynomial is integrated exactly by one 16-point panel
+        let val = integrate(|x| 10.0 * x.powi(9) + x.powi(4), 0.0, 1.0, 1);
         assert!((val - (1.0 + 0.2)).abs() < 1e-12);
     }
 
@@ -406,15 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_simpson_on_peaked_function() {
-        // integral of 1/sqrt(x) on (0,1] is 2; start slightly above 0
-        let val = adaptive_simpson(|x| 1.0 / x.sqrt(), 1e-12, 1.0, 1e-10);
-        assert!((val - 2.0).abs() < 1e-4, "val = {val}");
-    }
-
-    #[test]
     fn integrate_empty_interval_is_zero() {
         assert_eq!(integrate(|x| x, 3.0, 3.0, 8), 0.0);
-        assert_eq!(adaptive_simpson(|x| x, 3.0, 3.0, 1e-9), 0.0);
     }
 }

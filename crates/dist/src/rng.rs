@@ -188,14 +188,6 @@ impl Rng64 {
     pub fn standard_exponential(&mut self) -> f64 {
         -self.uniform_open().ln()
     }
-
-    /// Fill a byte buffer with generator output (little-endian words).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_raw().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// Derive the seed for grid point `index` of an experiment keyed by
@@ -316,15 +308,6 @@ mod tests {
         let n = 200_000;
         let sum: f64 = (0..n).map(|_| rng.standard_exponential()).sum();
         assert!((sum / n as f64 - 1.0).abs() < 0.02);
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = Rng64::seed_from(23);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        // Probability all bytes are zero is negligible.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

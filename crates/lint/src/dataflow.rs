@@ -68,12 +68,7 @@ fn is_setup(name: &str) -> bool {
 
 /// Workspace-owned buffer holders whose fields must only grow on
 /// reset/new paths (the `grow-once` rule).
-const WORKSPACE_TYPES: &[&str] = &[
-    "SimWorkspace",
-    "EventWorkspace",
-    "Collector",
-    "BlockCollector",
-];
+const WORKSPACE_TYPES: &[&str] = &["SimWorkspace", "EventWorkspace", "Collector"];
 
 /// Buffer-growing method names (on `self.<field>`) the `grow-once`
 /// rule polices, and that `loop-alloc` counts as allocation sites.

@@ -167,17 +167,11 @@ pub struct MetricsConfig {
     /// Defaults to [`Demand::FULL`]; narrower demands let the collector
     /// drop to a slimmer monomorphized record path.
     pub demand: Demand,
-    /// Opt into the block-batched collector tier: records buffer into
-    /// 64-wide SoA lanes and fold into the Welford streams once per
-    /// block ([`OnlineMoments::merge_block`]). Stream means/variances
-    /// are then **ulp-bounded** rather than bit-identical to the
-    /// per-record tiers (count, extrema, makespan, and per-host tallies
-    /// stay exact), so this tier carries its own relative-error gate in
-    /// `tests/metrics_demand.rs`, is never the default, and is never used by
-    /// exhibits. Engages only when no per-record optional accumulator
-    /// is active (records, fairness profile, percentiles, class split,
-    /// SLO counter — each off in config or undemanded); otherwise the
-    /// per-record path runs and results stay bit-identical.
+    /// Inert: nothing reads it, and every value gives the same result bit
+    /// for bit (the block-batched path it selected is gone, DESIGN.md
+    /// §13.3). It stays only because the benchmark crate (`perfbench/`)
+    /// names it in a struct literal, and it goes with the benchmark's
+    /// next change (ROADMAP.md, item 4).
     pub batched: bool,
 }
 
@@ -332,89 +326,6 @@ impl SimResult {
     }
 }
 
-/// Number of records the block-batched tier buffers between flushes.
-const BLOCK: usize = 64;
-
-/// SoA lane buffer for the block-batched collector tier (DESIGN.md §13).
-///
-/// Buffers up to [`BLOCK`] post-warmup records as structure-of-arrays
-/// lanes. A flush reduces each derived stream to `(n, mean, m2, min,
-/// max)` in short vectorizable passes (8-way partial sums, then
-/// centered squares) and folds the summary into the owning collector's
-/// Welford streams via [`OnlineMoments::merge_block`] — one reduction
-/// per block instead of four dependent accumulator updates per job.
-#[derive(Debug, Clone)]
-struct BlockCollector {
-    fill: usize,
-    /// response time `completion − arrival`
-    resp: [f64; BLOCK],
-    /// waiting time `start − arrival`
-    wait: [f64; BLOCK],
-    size: [f64; BLOCK],
-    /// exact reciprocal `1/size` (the trace's precomputed value)
-    inv: [f64; BLOCK],
-    host: [u32; BLOCK],
-}
-
-impl BlockCollector {
-    fn empty() -> Self {
-        Self {
-            fill: 0,
-            resp: [0.0; BLOCK],
-            wait: [0.0; BLOCK],
-            size: [0.0; BLOCK],
-            inv: [0.0; BLOCK],
-            host: [0; BLOCK],
-        }
-    }
-}
-
-/// Reduce one value lane to `(mean, m2, min, max)`.
-///
-/// Partial 8-way accumulators keep every pass free of loop-carried
-/// scalar dependences, so the compiler can vectorize; the tree
-/// reduction at the end fixes the summation order, making the result
-/// deterministic (and ulp-close to, but not bitwise, the sequential
-/// Welford recurrence — see the error argument in DESIGN.md §13).
-fn lane_stats(x: &[f64]) -> (f64, f64, f64, f64) {
-    debug_assert!(!x.is_empty() && x.len() <= BLOCK);
-    let mut sums = [0.0f64; 8];
-    let mut mins = [f64::INFINITY; 8];
-    let mut maxs = [f64::NEG_INFINITY; 8];
-    for c in x.chunks(8) {
-        for (k, &v) in c.iter().enumerate() {
-            sums[k] += v;
-            if v < mins[k] {
-                mins[k] = v;
-            }
-            if v > maxs[k] {
-                maxs[k] = v;
-            }
-        }
-    }
-    let tree = |p: &[f64; 8], f: fn(f64, f64) -> f64| {
-        f(f(f(p[0], p[1]), f(p[2], p[3])), f(f(p[4], p[5]), f(p[6], p[7])))
-    };
-    let sum = tree(&sums, |a, b| a + b);
-    // a full block divides by 64 — a power of two, so the constant
-    // multiply is the exact same value and the steady-state flush stays
-    // divide-free; only tail blocks pay one divide
-    let mean = if x.len() == BLOCK { sum * (1.0 / BLOCK as f64) } else { sum / x.len() as f64 };
-    let mut m2s = [0.0f64; 8];
-    for c in x.chunks(8) {
-        for (k, &v) in c.iter().enumerate() {
-            let d = v - mean;
-            m2s[k] += d * d;
-        }
-    }
-    (
-        mean,
-        tree(&m2s, |a, b| a + b),
-        tree(&mins, f64::min),
-        tree(&maxs, f64::max),
-    )
-}
-
 /// The monomorphized record path a collector resolved its
 /// [`Demand`] + config to at reset (the §13 demand lattice).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,8 +339,6 @@ enum RecordPath {
     MeansHost,
     /// `MEANS` only: the four moment streams, nothing else.
     Means,
-    /// Block-batched SoA accumulation (`MetricsConfig::batched`).
-    Batched,
 }
 
 /// Resolve the record path from the demand lattice and the config's
@@ -445,8 +354,6 @@ fn resolve_path(cfg: &MetricsConfig) -> RecordPath {
     if tail_active {
         // per-record accumulators force the per-record path
         RecordPath::Full
-    } else if cfg.batched {
-        RecordPath::Batched
     } else if d.includes(Demand::QUANTILES) {
         // extrema demanded: full streams (tail checks are four
         // predictable None-tests)
@@ -476,21 +383,16 @@ pub struct Collector {
     /// percentiles are off or while a piped run has lent them to `pipe`.
     percentiles: Option<QuantileSet>,
     /// The percentile pipe, built on the first run that takes it and
-    /// re-armed for every later one (grow-once, like the block lanes).
+    /// re-armed for every later one (grow-once, like the record buffer).
     pipe: Option<Box<PercentilePipe>>,
     slo_violations: u64,
     records: Option<Vec<JobRecord>>,
     /// The monomorphized record path resolved from `cfg` at reset.
     path: RecordPath,
-    /// `Demand::PER_HOST` requested (the batched flush consults it; the
-    /// per-record paths bake it into their instantiation).
-    host_on: bool,
     /// `cfg.split_cutoff` masked by `Demand::CLASS_SPLIT`.
     eff_split: Option<f64>,
     /// `cfg.slo_slowdown` masked by `Demand::QUANTILES`.
     eff_slo: Option<f64>,
-    /// SoA lanes for the batched tier; grow-once like the buffers above.
-    block: Option<Box<BlockCollector>>,
 }
 
 impl Collector {
@@ -528,10 +430,8 @@ impl Collector {
             slo_violations: 0,
             records: None,
             path: RecordPath::Full,
-            host_on: true,
             eff_split: None,
             eff_slo: None,
-            block: None,
         };
         c.reset(hosts, cfg, expected_jobs);
         c
@@ -544,8 +444,8 @@ impl Collector {
     /// expected_jobs)` — the engines' reusable-workspace entry points rely
     /// on that to stay bit-for-bit equal to fresh-allocation runs — but
     /// every growable buffer (per-host stats, the fairness histogram when
-    /// its layout is unchanged, the record vector, the block lanes, the
-    /// percentile pipe) keeps its allocation.
+    /// its layout is unchanged, the record vector, the percentile pipe)
+    /// keeps its allocation.
     ///
     /// `expected_jobs` sizes nothing but the record buffer of a run that
     /// collects records; a streaming run reads it only to pick the
@@ -603,16 +503,8 @@ impl Collector {
             self.records = None;
         }
         self.path = resolve_path(&cfg);
-        self.host_on = d.includes(Demand::PER_HOST);
         self.eff_split = cfg.split_cutoff.filter(|_| d.includes(Demand::CLASS_SPLIT));
         self.eff_slo = cfg.slo_slowdown.filter(|_| d.includes(Demand::QUANTILES));
-        if self.path == RecordPath::Batched {
-            match &mut self.block {
-                Some(b) => b.fill = 0,
-                // dses-lint: allow(no-alloc) -- grow-once: the lanes are built on the first batched run, then reused
-                other => *other = Some(Box::new(BlockCollector::empty())),
-            }
-        }
         if self.percentiles.is_some()
             && expected_jobs.saturating_sub(cfg.warmup_jobs) >= PIPE_CHUNK
             && available_workers() >= 2
@@ -679,8 +571,6 @@ impl Collector {
             RecordPath::Full => self.record_core::<true, true, true>(rec, inv_size),
             RecordPath::MeansHost => self.record_core::<false, true, false>(rec, inv_size),
             RecordPath::Means => self.record_core::<false, false, false>(rec, inv_size),
-            // dses-lint: allow(divide-budget) -- the opt-in batched tier divides once per 64-record block (lane_stats, merge_block), not per job; no engine default or exhibit takes it
-            RecordPath::Batched => self.record_batched(rec, inv_size),
         }
     }
 
@@ -775,76 +665,6 @@ impl Collector {
         }
     }
 
-    /// The block-batched record path: stage the record into the SoA
-    /// lanes and flush once per [`BLOCK`] completions.
-    #[inline]
-    fn record_batched(&mut self, rec: JobRecord, inv_size: f64) {
-        debug_assert!(rec.start >= rec.arrival, "service before arrival");
-        debug_assert!(rec.completion >= rec.start, "negative service");
-        debug_assert_eq!(
-            inv_size.to_bits(),
-            (1.0 / rec.size).to_bits(),
-            "inv_size must be the bitwise reciprocal of rec.size"
-        );
-        self.makespan = self.makespan.max(rec.completion);
-        self.seen += 1;
-        if self.seen <= self.cfg.warmup_jobs as u64 {
-            return;
-        }
-        let Some(b) = self.block.as_mut() else {
-            unreachable!("RecordPath::Batched without lanes; reset() allocates them")
-        };
-        let f = b.fill;
-        b.resp[f] = rec.completion - rec.arrival;
-        b.wait[f] = rec.start - rec.arrival;
-        b.size[f] = rec.size;
-        b.inv[f] = inv_size;
-        b.host[f] = rec.host as u32;
-        b.fill = f + 1;
-        if b.fill == BLOCK {
-            self.flush_block();
-        }
-    }
-
-    /// Flush the staged SoA lanes into the Welford streams (batched tier
-    /// only; a no-op on the per-record paths and on an empty buffer).
-    ///
-    /// Counts, extrema, per-host tallies, and makespan are exact; the
-    /// stream mean/variance go through [`lane_stats`] +
-    /// [`OnlineMoments::merge_block`], which reorders the summation and
-    /// is therefore ulp-bounded rather than bitwise (DESIGN.md §13).
-    fn flush_block(&mut self) {
-        let Some(mut b) = self.block.take() else { return };
-        let fill = b.fill;
-        if fill > 0 {
-            let mut s = [0.0f64; BLOCK];
-            let mut q = [0.0f64; BLOCK];
-            for (sj, (&r, &iv)) in s.iter_mut().zip(b.resp.iter().zip(&b.inv)).take(fill) {
-                *sj = r * iv;
-            }
-            for (qj, (&w, &iv)) in q.iter_mut().zip(b.wait.iter().zip(&b.inv)).take(fill) {
-                *qj = w * iv;
-            }
-            let (m, m2, mn, mx) = lane_stats(&s[..fill]);
-            self.slowdown.merge_block(fill as u64, m, m2, mn, mx);
-            let (m, m2, mn, mx) = lane_stats(&q[..fill]);
-            self.queueing_slowdown.merge_block(fill as u64, m, m2, mn, mx);
-            let (m, m2, mn, mx) = lane_stats(&b.resp[..fill]);
-            self.response.merge_block(fill as u64, m, m2, mn, mx);
-            let (m, m2, mn, mx) = lane_stats(&b.wait[..fill]);
-            self.waiting.merge_block(fill as u64, m, m2, mn, mx);
-            if self.host_on {
-                for j in 0..fill {
-                    let h = &mut self.per_host[b.host[j] as usize];
-                    h.jobs += 1;
-                    h.work += b.size[j];
-                }
-            }
-            b.fill = 0;
-        }
-        self.block = Some(b);
-    }
-
     /// Finish one moment stream, masking extrema when `QUANTILES` is not
     /// demanded (the slim tiers never track them; the full path tracked
     /// them but the demand contract says undemanded fields are
@@ -865,9 +685,8 @@ impl Collector {
 
     /// Finish the run: [`Collector::finish_into`] a fresh result.
     ///
-    /// Consumes the collector; a piped run's last chunks are pushed and,
-    /// on the batched tier, any partially filled block is flushed first.
-    /// Undemanded fields come out as deterministic empties (`None`,
+    /// Consumes the collector; a piped run's last chunks are pushed
+    /// first. Undemanded fields come out as deterministic empties (`None`,
     /// zeroed tallies, extrema sentinels) regardless of what the config
     /// switches asked for.
     #[must_use]
@@ -896,7 +715,6 @@ impl Collector {
     // dses-lint: deny(alloc)
     pub fn finish_into(&mut self, out: &mut SimResult) {
         self.end_pipe_run(true);
-        self.flush_block();
         let d = self.cfg.demand.normalized();
         let measured = self.slowdown.count();
         out.slowdown = self.demanded_moments(&self.slowdown);
@@ -1378,23 +1196,13 @@ mod demand_tests {
         assert_eq!(resolve_path(&means), RecordPath::Means);
         let hosty = MetricsConfig { demand: Demand::MEANS | Demand::PER_HOST, ..base };
         assert_eq!(resolve_path(&hosty), RecordPath::MeansHost);
-        let batched = MetricsConfig { batched: true, ..base };
-        assert_eq!(resolve_path(&batched), RecordPath::Batched);
-        // a demanded tail accumulator overrides the batching request
-        let tailed = MetricsConfig {
-            batched: true,
-            split_cutoff: Some(1.0),
-            ..base
-        };
-        assert_eq!(resolve_path(&tailed), RecordPath::Full);
-        // ... but an undemanded one does not
+        // an undemanded tail accumulator does not force the full path
         let masked_tail = MetricsConfig {
-            batched: true,
             split_cutoff: Some(1.0),
             demand: Demand::MEANS,
             ..base
         };
-        assert_eq!(resolve_path(&masked_tail), RecordPath::Batched);
+        assert_eq!(resolve_path(&masked_tail), RecordPath::Means);
         assert_eq!(resolve_path(&MetricsConfig::full_records()), RecordPath::Full);
     }
 
@@ -1426,60 +1234,6 @@ mod demand_tests {
         assert_eq!(m.slowdown.max, f64::NEG_INFINITY);
         assert!(m.per_host.iter().all(|h| h.jobs == 0 && h.work == 0.0));
         assert!(f.per_host.iter().any(|h| h.jobs > 0));
-    }
-
-    #[test]
-    fn batched_tier_is_close_and_exact_where_promised() {
-        let recs: Vec<JobRecord> = (0..321)
-            .map(|i| rec(i, i as f64 * 0.5, 0.5 + (i % 17) as f64, i as f64 * 0.5 + (i % 5) as f64, (i % 3) as usize))
-            .collect();
-        let mut scalar = Collector::new(3, MetricsConfig::streaming());
-        let mut batched = Collector::new(
-            3,
-            MetricsConfig {
-                batched: true,
-                ..MetricsConfig::streaming()
-            },
-        );
-        for &r in &recs {
-            scalar.record(r);
-            batched.record(r);
-        }
-        let s = scalar.finish();
-        let b = batched.finish();
-        // exact: counts, extrema, per-host tallies, makespan
-        assert_eq!(b.measured, s.measured);
-        assert_eq!(b.slowdown.min.to_bits(), s.slowdown.min.to_bits());
-        assert_eq!(b.slowdown.max.to_bits(), s.slowdown.max.to_bits());
-        assert_eq!(b.per_host, s.per_host);
-        assert_eq!(b.makespan.to_bits(), s.makespan.to_bits());
-        // ulp-bounded: stream mean and variance
-        for (x, y) in [
-            (&b.slowdown, &s.slowdown),
-            (&b.queueing_slowdown, &s.queueing_slowdown),
-            (&b.response, &s.response),
-            (&b.waiting, &s.waiting),
-        ] {
-            assert!((x.mean - y.mean).abs() <= 1e-12 * y.mean.abs().max(1e-300));
-            assert!((x.variance - y.variance).abs() <= 1e-9 * y.variance.abs().max(1e-300));
-        }
-    }
-
-    #[test]
-    fn lane_stats_matches_naive_two_pass() {
-        let xs: Vec<f64> = (0..64).map(|i| (i as f64).mul_add(0.37, -3.0)).collect();
-        let (mean, m2, mn, mx) = lane_stats(&xs);
-        let naive_mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let naive_m2 = xs.iter().map(|x| (x - naive_mean) * (x - naive_mean)).sum::<f64>();
-        assert!((mean - naive_mean).abs() <= 1e-13 * naive_mean.abs().max(1.0));
-        assert!((m2 - naive_m2).abs() <= 1e-10 * naive_m2.abs().max(1.0));
-        assert_eq!(mn, *xs.first().unwrap());
-        assert_eq!(mx, *xs.last().unwrap());
-        // short slices (partial final block) go through the same code
-        let (mean1, m21, mn1, mx1) = lane_stats(&xs[..1]);
-        assert_eq!(mean1, xs[0]);
-        assert_eq!(m21, 0.0);
-        assert_eq!((mn1, mx1), (xs[0], xs[0]));
     }
 
     #[test]

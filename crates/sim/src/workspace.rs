@@ -56,9 +56,9 @@ pub struct SimWorkspace {
     pub(crate) expiry: BinaryHeap<Reverse<(OrdF64, usize)>>,
     /// The streaming metrics collector. Its demand tier and record path
     /// are re-resolved from the run's [`MetricsConfig`] at each reset;
-    /// its growable storage — histogram, percentile state, record
-    /// buffer, and the batched tier's SoA block lanes — persists here
-    /// so steady-state sweeps stay allocation-free.
+    /// its growable storage — histogram, percentile state and record
+    /// buffer — persists here so steady-state sweeps stay
+    /// allocation-free.
     pub(crate) collector: Collector,
     /// Event-engine state machines (dispatch + central queue).
     pub(crate) event: EventWorkspace,

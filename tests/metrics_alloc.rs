@@ -1,6 +1,6 @@
 //! Zero-allocation gates for every kernel class, the collector's finish
-//! path, the full collector's tail (fairness bins, percentiles, SLO,
-//! class split) and the block-batched tier.
+//! path, every demand tier and the full collector's tail (fairness
+//! bins, percentiles, SLO, class split).
 //!
 //! `Collector::finish_into` hands its per-host tallies and record
 //! buffer to the output by pointer swap, so a warmed workspace run —
@@ -9,11 +9,10 @@
 //! state. The same holds for each kernel's own state: the static
 //! kernels' Lindley scalars, the work-left kernel's chunked argmin, and
 //! the generic loop's views, FIFO deques and expiry heap all live in
-//! the grow-once workspace. The batched tier's SoA lanes are a grow-once
-//! boxed block owned by the collector; once built they are reused
-//! forever, as are the percentile pipe's two chunks and pool task, which
-//! a long percentile run hands its P² pushes through (the count is
-//! process-wide, so the pool helper's allocations enter it too).
+//! the grow-once workspace. The percentile pipe's two chunks and pool
+//! task, which a long percentile run hands its P² pushes through, are
+//! built once and reused forever (the count is process-wide, so the pool
+//! helper's allocations enter it too).
 //!
 //! This gate lives in its own test binary: the default harness runs a
 //! binary's tests on multiple threads, and any concurrent test would
@@ -143,14 +142,6 @@ fn steady_state_collector_tiers_do_not_allocate() {
                 ..MetricsConfig::streaming()
             },
         ),
-        (
-            "batched",
-            MetricsConfig {
-                demand: Demand::MEANS,
-                batched: true,
-                ..MetricsConfig::streaming()
-            },
-        ),
     ];
     // One policy per kernel class: the three closed-form static kernels
     // and the work-left kernel over all hosts (LWL) and over one group
@@ -219,8 +210,8 @@ fn steady_state_collector_tiers_do_not_allocate() {
     }
 }
 
-/// A warm-up run grows every buffer (the block lanes, the pipe's chunks)
-/// to this shape; four more runs must then allocate nothing.
+/// A warm-up run grows every buffer (the fairness histogram, the pipe's
+/// chunks) to this shape; four more runs must then allocate nothing.
 fn assert_steady(
     what: &str,
     trace: &Trace,

@@ -1,6 +1,6 @@
 //! The collector demand contract, end to end.
 //!
-//! Three promises from DESIGN.md §13:
+//! Two promises from DESIGN.md §13:
 //!
 //! 1. **Full demand is the status quo** — with `Demand::FULL` (the
 //!    default) every engine produces record-bitwise identical results;
@@ -8,15 +8,10 @@
 //! 2. **Demanded fields are bitwise** — any demand subset reproduces the
 //!    fields it demands bit-for-bit against a full-demand run, and
 //!    undemanded fields read as deterministic empties.
-//! 3. **The batched tier is ulp-bounded** — counts, extrema, per-host
-//!    tallies, and makespan are exact; stream mean/variance sit within
-//!    the documented bounds (mean 1e-12, variance 1e-9 relative) on
-//!    adversarial inputs.
 
 use dses_core::policies::{RandomPolicy, SizeInterval};
 use dses_core::prelude::*;
 use dses_queueing::cutoff::sita_e_cutoffs;
-use dses_sim::metrics::Collector;
 use dses_sim::{
     simulate_dispatch, simulate_dispatch_into, Demand, EventEngine, JobRecord, SimWorkspace,
 };
@@ -127,6 +122,12 @@ fn demanded_fields_are_bitwise_and_undemanded_fields_are_empty() {
     ] {
         let cfg = MetricsConfig { demand, ..base };
         let r = simulate_dispatch(&trace, hosts, &mut RandomPolicy, 7, cfg);
+        // `batched` is inert: every field equals the `batched: false`
+        // run's (`{:?}` prints each f64 in its shortest round-trip form,
+        // so equal text is equal bits)
+        let flagged = MetricsConfig { batched: true, ..cfg };
+        let flagged = simulate_dispatch(&trace, hosts, &mut RandomPolicy, 7, flagged);
+        assert_eq!(format!("{flagged:?}"), format!("{r:?}"), "batched: true at demand {demand:?}");
         for (stream, a, b) in [
             ("slowdown", &r.slowdown, &full.slowdown),
             ("queueing", &r.queueing_slowdown, &full.queueing_slowdown),
@@ -182,148 +183,6 @@ fn undemanded_switches_still_leave_demanded_fields_bitwise() {
     assert!(r.short_slowdown.is_none(), "undemanded class split not empty");
     assert!(r.long_slowdown.is_none());
     assert!(r.slo_violations.is_none(), "undemanded SLO count not empty");
-}
-
-fn rec(i: u64, arrival: f64, size: f64, wait: f64, host: usize) -> JobRecord {
-    let start = arrival + wait;
-    JobRecord {
-        id: i,
-        arrival,
-        size,
-        start,
-        completion: start + size,
-        host,
-    }
-}
-
-fn run_collector(cfg: MetricsConfig, hosts: usize, recs: &[JobRecord]) -> SimResult {
-    let mut c = Collector::new(hosts, cfg);
-    for &r in recs {
-        c.record(r);
-    }
-    c.finish()
-}
-
-/// mean within 1e-12 relative, variance within 1e-9 relative, with a
-/// tiny absolute floor so exactly-zero streams compare cleanly.
-fn assert_block_close(label: &str, batched: &Moments, scalar: &Moments) {
-    assert_eq!(batched.count, scalar.count, "{label} count");
-    assert_eq!(batched.min.to_bits(), scalar.min.to_bits(), "{label} min");
-    assert_eq!(batched.max.to_bits(), scalar.max.to_bits(), "{label} max");
-    let mean_err = (batched.mean - scalar.mean).abs();
-    assert!(
-        mean_err <= 1e-12 * scalar.mean.abs().max(1e-300) || mean_err <= 1e-12,
-        "{label} mean off by {mean_err:e} ({} vs {})",
-        batched.mean,
-        scalar.mean
-    );
-    let var_err = (batched.variance - scalar.variance).abs();
-    assert!(
-        var_err <= 1e-9 * scalar.variance.abs().max(1e-300) || var_err <= 1e-12,
-        "{label} variance off by {var_err:e} ({} vs {})",
-        batched.variance,
-        scalar.variance
-    );
-}
-
-#[test]
-fn block_tier_stays_within_documented_bounds_on_adversarial_inputs() {
-    let scalar_cfg = MetricsConfig::streaming();
-    let batched_cfg = MetricsConfig {
-        batched: true,
-        ..scalar_cfg
-    };
-    let hosts = 4;
-    // adversarial streams: 1-job, just below/at/above the block
-    // boundary, multi-block, and a long tail
-    for &n in &[1usize, 63, 64, 65, 128, 1_000] {
-        // mixed magnitudes: sizes swing from 1e-9 to 1e9 record to record
-        let mixed: Vec<JobRecord> = (0..n)
-            .map(|i| {
-                let size = if i % 2 == 0 { 1e-9 } else { 1e9 };
-                rec(i as u64, i as f64 * 0.25, size, (i % 7) as f64, i % hosts)
-            })
-            .collect();
-        // all-equal records: scalar variance is exactly zero
-        let equal: Vec<JobRecord> = (0..n)
-            .map(|i| rec(i as u64, i as f64, 3.0, 2.0, i % hosts))
-            .collect();
-        for (label, recs) in [("mixed", &mixed), ("all-equal", &equal)] {
-            let s = run_collector(scalar_cfg, hosts, recs);
-            let b = run_collector(batched_cfg, hosts, recs);
-            let tag = format!("{label} n={n}");
-            assert_block_close(&format!("{tag} slowdown"), &b.slowdown, &s.slowdown);
-            assert_block_close(&format!("{tag} queueing"), &b.queueing_slowdown, &s.queueing_slowdown);
-            assert_block_close(&format!("{tag} response"), &b.response, &s.response);
-            assert_block_close(&format!("{tag} waiting"), &b.waiting, &s.waiting);
-            assert_eq!(b.per_host, s.per_host, "{tag} per-host tallies");
-            assert_eq!(b.makespan.to_bits(), s.makespan.to_bits(), "{tag} makespan");
-            assert_eq!(b.measured, s.measured, "{tag} measured");
-        }
-    }
-}
-
-#[test]
-fn block_tier_handles_warmup_boundaries() {
-    // a warmup that is not a multiple of the block size forces the
-    // per-record staging path across the boundary
-    for &warmup in &[1usize, 10, 63, 64, 100] {
-        let scalar_cfg = MetricsConfig {
-            warmup_jobs: warmup,
-            ..MetricsConfig::streaming()
-        };
-        let batched_cfg = MetricsConfig {
-            batched: true,
-            ..scalar_cfg
-        };
-        let recs: Vec<JobRecord> = (0..200)
-            .map(|i| rec(i as u64, i as f64 * 0.5, 1.0 + (i % 9) as f64, (i % 5) as f64, i % 3))
-            .collect();
-        let s = run_collector(scalar_cfg, 3, &recs);
-        let b = run_collector(batched_cfg, 3, &recs);
-        assert_eq!(b.measured, s.measured, "warmup={warmup}");
-        assert_eq!(b.skipped, s.skipped, "warmup={warmup}");
-        assert_block_close(&format!("warmup={warmup} slowdown"), &b.slowdown, &s.slowdown);
-        assert_eq!(b.makespan.to_bits(), s.makespan.to_bits(), "warmup={warmup}");
-    }
-}
-
-#[test]
-fn batched_engine_runs_match_scalar_within_bounds() {
-    // the batched tier through the real engines, against the scalar
-    // collector on the same schedule
-    let mut ws = SimWorkspace::new();
-    for &hosts in &[8usize, 64] {
-        let trace = c90_trace(10_000, hosts, 404);
-        for (name, build) in builders(hosts) {
-            let s = simulate_dispatch(
-                &trace,
-                hosts,
-                build().as_mut(),
-                7,
-                MetricsConfig::streaming(),
-            );
-            let mut b = SimResult::empty();
-            simulate_dispatch_into(
-                &trace,
-                hosts,
-                build().as_mut(),
-                7,
-                MetricsConfig {
-                    batched: true,
-                    ..MetricsConfig::streaming()
-                },
-                &mut ws,
-                &mut b,
-            );
-            let tag = format!("{name} h={hosts}");
-            assert_block_close(&format!("{tag} slowdown"), &b.slowdown, &s.slowdown);
-            assert_block_close(&format!("{tag} response"), &b.response, &s.response);
-            assert_eq!(b.per_host, s.per_host, "{tag} per-host tallies");
-            assert_eq!(b.makespan.to_bits(), s.makespan.to_bits(), "{tag} makespan");
-            assert_eq!(b.measured, s.measured, "{tag} measured");
-        }
-    }
 }
 
 #[test]
